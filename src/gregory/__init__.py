@@ -15,7 +15,6 @@ screens for x/ln(1+x) and its relatives.
 """
 
 from .exact import (
-    BigRational,
     GregoryTable,
     NestedSumMemo,
     TableMethod,
@@ -66,7 +65,6 @@ from .properties import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "GregoryTable",
     "NestedSumMemo",
     "TableMethod",

@@ -88,6 +88,17 @@ class OutputRecord:
         }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for --tol and --x: a float that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -570,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--n-max", type=int, default=30)
     p_compute.add_argument("--method", default="all",
                            choices=("series", "explicit", "integral", "all"))
-    p_compute.add_argument("--tol", type=float, default=1e-10)
+    p_compute.add_argument("--tol", type=_finite_float, default=1e-10)
     p_compute.add_argument("--format", dest="fmt", default="table",
                            choices=("csv", "json", "table"))
 
@@ -578,15 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           choices=tuple(_SUITE_RUNNERS) + ("all",))
     p_verify.add_argument("--n-max", type=int, default=30)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-10)
 
     p_eval = sub.add_parser("eval", help="evaluate one integral-backed function")
     p_eval.add_argument("--function", required=True,
                         choices=("genfun", "recip-log", "derivative",
                                  "bernstein-identity"))
-    p_eval.add_argument("--x", type=float, required=True)
+    p_eval.add_argument("--x", type=_finite_float, required=True)
     p_eval.add_argument("--k", type=int, default=1)
-    p_eval.add_argument("--tol", type=float, default=1e-10)
+    p_eval.add_argument("--tol", type=_finite_float, default=1e-10)
     return parser
 
 

@@ -7,13 +7,15 @@ coefficients of x/ln(1+x):
 
 Two algebraically independent exact algorithms are provided:
 
-* ``bernoulli2_series``   -- series-division recurrence, O(N^2) rationals.
-* ``bernoulli2_explicit`` -- closed nested-sum formula over the chain
-  sums S(m, d); much slower, which is exactly why it makes a good
-  cross-check of the recurrence.
+* ``bernoulli2_series``   -- the series-division recurrence, run on
+  integer numerators over one common denominator.
+* ``bernoulli2_explicit`` -- the closed nested-sum formula over the chain
+  sums S(m, d), evaluated on integer rows of unsigned Stirling numbers of
+  the first kind.
 
-All arithmetic is exact over arbitrary-precision rationals; floats never
-enter this module.
+Both run on Python ints and build a single ``Fraction`` per coefficient
+at the end; an N = 1000 table takes seconds.  Floats never enter this
+module.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
-
-# Canonical exact rational value type.  fractions.Fraction already
-# guarantees denominator > 0 and gcd-reduced form after every operation,
-# so no wrapper is needed.
-BigRational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,53 +98,73 @@ def bernoulli2_series(n_max: int) -> GregoryTable:
 
         b_0 = 1,  b_n = -sum_{k=1}^{n} (-1)**k b_{n-k} / (k+1).
 
+    The recurrence runs on the integers c_j = (-1)**j b_j D over the one
+    denominator D = n_max! lcm(1..n_max+1), where it reads
+    c_n = -sum_k c_{n-k}/(k+1).  Each quotient splits as q + r/(k+1)
+    with 0 <= r <= k, and the remainders are summed over
+    lcm(1..n_max+1).  Every c_n is an integer, because n! b_n =
+    sum_k s(n, k)/(k+1) has a denominator dividing lcm(1..n+1), so that
+    remainder sum divides exactly.
+
     Total function for n_max >= 0; memory is the only practical limit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [ONE]
-    for n in range(1, n_max + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            term = values[n - k] / (k + 1)
-            acc += -term if k % 2 else term
-        values.append(-acc)
-    return GregoryTable(values=tuple(values), method=TableMethod.SERIES_RECURRENCE)
+    lcm = math.lcm(*range(1, n_max + 2))
+    scale = math.factorial(n_max) * lcm
+    divisors = range(2, n_max + 2)               # k + 1 for k = 1..n_max
+    weights = [lcm // d for d in divisors]
+    scaled = [scale]
+    for _ in range(n_max):
+        quotients, remainders = zip(*map(divmod, reversed(scaled), divisors))
+        scaled.append(-(sum(quotients) + sum(map(int.__mul__, remainders, weights)) // lcm))
+    values = tuple(Fraction(c if j % 2 == 0 else -c, scale) for j, c in enumerate(scaled))
+    return GregoryTable(values=values, method=TableMethod.SERIES_RECURRENCE)
+
+
+def _next_stirling_row(row: Sequence[int], m: int) -> list[int]:
+    """Unsigned Stirling numbers |s(m+1, 0..m+1)| from |s(m, 0..m)|.
+
+    |s(m+1, j)| = |s(m, j-1)| + m |s(m, j)|.
+    """
+    return [a + m * b for a, b in zip((0, *row), (*row, 0))]
 
 
 class NestedSumMemo:
-    """Triangular memo of the chain sums S(m, d).
+    """Memo of the chain sums S(m, d), held as integer Stirling rows.
 
     S(m, d) is the sum over strictly decreasing integer chains
     m >= l_1 > l_2 > ... > l_d >= 1 of prod_j 1/l_j, with the
     conventions S(m, 0) = 1 (the empty chain) and S(m, d) = 0 for
-    d > m.  Rows are grown in place through
+    d > m.  It is the elementary symmetric function e_d(1, 1/2, ..., 1/m),
+    so m! S(m, d) = e_{m-d}(1, ..., m), the coefficient of x**(d+1) in
+    x(x+1)...(x+m).  Hence
 
-        S(m, d) = S(m-1, d) + (1/m) S(m-1, d-1),
+        S(m, d) = |s(m+1, d+1)| / m!,
 
-    splitting on whether a chain starts at m.  Instances mutate while
-    they grow, so share one between threads only behind a lock, or
-    hand each thread its own.
+    with s the Stirling numbers of the first kind.  The memo keeps row m
+    of |s(m, .)| for every m reached so far.  Instances mutate while
+    they grow, so share one between threads only behind a lock, or hand
+    each thread its own.
     """
 
     def __init__(self) -> None:
-        self._rows: list[list[Fraction]] = [[ONE]]  # row m holds S(m, 0..m)
+        self._rows: list[tuple[int, ...]] = [(1,)]  # row m holds |s(m, 0..m)|
+
+    def stirling_row(self, m: int) -> tuple[int, ...]:
+        """|s(m, 0..m)|, the unsigned Stirling numbers of the first kind."""
+        if m < 0:
+            raise ValueError("row index must be nonnegative")
+        while len(self._rows) <= m:
+            self._rows.append(tuple(_next_stirling_row(self._rows[-1], len(self._rows) - 1)))
+        return self._rows[m]
 
     def value(self, m: int, d: int) -> Fraction:
         if m < 0 or d < 0:
             raise ValueError("chain sum indices must be nonnegative")
         if d > m:
             return ZERO
-        while len(self._rows) <= m:
-            prev = self._rows[-1]
-            mm = len(self._rows)
-            inv = Fraction(1, mm)
-            row = [ONE]
-            for dd in range(1, mm + 1):
-                above = prev[dd] if dd < len(prev) else ZERO
-                row.append(above + inv * prev[dd - 1])
-            self._rows.append(row)
-        return self._rows[m][d]
+        return Fraction(self.stirling_row(m + 1)[d + 1], math.factorial(m))
 
 
 def nested_sum(m: int, d: int, memo: NestedSumMemo | None = None) -> Fraction:
@@ -165,7 +182,9 @@ def a_coefficient(n: int, i: int, memo: NestedSumMemo | None = None) -> Fraction
     """Exact coefficient a(n, i) of the explicit formula.
 
     a(n, 2) = (n-1)! and, for 3 <= i <= n+1,
-    a(n, i) = (i-1)! (n-1)! S(n-1, i-2).
+    a(n, i) = (i-1)! (n-1)! S(n-1, i-2).  Both cases are the integer
+    (i-1)! |s(n, i-1)|, since (n-1)! S(n-1, i-2) = |s(n, i-1)| and
+    |s(n, 1)| = (n-1)!.
 
     Raises ValueError outside 2 <= i <= n+1, where the coefficient is
     undefined.
@@ -174,18 +193,24 @@ def a_coefficient(n: int, i: int, memo: NestedSumMemo | None = None) -> Fraction
         raise ValueError("n must be >= 1")
     if i < 2 or i > n + 1:
         raise ValueError(f"a({n}, {i}) is undefined: need 2 <= i <= n+1")
-    if i == 2:
-        return Fraction(math.factorial(n - 1))
     memo = memo if memo is not None else NestedSumMemo()
-    weight = math.factorial(i - 1) * math.factorial(n - 1)
-    return weight * memo.value(n - 1, i - 2)
+    return Fraction(math.factorial(i - 1) * memo.stirling_row(n)[i - 1])
 
 
-def _a_or_zero(n: int, i: int, memo: NestedSumMemo) -> Fraction:
-    # indices outside 2 <= i <= n+1 contribute nothing to the main sum
-    if n < 1 or i < 2 or i > n + 1:
-        return ZERO
-    return a_coefficient(n, i, memo)
+def _explicit_from_rows(n: int, prev: Sequence[int], row: Sequence[int], lcm: int) -> Fraction:
+    """b_n from the rows |s(n-1, .)| and |s(n, .)|, with lcm = lcm(1..n+1).
+
+    With a(n, k) = (k-1)! |s(n, k-1)| each summand of the explicit formula
+    is the integer |s(n, k-1)| - n |s(n-1, k-1)| divided by k.  That
+    quotient splits as q + r/k with 0 <= r < k, and the bracket becomes
+    (lcm sum q + lcm/(n+1) + sum r lcm/k) / lcm.
+    """
+    divisors = range(2, n + 1)
+    quotients, remainders = zip(*map(divmod, (row[k - 1] - n * prev[k - 1] for k in divisors),
+                                     divisors))
+    bracket = (lcm * sum(quotients) + lcm // (n + 1)
+               + sum(r * (lcm // k) for r, k in zip(remainders, divisors)))
+    return Fraction(bracket if n % 2 == 0 else -bracket, math.factorial(n) * lcm)
 
 
 def bernoulli2_explicit(n: int, memo: NestedSumMemo | None = None) -> Fraction:
@@ -194,17 +219,14 @@ def bernoulli2_explicit(n: int, memo: NestedSumMemo | None = None) -> Fraction:
         b_n = (-1)**n / n! * [ 1/(n+1)
               + sum_{k=2}^{n} (a(n, k) - n a(n-1, k)) / k! ]
 
-    Out-of-range a(., .) terms are taken as 0, which makes the sum total
-    without changing any defined term.
+    Every a(., .) in the sum is defined (2 <= k <= n), and the formula is
+    evaluated on the memo's integer Stirling rows n-1 and n.
     """
     if n < 2:
         raise ValueError("explicit formula applies for n >= 2 only")
     memo = memo if memo is not None else NestedSumMemo()
-    acc = Fraction(1, n + 1)
-    for k in range(2, n + 1):
-        acc += (_a_or_zero(n, k, memo) - n * _a_or_zero(n - 1, k, memo)) / math.factorial(k)
-    sign = 1 if n % 2 == 0 else -1
-    return Fraction(sign, math.factorial(n)) * acc
+    return _explicit_from_rows(n, memo.stirling_row(n - 1), memo.stirling_row(n),
+                               math.lcm(*range(1, n + 2)))
 
 
 def bernoulli2_explicit_table(n_max: int) -> GregoryTable:
@@ -212,14 +234,17 @@ def bernoulli2_explicit_table(n_max: int) -> GregoryTable:
 
     The closed formula starts at n = 2; b_0 = 1 and b_1 = 1/2 are series
     constants and are filled in directly so both methods cover the same
-    index range.
+    index range.  Only the two Stirling rows the formula needs are kept.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    memo = NestedSumMemo()
     values = [ONE, ONE_HALF][: n_max + 1]
+    row = [0, 1]                    # |s(1, .)|
+    lcm = 2                         # lcm(1..n+1) at n = 1
     for n in range(2, n_max + 1):
-        values.append(bernoulli2_explicit(n, memo))
+        prev, row = row, _next_stirling_row(row, n - 1)
+        lcm = math.lcm(lcm, n + 1)
+        values.append(_explicit_from_rows(n, prev, row, lcm))
     return GregoryTable(values=tuple(values), method=TableMethod.EXPLICIT_FORMULA)
 
 

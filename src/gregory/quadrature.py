@@ -136,8 +136,8 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
     fraction of tol; the last significant magnitude seen there feeds the
     tail part of the estimate, so nothing is dropped silently.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     gvals: list[float] = []

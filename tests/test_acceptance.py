@@ -11,7 +11,7 @@ than loosened:
 * criterion 6b expects the epsilon = 1/10 perturbation to break complete
   monotonicity within the first 30 differences, but the smallest signed
   difference at that horizon is still about 0.1211 > 0 (the first
-  violation projects to around k = 10,930).
+  violation is at k = 10,198).
 
 README.md carries the analysis.  The neighboring 4b/6a tests pin the
 parts of those criteria that exact computation does support.
@@ -143,7 +143,7 @@ class TestAcceptanceGate:
         It does not: the signed differences at offset zero decay like
         1/ln k, the smallest of them within thirty differences is about
         0.2211, and subtracting 1/10 leaves 0.1211 > 0.  A violation first
-        appears near k = 10,930, far beyond any tractable exact horizon.
+        appears at k = 10,198, far beyond any tractable exact horizon.
         Kept as commissioned and left red; see README.md.
         """
         report = check_minimality_perturbation(

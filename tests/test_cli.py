@@ -258,6 +258,29 @@ class TestEvalCommand:
         assert code == 2
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--method", "integral", "--n-max", "2", "--tol", "inf"],
+        ["compute", "--method", "all", "--n-max", "2", "--tol", "nan"],
+        ["compute", "--method", "series", "--n-max", "2", "--tol", "nan"],
+        ["verify", "--suite", "cm-sequence", "--tol", "nan"],
+        ["verify", "--suite", "cm-sequence", "--tol", "inf"],
+        ["eval", "--function", "genfun", "--x", "inf"],
+        ["eval", "--function", "recip-log", "--x", "nan"],
+        ["eval", "--function", "derivative", "--x", "nan"],
+        ["eval", "--function", "genfun", "--x", "1e999"],
+        ["eval", "--function", "genfun", "--x", "1", "--tol", "nan"],
+        ["eval", "--function", "genfun", "--x", "1", "--tol=-inf"],
+    ])
+    def test_rejected_as_usage_error(self, argv, capsys):
+        """inf and nan in --tol or --x exit 2 with an error line, no traceback."""
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         """The package runs as a module and emits the same CSV."""

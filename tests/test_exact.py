@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -100,6 +101,12 @@ class TestRationalSerialization:
         assert parse_rational(format_rational(q)) == q
 
 
+def _brute_chain_sum(m, d):
+    """S(m, d) straight from its definition: every d-subset of 1..m."""
+    return sum((Fraction(1, math.prod(chain)) for chain in combinations(range(1, m + 1), d)),
+               Fraction(0))
+
+
 class TestNestedSums:
     def test_hand_values(self):
         """S(2,1) = 1/2 + 1 = 3/2, S(3,1) = 11/6, S(3,2) = 1."""
@@ -120,6 +127,13 @@ class TestNestedSums:
             nested_sum(-1, 0)
         with pytest.raises(ValueError):
             nested_sum(2, -1)
+
+    def test_matches_definition(self):
+        """The Stirling-row memo reproduces the chain sums by enumeration."""
+        memo = NestedSumMemo()
+        for m in range(10):
+            for d in range(m + 2):
+                assert nested_sum(m, d, memo) == _brute_chain_sum(m, d), (m, d)
 
     def test_shared_memo_matches_fresh(self):
         memo = NestedSumMemo()
@@ -150,6 +164,14 @@ class TestExplicitCoefficients:
         """a(n, n+1) = n! (i-1)! S(n-1, n-1) collapses to the full chain product."""
         for n in range(1, 8):
             assert a_coefficient(n, n + 1) == math.factorial(n)
+
+    def test_matches_definition(self):
+        """a(n, i) = (i-1)! (n-1)! S(n-1, i-2) with S enumerated directly."""
+        for n in range(1, 9):
+            for i in range(2, n + 2):
+                expected = (math.factorial(i - 1) * math.factorial(n - 1)
+                            * _brute_chain_sum(n - 1, i - 2))
+                assert a_coefficient(n, i) == expected, (n, i)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -189,6 +211,10 @@ class TestExplicitFormula:
 
     def test_tables_equal_across_methods(self, table31):
         assert bernoulli2_explicit_table(12).values == table31.values[:13]
+
+    def test_tables_equal_at_300(self):
+        """The two integer-only table builders agree index by index at N = 300."""
+        assert bernoulli2_series(300).values == bernoulli2_explicit_table(300).values
 
 
 class TestSignedMoments:

@@ -132,6 +132,10 @@ class TestIntegrate01:
         with pytest.raises(ValueError):
             integrate_01(lambda s: 1.0, tol=0.0)
         with pytest.raises(ValueError):
+            integrate_01(lambda s: 1.0, tol=math.nan)
+        with pytest.raises(ValueError):
+            integrate_01(lambda s: 1.0, tol=math.inf)
+        with pytest.raises(ValueError):
             integrate_01(lambda s: 1.0, tol=1e-8, max_levels=0)
 
     def test_threaded_calls_agree(self):
