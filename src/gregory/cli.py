@@ -12,9 +12,12 @@ Three subcommands:
   eval      evaluate one quadrature-backed function at a point and
             compare against its closed form.
 
-Exit codes: 0 success, 1 verification or convergence failure, 2 usage
-error.  Output ordering is deterministic: records sort by n, then by
-method in the fixed order series, explicit, integral.
+Exit codes: 0 success, 1 a failed verify suite, a compute quadrature
+that did not converge or an eval quadrature that aborted on a non-finite
+integrand value, 2 usage error.  eval exits 0 when its quadrature does
+not converge and says so in a warning on stderr.  Output ordering is
+deterministic: records sort by n, then by method in the fixed order
+series, explicit, integral.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from .exact import (
@@ -37,6 +41,7 @@ from .exact import (
 from .properties import (
     CmReport,
     DeterminantVariant,
+    _value_string,
     check_bernstein,
     check_cm_sequence,
     check_log_convexity,
@@ -233,10 +238,6 @@ def _report(suite: str, horizon: tuple[int, int],
                     horizon=horizon, first_violation=violation)
 
 
-def _float_string(v: float) -> str:
-    return format_rational(Fraction(v))
-
-
 def _signed_moments(n_max: int) -> tuple:
     # mu_n = (-1)**n b_{n+1} for n = 0..n_max
     return signed_moment_sequence(bernoulli2_series(n_max + 1))
@@ -260,8 +261,6 @@ def _suite_hankel(n_max: int, tol: float) -> CmReport:
     Stage 2: exhaustive sweep, sizes <= 4 and entries <= 5, all >= 0.
     Stage 3: shifted-kernel determinant screens at x in {0.5, 1}.
     """
-    from itertools import combinations_with_replacement
-
     table = bernoulli2_series(n_max)
     goldens = [
         ((0,), Fraction(1, 2)),
@@ -298,8 +297,6 @@ def _suite_majorization(n_max: int, tol: float) -> CmReport:
     entries <= 6; a violation reports the two tuple positions in the
     canonical enumeration.
     """
-    from itertools import combinations_with_replacement
-
     table = bernoulli2_series(n_max)
     tuples = [t for m in range(1, 4)
               for t in combinations_with_replacement(range(7), m)]
@@ -339,30 +336,30 @@ def _suite_integrals(n_max: int, tol: float) -> CmReport:
         bound = max(1e-10 * abs(exact_value), 1e-14)
         if abs(got - exact_value) > bound:
             return _report("integrals", (top, 12),
-                           (0, n, _float_string(got - exact_value)))
+                           (0, n, _value_string(got - exact_value)))
     for idx, x in enumerate(_RESIDUAL_GRID):
         got = stieltjes_recip_log(x, tol)
         residual = abs(got.value - 1.0 / math.log1p(x))
         if residual > 1e-8 or residual > 10.0 * max(got.abs_error_estimate, 1e-16):
-            return _report("integrals", (top, 12), (1, idx, _float_string(residual)))
+            return _report("integrals", (top, 12), (1, idx, _value_string(residual)))
     for idx, x in enumerate(_RESIDUAL_GRID):
         got = genfun_integral(x, tol)
         residual = abs(got.value - x / math.log1p(x))
         if residual > 1e-8:
-            return _report("integrals", (top, 12), (2, idx, _float_string(residual)))
+            return _report("integrals", (top, 12), (2, idx, _value_string(residual)))
     for k in range(1, 13):
         reference = float(math.factorial(k) * table[k])
         scaled_tol = max(1e-9 * abs(reference), 1e-15)
         got = genfun_derivative_integral(0.0, k, scaled_tol).value
         if abs(got - reference) > 1e-9 * abs(reference):
             return _report("integrals", (top, 12),
-                           (3, k, _float_string(got - reference)))
+                           (3, k, _value_string(got - reference)))
     for idx, s in enumerate((0.1, 0.25, 0.4)):
         left = stieltjes_weight_unit(s)
         right = stieltjes_weight_unit(1.0 - s)
         if abs(left - right) > 5e-16 * abs(left):
             return _report("integrals", (top, 12),
-                           (4, idx, _float_string(left - right)))
+                           (4, idx, _value_string(left - right)))
     for idx, (n, expected) in enumerate(((0, Fraction(1, 2)),
                                          (1, Fraction(1, 12)),
                                          (4, Fraction(3, 160)))):
@@ -370,16 +367,16 @@ def _suite_integrals(n_max: int, tol: float) -> CmReport:
         bound = max(1e-10 * float(expected), 1e-14)
         if abs(got - float(expected)) > bound:
             return _report("integrals", (top, 12),
-                           (5, idx, _float_string(got - float(expected))))
+                           (5, idx, _value_string(got - float(expected))))
     spot = shifted_kernel_integral(2, 0.0, tol).value
     if abs(spot - 1.0 / 12.0) > 1e-10:
-        return _report("integrals", (top, 12), (6, 0, _float_string(spot - 1.0 / 12.0)))
+        return _report("integrals", (top, 12), (6, 0, _value_string(spot - 1.0 / 12.0)))
     far = shifted_kernel_integral(1, 1000.0, tol).value
     if not 0.0 < far < 0.5:
-        return _report("integrals", (top, 12), (6, 1, _float_string(far)))
+        return _report("integrals", (top, 12), (6, 1, _value_string(far)))
     mid = shifted_kernel_integral(3, 1.0, tol).value
     if not 0.0 < mid <= 1.0 / 24.0 + 1e-12:
-        return _report("integrals", (top, 12), (6, 2, _float_string(mid)))
+        return _report("integrals", (top, 12), (6, 2, _value_string(mid)))
     return _report("integrals", (top, 12), None)
 
 
@@ -403,15 +400,15 @@ def _suite_bernstein(n_max: int, tol: float) -> CmReport:
         got = bernstein_identity(x, tol).value
         residual = abs(got - x / math.log1p(x))
         if residual > 1e-10:
-            return _report("bernstein", horizon, (1, idx, _float_string(residual)))
+            return _report("bernstein", horizon, (1, idx, _value_string(residual)))
     tiny = bernstein_identity(1e-8, tol).value
     if abs(tiny - 1.0) > 1e-7:
-        return _report("bernstein", horizon, (2, 0, _float_string(tiny - 1.0)))
+        return _report("bernstein", horizon, (2, 0, _value_string(tiny - 1.0)))
     for idx, x in enumerate((0.25, 1.0, 4.0)):
         got = genfun_derivative_integral(x, 1, 1e-10).value
         reference = _central_derivative(lambda t: t / math.log1p(t), x, 1)
         if abs(got - reference) > 1e-5:
-            return _report("bernstein", horizon, (3, idx, _float_string(got - reference)))
+            return _report("bernstein", horizon, (3, idx, _value_string(got - reference)))
     return _report("bernstein", horizon, None)
 
 
@@ -503,9 +500,14 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
 # eval
 # ----------------------------------------------------------------------
 
-def _central_derivative(f: Callable[[float], float], x: float, k: int) -> float:
-    """Richardson-extrapolated central difference of order k at x > 0."""
+def _central_derivative(f: Callable[[float], float], x: float, k: int) -> Optional[float]:
+    """Richardson-extrapolated central difference of order k at x > 0.
+
+    None when the finer step's k-th power underflows to zero.
+    """
     h = min(1e-2, x / (2.0 * k)) if k > 1 else min(1e-3, x / 2.0)
+    if (h / 2.0) ** k == 0.0:
+        return None
 
     def stencil(step: float) -> float:
         total = 0.0
@@ -526,13 +528,16 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
             return _fail_usage("--x must be >= 0 for derivative")
         if k < 1:
             return _fail_usage("--k must be >= 1")
+        if k > 170:
+            return _fail_usage("--k must be <= 170")
         result = genfun_derivative_integral(x, k, tol)
-        if x == 0.0:
-            reference = float(math.factorial(k) * bernoulli2_series(k)[k])
-        elif k <= 4:
+        reference = None    # no cheap trustworthy reference beyond k = 4
+        if x > 0.0 and k <= 4:
             reference = _central_derivative(lambda t: t / math.log1p(t), x, k)
-        else:
-            reference = None    # no cheap trustworthy reference this deep
+        if reference is None and (x == 0.0 or k <= 4):
+            # x is 0 or so small that the stencil step underflowed; there
+            # f^(k)(x) equals f^(k)(0) = k! b_k to double precision
+            reference = float(math.factorial(k) * bernoulli2_series(k)[k])
     else:
         if x <= 0.0:
             return _fail_usage(f"--x must be positive for {function}")
@@ -543,7 +548,12 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
             result = stieltjes_recip_log(x, tol)
             reference = 1.0 / math.log1p(x)
         else:   # bernstein-identity
-            result = bernstein_identity(x, tol)
+            try:
+                result = bernstein_identity(x, tol)
+            except IntegrandEvaluationError as exc:
+                # f(s) * jac overflows in the generic path for x above ~1e307
+                print(f"eval {function} aborted: {exc}", file=sys.stderr)
+                return 1
             reference = x / math.log1p(x)
 
     print(f"function       = {function}")

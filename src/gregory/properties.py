@@ -207,6 +207,21 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * imat[m - 1][m - 1], scale)
 
 
+def _moment_matrix(entry: Callable[[int], object], indices: Sequence[int],
+                   variant: DeterminantVariant) -> list[list]:
+    # entry (i, j) is entry(a_i + a_j), negated at odd a_i + a_j when SIGNED
+    mat = []
+    for ai in indices:
+        row = []
+        for aj in indices:
+            v = entry(ai + aj)
+            if variant is DeterminantVariant.SIGNED and (ai + aj) % 2:
+                v = -v
+            row.append(v)
+        mat.append(row)
+    return mat
+
+
 def _validate_index_tuple(indices) -> tuple[int, ...]:
     out = tuple(indices)
     if not out:
@@ -233,17 +248,8 @@ def hankel_determinant(table: GregoryTable, indices,
     if needed > table.max_index:
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
-    mat = []
-    for ai in idx:
-        row = []
-        for aj in idx:
-            s = ai + aj
-            entry = math.factorial(s) * table[s + 1]
-            if variant is DeterminantVariant.SIGNED and s % 2:
-                entry = -entry
-            row.append(entry)
-        mat.append(row)
-    return bareiss_determinant(mat)
+    return bareiss_determinant(
+        _moment_matrix(lambda s: math.factorial(s) * table[s + 1], idx, variant))
 
 
 # ----------------------------------------------------------------------
@@ -336,24 +342,6 @@ def check_log_convexity(table: GregoryTable) -> CmReport:
 # float-grid checks for functions given only pointwise
 # ----------------------------------------------------------------------
 
-def _grid_step(x: float, K: int, h: Optional[float]) -> float:
-    if h is not None:
-        return h
-    return min(0.1, x / (2 * max(K, 1)))
-
-
-def _sampled_difference_table(f: Callable[[float], float], x: float,
-                              K: int, step: float) -> DifferenceTable:
-    samples = []
-    for j in range(K + 1):
-        abscissa = x + j * step
-        v = f(abscissa)
-        if not math.isfinite(v):
-            raise IntegrandEvaluationError(abscissa, v)
-        samples.append(v)
-    return difference_table(samples, K)
-
-
 def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
                  K: int = DEFAULT_GRID_ORDER, h: Optional[float] = None,
                  slack: float = DEFAULT_CLOSED_FORM_SLACK,
@@ -379,8 +367,17 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
         raise ValueError("step h must be positive")
     if slack < 0:
         raise ValueError("slack must be >= 0")
-    tables = [_sampled_difference_table(f, x, K, _grid_step(x, K, h))
-              for x in points]
+    tables = []
+    for x in points:
+        step = h if h is not None else min(0.1, x / (2 * max(K, 1)))
+        samples = []
+        for j in range(K + 1):
+            abscissa = x + j * step
+            v = f(abscissa)
+            if not math.isfinite(v):
+                raise IntegrandEvaluationError(abscissa, v)
+            samples.append(v)
+        tables.append(difference_table(samples, K))
     for k in range(K + 1):
         for n, table in enumerate(tables):
             signed = table.alternating(k, 0)
@@ -442,33 +439,27 @@ def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], floa
 
     Order 0 violations report f itself dipping below -slack; an order
     k >= 1 violation is the (k-1)-th signed difference of f' failing at
-    that grid point, so the report's k axis reads as derivative order of
-    f.  Horizon order is K + 1 accordingly.
+    that grid point of :func:`cm_grid_test` on f', so the report's k axis
+    reads as derivative order of f.  Horizon order is K + 1 accordingly.
     """
     points = tuple(x_grid)
-    if not points:
-        raise ValueError("x_grid must be nonempty")
     if any(x <= 0 for x in points):
         raise ValueError("grid points must be positive")
+    horizon = (len(points) - 1, K + 1)
     for n, x in enumerate(points):
         v = f(x)
         if not math.isfinite(v):
             raise IntegrandEvaluationError(x, v)
         if v < -slack:
-            return CmReport(suite_name=suite_name, passed=False,
-                            horizon=(len(points) - 1, K + 1),
+            return CmReport(suite_name=suite_name, passed=False, horizon=horizon,
                             first_violation=(0, n, _value_string(v)))
-    tables = [_sampled_difference_table(f_prime, x, K, _grid_step(x, K, h))
-              for x in points]
-    for k in range(K + 1):
-        for n, table in enumerate(tables):
-            signed = table.alternating(k, 0)
-            if signed < -slack:
-                return CmReport(suite_name=suite_name, passed=False,
-                                horizon=(len(points) - 1, K + 1),
-                                first_violation=(k + 1, n, _value_string(signed)))
-    return CmReport(suite_name=suite_name, passed=True,
-                    horizon=(len(points) - 1, K + 1), first_violation=None)
+    screen = cm_grid_test(f_prime, points, K=K, h=h, slack=slack)
+    violation = None
+    if not screen.passed:
+        k, n, value = screen.first_violation
+        violation = (k + 1, n, value)
+    return CmReport(suite_name=suite_name, passed=screen.passed, horizon=horizon,
+                    first_violation=violation)
 
 
 # ----------------------------------------------------------------------
@@ -530,16 +521,7 @@ def check_shifted_kernel_determinants(x: float, m_max: int = 2, entry_max: int =
               for t in combinations_with_replacement(range(entry_max + 1), m)]
     for stage, variant in enumerate((DeterminantVariant.PLAIN, DeterminantVariant.SIGNED)):
         for idx, a in enumerate(tuples):
-            mat = []
-            for ai in a:
-                row = []
-                for aj in a:
-                    v = entry(ai + aj)
-                    if variant is DeterminantVariant.SIGNED and (ai + aj) % 2:
-                        v = -v
-                    row.append(v)
-                mat.append(row)
-            det = _float_determinant(mat)
+            det = _float_determinant(_moment_matrix(entry, a, variant))
             if det < -slack:
                 return CmReport(suite_name="kernel-determinants", passed=False,
                                 horizon=(len(tuples) - 1, 1),

@@ -8,21 +8,27 @@ or, after the substitution t = 1/s, its unit-interval form
 
     v(s) = 1 / ((ln((1-s)/s))^2 + pi^2)    on (0, 1),
 
-which is symmetric about s = 1/2.  A single tanh-sinh engine serves all
-of them.  The variable change
+which is symmetric about s = 1/2.  Each kernel quantity -- the signed
+coefficients b_n, the moments mu_n, 1/ln(1+x), x/ln(1+x), its k-th
+derivative and the shifted kernel h_n(x) -- is one member of the family
+
+    K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1 + x s)^p ds
+
+with its own exponents, followed by a scaling.  A single tanh-sinh
+engine evaluates K.  The variable change
 
     s = sigma(y),  y = pi * sinh(tau),  sigma(y) = 1/(1 + exp(-y)),
 
-turns each unit-interval integral into a trapezoid sum over tau whose
-terms are products of
+turns K into a trapezoid sum over tau with the one term
+
+    jac * sigc * sig^a / ((y^2 + pi^2) * (1 + x sig)^p),
 
     jac = pi * cosh(tau),  sig = sigma(y) = s,  sigc = sigma(-y) = 1-s,
-    1 / (y^2 + pi^2)       (this IS v(s), since ln((1-s)/s) = -y),
 
-so the logarithm in the kernel is available exactly even where s or
-1 - s underflows.  The kernel-specific integrands below are phrased in
-these variables; arbitrary caller integrands go through
-:func:`integrate_01`, which evaluates f at the abscissa s directly.
+where 1/(y^2 + pi^2) IS v(s), since ln((1-s)/s) = -y.  The logarithm in
+the kernel is therefore available exactly even where s or 1 - s
+underflows.  Arbitrary caller integrands go through :func:`integrate_01`,
+which evaluates f at the abscissa s directly.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.
@@ -142,7 +148,6 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
         raise ValueError("max_levels must be >= 1")
     gvals: list[float] = []
     absvals: list[float] = []
-    n_evals = 0
     prev_total = None
     est = math.inf
     value = 0.0
@@ -154,52 +159,32 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
         nodes = _level_nodes(level)
         if level == 0:
             v = g(nodes[0])
-            n_evals += 1
             if not math.isfinite(v):
                 raise IntegrandEvaluationError(nodes[0][2], v)
             gvals.append(v)
             absvals.append(abs(v))
-            side_nodes = nodes[1:]
-        else:
-            side_nodes = nodes
-        tiny_right = tiny_left = 0
-        edge_right = edge_left = 0.0
-        done_right = done_left = False
-        for nd in side_nodes:
-            if not done_right:
+            nodes = nodes[1:]
+        edges = 0.0
+        for side in (nodes, map(_mirror, nodes)):
+            tiny = 0
+            edge = 0.0
+            for nd in side:
                 v = g(nd)
-                n_evals += 1
                 if not math.isfinite(v):
                     raise IntegrandEvaluationError(nd[2], v)
                 gvals.append(v)
                 absvals.append(abs(v))
                 if abs(v) > cutoff:
-                    tiny_right = 0
-                    edge_right = abs(v)
+                    tiny = 0
+                    edge = abs(v)
                 else:
-                    tiny_right += 1
-                    if nd[0] >= 6.0 and tiny_right >= 3:
-                        done_right = True
-            if not done_left:
-                nm = _mirror(nd)
-                v = g(nm)
-                n_evals += 1
-                if not math.isfinite(v):
-                    raise IntegrandEvaluationError(nm[2], v)
-                gvals.append(v)
-                absvals.append(abs(v))
-                if abs(v) > cutoff:
-                    tiny_left = 0
-                    edge_left = abs(v)
-                else:
-                    tiny_left += 1
-                    if nd[0] >= 6.0 and tiny_left >= 3:
-                        done_left = True
-            if done_right and done_left:
-                break
+                    tiny += 1
+                    if abs(nd[0]) >= 6.0 and tiny >= 3:
+                        break
+            edges += edge
         total = h * math.fsum(gvals)
         abs_total = h * math.fsum(absvals)
-        tail = 2.0 * (edge_right + edge_left)
+        tail = 2.0 * edges
         if prev_total is None:
             prev_total = total
             continue
@@ -217,7 +202,7 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
         else:
             stagnant = 0
     return QuadratureResult(value=value, abs_error_estimate=est,
-                            n_evals=n_evals, converged=converged)
+                            n_evals=len(gvals), converged=converged)
 
 
 def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> QuadratureResult:
@@ -257,15 +242,23 @@ def integrate_01(f, tol: float = DEFAULT_TOL,
     return _integrate_transformed(g, tol, max_levels)
 
 
-def _coefficient_term(n: int):
-    # weighted form of v(s) * s**(n-2): jac * sigc * sig**(n-1) / (y^2 + pi^2)
-    if n == 1:
-        def g(nd):
-            return nd[4] * nd[3] / (nd[1] * nd[1] + _PI_SQ)
-    else:
-        def g(nd):
-            return nd[4] * nd[3] * nd[2] ** (n - 1) / (nd[1] * nd[1] + _PI_SQ)
-    return g
+def _kernel(a: int, x: float, p: int, tol: float, max_levels: int) -> QuadratureResult:
+    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled."""
+    def g(nd):
+        _, y, sig, sigc, jac = nd
+        try:
+            return jac * sigc * sig ** a / ((y * y + _PI_SQ) * (1.0 + x * sig) ** p)
+        except OverflowError:
+            # (1+x sig)^p > 1.8e308 puts the term below ~1e-290, under the
+            # engine's 1e-280 cutoff, so 0.0 keeps the error estimate honest
+            return 0.0
+    return _integrate_transformed(g, tol, max_levels)
+
+
+def _inner_tol(tol: float, scale: float) -> float:
+    # tol/scale can underflow to 0.0 for a valid tol; floor it at the
+    # smallest subnormal, and let an invalid tol through to be rejected
+    return max(tol / scale, math.ulp(0.0)) if tol > 0.0 else tol
 
 
 def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL,
@@ -280,11 +273,9 @@ def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL,
     """
     if n < 1:
         raise ValueError("integral representation needs n >= 1 (diverges at n = 0)")
-    raw = _integrate_transformed(_coefficient_term(n), tol, max_levels)
+    raw = _kernel(n - 1, 0.0, 0, tol, max_levels)
     sign = 1.0 if n % 2 == 1 else -1.0
-    return QuadratureResult(value=sign * raw.value,
-                            abs_error_estimate=raw.abs_error_estimate,
-                            n_evals=raw.n_evals, converged=raw.converged)
+    return _rescaled(raw, sign * raw.value, raw.abs_error_estimate, tol)
 
 
 def moment_integral(n: int, tol: float = DEFAULT_TOL,
@@ -296,14 +287,7 @@ def moment_integral(n: int, tol: float = DEFAULT_TOL,
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    return _integrate_transformed(_coefficient_term(n + 1), tol, max_levels)
-
-
-def _stieltjes_tail_term(x: float):
-    # weighted form of v(s) / (s (1 + x s)): jac * sigc / ((y^2+pi^2)(1+x sig))
-    def g(nd):
-        return nd[4] * nd[3] / ((nd[1] * nd[1] + _PI_SQ) * (1.0 + x * nd[2]))
-    return g
+    return _kernel(n, 0.0, 0, tol, max_levels)
 
 
 def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL,
@@ -317,7 +301,7 @@ def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL,
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
-    tail = _integrate_transformed(_stieltjes_tail_term(x), tol, max_levels)
+    tail = _kernel(0, x, 1, tol, max_levels)
     value = 1.0 / x + tail.value
     est = tail.abs_error_estimate + 2.3e-16 * abs(1.0 / x)
     return _rescaled(tail, value, est, tol)
@@ -332,7 +316,7 @@ def genfun_integral(x: float, tol: float = DEFAULT_TOL,
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
-    tail = _integrate_transformed(_stieltjes_tail_term(x), tol / max(x, 1.0), max_levels)
+    tail = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)), max_levels)
     value = 1.0 + x * tail.value
     est = x * tail.abs_error_estimate + 2.3e-16 * abs(value)
     return _rescaled(tail, value, est, tol)
@@ -340,35 +324,28 @@ def genfun_integral(x: float, tol: float = DEFAULT_TOL,
 
 def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL,
                                max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
-    """k-th derivative of x/ln(1+x) at x >= 0, k >= 1, by quadrature.
+    """k-th derivative of x/ln(1+x) at x >= 0, 1 <= k <= 170, by quadrature.
 
         d^k/dx^k [x/ln(1+x)]
             = (-1)**(k+1) k! * integral_1^inf w(t) t / (x+t)^{k+1} dt
             = (-1)**(k+1) k! * integral_0^1 v(s) s^{k-2} / (1+xs)^{k+1} ds.
 
-    At x = 0 the value is k! b_k.  tol is absolute on the returned
-    (k!-scaled) value, so the inner integral runs at tol/k!; for large k
-    that can sit below the double-precision floor, in which case the
-    result honestly reports converged=False while the value is still the
-    best the engine can do.  Callers with a relative target should pass
-    tol scaled by a magnitude estimate of k! b_k.
+    At x = 0 the value is k! b_k.  k! overflows a double beyond k = 170.
+    tol is absolute on the returned (k!-scaled) value, so the inner
+    integral runs at tol/k!; for large k that can sit below the
+    double-precision floor, in which case the result honestly reports
+    converged=False while the value is still the best the engine can do.
+    Callers with a relative target should pass tol scaled by a magnitude
+    estimate of k! b_k.
     """
     if k < 1:
         raise ValueError("derivative order k must be >= 1")
+    if k > 170:
+        raise ValueError("derivative order k must be <= 170")
     if x < 0.0:
         raise ValueError("x must be >= 0")
     kfac = float(math.factorial(k))
-
-    if k == 1:
-        def g(nd):
-            den = (nd[1] * nd[1] + _PI_SQ) * (1.0 + x * nd[2]) ** 2
-            return nd[4] * nd[3] / den
-    else:
-        def g(nd):
-            den = (nd[1] * nd[1] + _PI_SQ) * (1.0 + x * nd[2]) ** (k + 1)
-            return nd[4] * nd[3] * nd[2] ** (k - 1) / den
-
-    raw = _integrate_transformed(g, tol / kfac, max_levels)
+    raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac), max_levels)
     sign = 1.0 if k % 2 == 1 else -1.0
     return _rescaled(raw, sign * kfac * raw.value, kfac * raw.abs_error_estimate, tol)
 
@@ -385,17 +362,7 @@ def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL,
         raise ValueError("n must be >= 1")
     if x < 0.0:
         raise ValueError("x must be >= 0")
-
-    if n == 1:
-        def g(nd):
-            den = (nd[1] * nd[1] + _PI_SQ) * (1.0 + x * nd[2])
-            return nd[4] * nd[3] / den
-    else:
-        def g(nd):
-            den = (nd[1] * nd[1] + _PI_SQ) * (1.0 + x * nd[2]) ** n
-            return nd[4] * nd[3] * nd[2] ** (n - 1) / den
-
-    return _integrate_transformed(g, tol, max_levels)
+    return _kernel(n - 1, x, n, tol, max_levels)
 
 
 def bernstein_identity(x: float, tol: float = DEFAULT_TOL,

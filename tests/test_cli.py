@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, and the verify driver."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gregory import cli
 from gregory.properties import CmReport
@@ -279,6 +282,88 @@ class TestNonFiniteInputs:
         assert out == ""
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestInputBoundary:
+    """Inputs that pass argument parsing must not end in a traceback."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        # the kernel power (1 + x s)^(k+1) overflows a double
+        (["eval", "--function", "derivative", "--x", "1e150", "--k", "2"], 0),
+        *((["eval", "--function", "derivative", "--x", "1e300", "--k", str(k)], 0)
+          for k in range(1, 21)),
+        # the inner tolerance tol/x or tol/k! underflows to zero
+        (["eval", "--function", "genfun", "--x", "1e300", "--tol", "1e-30"], 0),
+        (["eval", "--function", "derivative", "--x", "1", "--k", "30",
+          "--tol", "1e-320"], 0),
+        (["verify", "--suite", "integrals", "--n-max", "20", "--tol", "5e-324"], 0),
+        # k! overflows a double
+        (["eval", "--function", "derivative", "--x", "0", "--k", "200"], 2),
+        # the finite-difference step underflows
+        (["eval", "--function", "derivative", "--x", "1e-100", "--k", "4"], 0),
+        (["eval", "--function", "derivative", "--x", "5e-324", "--k", "3"], 0),
+        # f(s) * jac overflows in the generic integrate_01 path
+        (["eval", "--function", "bernstein-identity", "--x", "1e308"], 1),
+    ])
+    def test_regression(self, argv, expected, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == expected
+        assert "Traceback" not in err
+
+    def test_order_above_170_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--function", "derivative", "--x", "0", "--k", "171"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --k must be <= 170\n"
+
+    @pytest.mark.parametrize("x, k, exact", [
+        ("1e-100", 4, Fraction(-19, 30)),
+        ("5e-324", 3, Fraction(1, 4)),
+        ("5e-324", 1, Fraction(1, 2)),
+    ])
+    def test_underflowing_stencil_uses_exact_reference(self, x, k, exact, capsys):
+        """f^(k)(x) equals k! b_k to double precision where the step underflows."""
+        code, out, _ = run_cli(
+            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
+        assert code == 0
+        assert f"reference      = {float(exact)!r}" in out.splitlines()
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0.0", "5e-324", "1e-320", "2.2250738585072014e-308",
+                     "1e-300", "1e-100", "1e-30", "1e-10", "0.5", "1", "2", "1e6",
+                     "1e150", "1e300", "1e307", "1.7976931348623157e308", "-1",
+                     "inf", "nan", "1e999"]),
+    st.floats().map(repr))
+
+_ARGV = st.one_of(
+    st.builds(lambda n, method, tol, fmt: ["compute", "--n-max", str(n), "--method",
+                                           method, "--tol", tol, "--format", fmt],
+              st.integers(-2, 40),
+              st.sampled_from(["series", "explicit", "integral", "all"]),
+              _NUMBER, st.sampled_from(["csv", "json", "table"])),
+    st.builds(lambda suite, n, tol: ["verify", "--suite", suite, "--n-max", str(n),
+                                     "--tol", tol],
+              st.sampled_from(["cm-sequence", "minimality", "hankel", "majorization",
+                               "log-convexity", "integrals", "bernstein", "degree",
+                               "all"]),
+              st.integers(-1, 40), _NUMBER),
+    st.builds(lambda function, x, k, tol: ["eval", "--function", function, "--x", x,
+                                           "--k", str(k), "--tol", tol],
+              st.sampled_from(["genfun", "recip-log", "derivative",
+                               "bernstein-identity"]),
+              _NUMBER, st.integers(-3, 400), _NUMBER))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_fuzz_exit_code_without_traceback(argv):
+    """Any argv over the three commands exits 0, 1 or 2 and raises nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
 
 
 class TestModuleEntry:

@@ -290,6 +290,16 @@ class TestGenfunIntegral:
         with pytest.raises(ValueError):
             genfun_integral(0.0, 1e-8)
 
+    def test_underflowing_inner_tolerance_is_floored(self):
+        """tol/x below the smallest subnormal runs at that floor instead of raising."""
+        x = 1e300
+        result = genfun_integral(x, 1e-30)
+        assert not result.converged
+        assert abs(result.value - x / math.log1p(x)) <= 1e-12 * result.value
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                genfun_integral(x, tol)
+
 
 class TestDerivativeIntegral:
     def test_first_derivative_at_zero(self):
@@ -335,6 +345,30 @@ class TestDerivativeIntegral:
             genfun_derivative_integral(0.5, 0, 1e-8)
         with pytest.raises(ValueError):
             genfun_derivative_integral(-0.1, 1, 1e-8)
+        with pytest.raises(ValueError):
+            genfun_derivative_integral(0.5, 171, 1e-8)   # 171! overflows a double
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                genfun_derivative_integral(0.5, 2, tol)
+
+    def test_overflowing_kernel_power_is_a_zero_term(self):
+        """Where (1+xs)^(k+1) overflows the term is below 1e-290; the result stays honest."""
+        x = 1e150
+        lg = math.log1p(x)
+        second = (-1.0 + 2.0 / lg) / (x * lg * lg)   # f''(x) to ~1/x relative
+        result = genfun_derivative_integral(x, 2, 1e-10)
+        assert result.converged
+        assert abs(result.value - second) <= 1e-10
+        for k in (2, 3, 20):
+            result = genfun_derivative_integral(1e300, k, 1e-10)
+            assert result.converged
+            assert abs(result.value) <= 1e-10   # |f^(k)(1e300)| < 1e-300
+
+    def test_underflowing_inner_tolerance_is_floored(self):
+        """tol/k! below the smallest subnormal runs at that floor instead of raising."""
+        result = genfun_derivative_integral(1.0, 30, 1e-320)
+        assert not result.converged
+        assert result.n_evals > 0
 
 
 class TestShiftedKernel:
