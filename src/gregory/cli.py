@@ -33,6 +33,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from .exact import (
+    GregoryTable,
     bernoulli2_explicit_table,
     bernoulli2_series,
     format_rational,
@@ -41,6 +42,7 @@ from .exact import (
 from .properties import (
     CmReport,
     DeterminantVariant,
+    _report,
     _value_string,
     check_bernstein,
     check_cm_sequence,
@@ -226,34 +228,25 @@ def _print_aligned(rows: list[list[str]]) -> None:
 # ----------------------------------------------------------------------
 # verify suites
 #
-# Each suite maps (n_max, tol) to one CmReport.  Aggregate suites that
-# bundle several sub-checks use the report's (k, n) coordinates as
-# (sub-check stage, index within the stage); the stages are numbered in
-# the order the docstrings list them.
+# Each suite maps (n_max, tol, table) to one CmReport; table is the run's one
+# exact table, through the last index any selected suite reads (see
+# _SUITE_NEEDS), or None.  Aggregate suites that bundle several sub-checks
+# use the report's (k, n) coordinates as (sub-check stage, index within the
+# stage); the stages are numbered in the order the docstrings list them.
 # ----------------------------------------------------------------------
 
-def _report(suite: str, horizon: tuple[int, int],
-            violation: Optional[tuple[int, int, str]]) -> CmReport:
-    return CmReport(suite_name=suite, passed=violation is None,
-                    horizon=horizon, first_violation=violation)
+def _suite_cm_sequence(n_max: int, tol: float, table: GregoryTable) -> CmReport:
+    """Exact complete monotonicity of mu_n = (-1)**n b_{n+1}, n <= n_max."""
+    return check_cm_sequence(signed_moment_sequence(table)[: n_max + 1])
 
 
-def _signed_moments(n_max: int) -> tuple:
-    # mu_n = (-1)**n b_{n+1} for n = 0..n_max
-    return signed_moment_sequence(bernoulli2_series(n_max + 1))
-
-
-def _suite_cm_sequence(n_max: int, tol: float) -> CmReport:
-    """Exact complete monotonicity of the signed moment sequence."""
-    return check_cm_sequence(_signed_moments(n_max))
-
-
-def _suite_minimality(n_max: int, tol: float) -> CmReport:
+def _suite_minimality(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Perturbation probe: can mu_0 drop by 1/10 and stay CM at this horizon?"""
-    return check_minimality_perturbation(_signed_moments(n_max), Fraction(1, 10))
+    return check_minimality_perturbation(signed_moment_sequence(table)[: n_max + 1],
+                                         Fraction(1, 10))
 
 
-def _suite_hankel(n_max: int, tol: float) -> CmReport:
+def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Hankel determinant positivity.
 
     Stage 0: golden determinants for index tuples (0,), (0,1), (0,1,2).
@@ -261,7 +254,6 @@ def _suite_hankel(n_max: int, tol: float) -> CmReport:
     Stage 2: exhaustive sweep, sizes <= 4 and entries <= 5, all >= 0.
     Stage 3: shifted-kernel determinant screens at x in {0.5, 1}.
     """
-    table = bernoulli2_series(n_max)
     goldens = [
         ((0,), Fraction(1, 2)),
         ((0, 1), Fraction(5, 144)),
@@ -290,19 +282,19 @@ def _suite_hankel(n_max: int, tol: float) -> CmReport:
     return _report("hankel", (n_max, 3), None)
 
 
-def _suite_majorization(n_max: int, tol: float) -> CmReport:
+def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Factorial-moment products along every majorizing pair.
 
-    Exhaustive over nondecreasing index tuples with size <= 3 and
-    entries <= 6; a violation reports the two tuple positions in the
-    canonical enumeration.
+    Exhaustive over nondecreasing index tuples with size <= 3 and entries
+    <= 6 (pairs with unequal sums never majorize and are skipped early); a
+    violation reports the two tuple positions in the canonical enumeration.
     """
-    table = bernoulli2_series(n_max)
     tuples = [t for m in range(1, 4)
               for t in combinations_with_replacement(range(7), m)]
+    sums = [sum(t) for t in tuples]
     for i, lam in enumerate(tuples):
         for j, mu in enumerate(tuples):
-            if not is_majorized(lam, mu):
+            if sums[i] != sums[j] or not is_majorized(lam, mu):
                 continue
             probe = check_majorization_inequality(table, lam, mu)
             if not probe.passed:
@@ -310,12 +302,12 @@ def _suite_majorization(n_max: int, tol: float) -> CmReport:
     return _report("majorization", (3, 6), None)
 
 
-def _suite_log_convexity(n_max: int, tol: float) -> CmReport:
-    """Exact log-convexity of i! b_{i+1} through the table horizon."""
-    return check_log_convexity(bernoulli2_series(n_max))
+def _suite_log_convexity(n_max: int, tol: float, table: GregoryTable) -> CmReport:
+    """Exact log-convexity of i! b_{i+1} through b_{n_max}."""
+    return check_log_convexity(GregoryTable(table.values[: n_max + 1], table.method))
 
 
-def _suite_integrals(n_max: int, tol: float) -> CmReport:
+def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Quadrature cross-checks against the exact table and closed forms.
 
     Stage 0: signed ray integral vs exact coefficients, n <= min(n_max, 20),
@@ -328,7 +320,6 @@ def _suite_integrals(n_max: int, tol: float) -> CmReport:
     Stage 5: moment integrals for n in {0, 1, 4} vs exact values.
     Stage 6: shifted-kernel spot values and bounds.
     """
-    table = bernoulli2_series(max(min(n_max, 20), 13))
     top = min(n_max, 20)
     for n in range(1, top + 1):
         exact_value = float(table[n])
@@ -380,7 +371,7 @@ def _suite_integrals(n_max: int, tol: float) -> CmReport:
     return _report("integrals", (top, 12), None)
 
 
-def _suite_bernstein(n_max: int, tol: float) -> CmReport:
+def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmReport:
     """Bernstein screens for the generating function.
 
     Stage 0 is the grid screen itself (propagated verbatim when it
@@ -412,7 +403,7 @@ def _suite_bernstein(n_max: int, tol: float) -> CmReport:
     return _report("bernstein", horizon, None)
 
 
-def _suite_degree(n_max: int, tol: float) -> CmReport:
+def _suite_degree(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmReport:
     """Power-weight degree brackets and direct grid screens.
 
     Stage 0: x**r * (x/ln(1+x)) passes at r = -1, fails at r = -1/2.
@@ -444,7 +435,7 @@ def _suite_degree(n_max: int, tol: float) -> CmReport:
     return _report("degree", (4, 8), None)
 
 
-_SUITE_RUNNERS: dict[str, Callable[[int, float], CmReport]] = {
+_SUITE_RUNNERS: dict[str, Callable[[int, float, Optional[GregoryTable]], CmReport]] = {
     "cm-sequence": _suite_cm_sequence,
     "minimality": _suite_minimality,
     "hankel": _suite_hankel,
@@ -455,16 +446,17 @@ _SUITE_RUNNERS: dict[str, Callable[[int, float], CmReport]] = {
     "degree": _suite_degree,
 }
 
-# smallest usable --n-max per suite; composite "all" takes the max
-_SUITE_MIN_N_MAX = {
-    "cm-sequence": 1,
-    "minimality": 1,
-    "hankel": 11,       # sweep entries reach index 2*5+1
-    "majorization": 7,  # products reach index 6+1
-    "log-convexity": 3,
-    "integrals": 1,
-    "bernstein": 0,
-    "degree": 0,
+# per suite: the smallest usable --n-max (composite "all" takes the max)
+# and the last coefficient index it reads at --n-max n (None: no table)
+_SUITE_NEEDS: dict[str, tuple[int, Optional[Callable[[int], int]]]] = {
+    "cm-sequence": (1, lambda n: n + 1),
+    "minimality": (1, lambda n: n + 1),
+    "hankel": (11, lambda n: 11),       # sweep entries reach index 2*5+1
+    "majorization": (7, lambda n: 7),   # products reach index 6+1
+    "log-convexity": (3, lambda n: n),
+    "integrals": (1, lambda n: max(min(n, 20), 13)),
+    "bernstein": (0, None),
+    "degree": (0, None),
 }
 
 
@@ -474,13 +466,15 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
     if n_max < 0:
         return _fail_usage("--n-max must be >= 0")
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    needed = max(_SUITE_MIN_N_MAX[name] for name in names)
+    needed = max(_SUITE_NEEDS[name][0] for name in names)
     if n_max < needed:
         return _fail_usage(f"suite '{suite}' needs --n-max >= {needed}")
+    reads = [last(n_max) for last in (_SUITE_NEEDS[name][1] for name in names) if last]
+    table = bernoulli2_series(max(reads)) if reads else None
     failures = 0
     for name in names:
         try:
-            report = _SUITE_RUNNERS[name](n_max, tol)
+            report = _SUITE_RUNNERS[name](n_max, tol, table)
         except IntegrandEvaluationError as exc:
             print(f"suite {name} aborted: {exc}", file=sys.stderr)
             failures += 1
@@ -500,23 +494,29 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
 # eval
 # ----------------------------------------------------------------------
 
+def _stencil_step(x: float, k: int) -> float:
+    # coarse step of the order-k central difference at x > 0
+    return min(1e-2, x / (2.0 * k)) if k > 1 else min(1e-3, x / 2.0)
+
+
 def _central_derivative(f: Callable[[float], float], x: float, k: int) -> Optional[float]:
     """Richardson-extrapolated central difference of order k at x > 0.
 
-    None when the finer step's k-th power underflows to zero.
+    None when two abscissas of a stencil round to the same double (x so
+    large that the step is below the spacing of doubles there).  The
+    caller rules out steps whose k-th power underflows.
     """
-    h = min(1e-2, x / (2.0 * k)) if k > 1 else min(1e-3, x / 2.0)
-    if (h / 2.0) ** k == 0.0:
-        return None
-
-    def stencil(step: float) -> float:
+    h = _stencil_step(x, k)
+    estimates = []
+    for step in (h, h / 2.0):
+        abscissas = [x + (k * 0.5 - j) * step for j in range(k + 1)]
+        if len(set(abscissas)) <= k:
+            return None
         total = 0.0
-        for j in range(k + 1):
-            total += (-1.0) ** j * math.comb(k, j) * f(x + (k * 0.5 - j) * step)
-        return total / step ** k
-
-    coarse = stencil(h)
-    fine = stencil(h / 2.0)
+        for j, t in enumerate(abscissas):
+            total += (-1.0) ** j * math.comb(k, j) * f(t)
+        estimates.append(total / step ** k)
+    coarse, fine = estimates
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -532,12 +532,12 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
             return _fail_usage("--k must be <= 170")
         result = genfun_derivative_integral(x, k, tol)
         reference = None    # no cheap trustworthy reference beyond k = 4
-        if x > 0.0 and k <= 4:
-            reference = _central_derivative(lambda t: t / math.log1p(t), x, k)
-        if reference is None and (x == 0.0 or k <= 4):
-            # x is 0 or so small that the stencil step underflowed; there
+        if x == 0.0 or (k <= 4 and (_stencil_step(x, k) / 2.0) ** k == 0.0):
+            # x is 0 or so small that the stencil step underflows; there
             # f^(k)(x) equals f^(k)(0) = k! b_k to double precision
             reference = float(math.factorial(k) * bernoulli2_series(k)[k])
+        elif k <= 4:
+            reference = _central_derivative(lambda t: t / math.log1p(t), x, k)
     else:
         if x <= 0.0:
             return _fail_usage(f"--x must be positive for {function}")

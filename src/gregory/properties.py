@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 from typing import Callable, Optional, Sequence
 
 from .exact import GregoryTable, format_rational
@@ -112,49 +112,72 @@ class CmReport:
         }
 
 
+def _report(suite: str, horizon: tuple[int, int],
+            violation: Optional[tuple[int, int, str]]) -> CmReport:
+    # report of a direct check: it passed exactly when nothing was violated
+    return CmReport(suite_name=suite, passed=violation is None,
+                    horizon=horizon, first_violation=violation)
+
+
+def _common_denominator(values: Sequence) -> tuple[list[int], int]:
+    # exact rationals (ints or Fractions) as numerators over their denominators' lcm
+    if not values:
+        raise ValueError("sequence must be nonempty")
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
+def _signed_rows(row: list):
+    # the rows (-1)**k Delta**k of row for k = 0..len(row)-1, one at a time
+    while row:
+        yield row
+        row = [a - b for a, b in zip(row, row[1:])]
+
+
 def check_cm_sequence(mu: Sequence, suite_name: str = "cm-sequence") -> CmReport:
     """Check that mu is completely monotonic as far as its length allows.
 
-    Requires (-1)**k (forward difference)^k mu_n >= 0 for every order
+    mu holds exact rationals (ints or Fractions).  Requires
+    (-1)**k (forward difference)^k mu_n >= 0 for every order
     k = 0..len(mu)-1 and every offset n, the k = 0 row included (the
-    terms themselves must be nonnegative).  Exact comparison, no slack.
+    terms themselves must be nonnegative).  Exact comparison, no slack,
+    on integer rows over one common denominator, built one at a time.
     """
-    table = difference_table(mu, len(tuple(mu)) - 1)
-    K = table.order
-    for k in range(K + 1):
-        row = table.rows[k]
-        for n in range(len(row)):
-            signed = table.alternating(k, n)
-            if signed < 0:
-                return CmReport(suite_name=suite_name, passed=False,
-                                horizon=(len(table.base) - 1, K),
-                                first_violation=(k, n, _value_string(signed)))
-    return CmReport(suite_name=suite_name, passed=True,
-                    horizon=(len(table.base) - 1, K), first_violation=None)
+    row, den = _common_denominator(mu)
+    horizon = (len(row) - 1, len(row) - 1)
+    for k, signed in enumerate(_signed_rows(row)):
+        if min(signed) < 0:
+            n, v = next((i, v) for i, v in enumerate(signed) if v < 0)
+            return _report(suite_name, horizon, (k, n, format_rational(Fraction(v, den))))
+    return _report(suite_name, horizon, None)
 
 
 def check_minimality_perturbation(mu: Sequence, epsilon: Fraction) -> CmReport:
     """Probe whether mu_0 can be lowered by epsilon without breaking CM.
 
-    mu itself must be completely monotonic over its horizon.  The check
-    passes when the perturbed sequence (mu_0 - epsilon, mu_1, ...)
-    VIOLATES complete monotonicity somewhere in the horizon: that
-    violation is direct evidence mu_0 sits within epsilon of the least
-    admissible leading term, and it is recorded in first_violation.  A
-    perturbed sequence that still looks CM proves nothing at this
-    horizon, so passed=False there means inconclusive, not refuted.
+    mu holds exact rationals and must itself be completely monotonic over
+    its horizon.  The check passes when the perturbed sequence
+    (mu_0 - epsilon, mu_1, ...) VIOLATES complete monotonicity somewhere
+    in the horizon: that violation is direct evidence mu_0 sits within
+    epsilon of the least admissible leading term, and it is recorded in
+    first_violation.  A perturbed sequence that still looks CM proves
+    nothing at this horizon, so passed=False there means inconclusive,
+    not refuted.  The perturbation lowers only column 0 of the signed
+    table, so one pass over the rows checks mu and finds the first order
+    k whose column-0 entry is below epsilon.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    base = check_cm_sequence(mu, suite_name="minimality")
-    if not base.passed:
-        raise ValueError("sequence must be completely monotonic before perturbing")
-    terms = tuple(mu)
-    perturbed = (terms[0] - eps,) + terms[1:]
-    probe = check_cm_sequence(perturbed, suite_name="minimality")
-    return CmReport(suite_name="minimality", passed=not probe.passed,
-                    horizon=probe.horizon, first_violation=probe.first_violation)
+    row, den = _common_denominator(mu)
+    violation = None
+    for k, signed in enumerate(_signed_rows(row)):
+        if min(signed) < 0:
+            raise ValueError("sequence must be completely monotonic before perturbing")
+        if violation is None and signed[0] * eps.denominator < eps.numerator * den:
+            violation = (k, 0, format_rational(Fraction(signed[0], den) - eps))
+    return CmReport(suite_name="minimality", passed=violation is not None,
+                    horizon=(len(row) - 1, len(row) - 1), first_violation=violation)
 
 
 # ----------------------------------------------------------------------
@@ -169,11 +192,12 @@ class DeterminantVariant(Enum):
 
 
 def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix.
+    """Exact determinant of a square matrix of exact rationals (ints or Fractions).
 
-    Rows are scaled to integers by their denominator lcm, then reduced
-    by fraction-free Bareiss elimination, so intermediate values stay
-    integral and the only division at the end is by the tracked scale.
+    Each row becomes integer numerators q.numerator * (den // q.denominator)
+    over its denominator lcm den, then fraction-free Bareiss elimination
+    keeps every intermediate value integral; the only division, at the
+    end, is by the product of the row scales.
     """
     m = len(rows)
     if m == 0:
@@ -183,10 +207,9 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     imat: list[list[int]] = []
     for row in rows:
-        qrow = [Fraction(v) for v in row]
-        den = math.lcm(*(q.denominator for q in qrow))
+        irow, den = _common_denominator(row)
         scale *= den
-        imat.append([int(q * den) for q in qrow])
+        imat.append(irow)
     sign = 1
     prev = 1
     for col in range(m - 1):
@@ -210,16 +233,9 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 def _moment_matrix(entry: Callable[[int], object], indices: Sequence[int],
                    variant: DeterminantVariant) -> list[list]:
     # entry (i, j) is entry(a_i + a_j), negated at odd a_i + a_j when SIGNED
-    mat = []
-    for ai in indices:
-        row = []
-        for aj in indices:
-            v = entry(ai + aj)
-            if variant is DeterminantVariant.SIGNED and (ai + aj) % 2:
-                v = -v
-            row.append(v)
-        mat.append(row)
-    return mat
+    signed = variant is DeterminantVariant.SIGNED
+    return [[-entry(ai + aj) if signed and (ai + aj) % 2 else entry(ai + aj) for aj in indices]
+            for ai in indices]
 
 
 def _validate_index_tuple(indices) -> tuple[int, ...]:
@@ -248,8 +264,8 @@ def hankel_determinant(table: GregoryTable, indices,
     if needed > table.max_index:
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
-    return bareiss_determinant(
-        _moment_matrix(lambda s: math.factorial(s) * table[s + 1], idx, variant))
+    moments = {s: math.factorial(s) * table[s + 1] for s in {a + b for a in idx for b in idx}}
+    return bareiss_determinant(_moment_matrix(moments.__getitem__, idx, variant))
 
 
 # ----------------------------------------------------------------------
@@ -265,26 +281,21 @@ def is_majorized(lam, mu) -> bool:
     """
     a = sorted(_validate_index_tuple(lam), reverse=True)
     b = sorted(_validate_index_tuple(mu), reverse=True)
-    width = max(len(a), len(b))
-    a += [0] * (width - len(a))
-    b += [0] * (width - len(b))
     if sum(a) != sum(b):
         return False
     run_a = run_b = 0
-    for i in range(width):
-        run_a += a[i]
-        run_b += b[i]
+    for x, y in zip_longest(a, b, fillvalue=0):
+        run_a += x
+        run_b += y
         if run_a > run_b:
             return False
     return True
 
 
 def _factorial_moment_product(table: GregoryTable, indices: tuple[int, ...]) -> Fraction:
-    # |prod_i  indices_i! * b_{indices_i + 1}|, exact
-    out = Fraction(1)
-    for a in indices:
-        out *= math.factorial(a) * table[a + 1]
-    return abs(out)
+    # |prod_i  indices_i! * b_{indices_i + 1}|, exact, reduced once
+    num = math.prod(math.factorial(a) * table[a + 1].numerator for a in indices)
+    return Fraction(abs(num), math.prod(table[a + 1].denominator for a in indices))
 
 
 def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
@@ -309,12 +320,8 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
     width = max(len(lam_t), len(mu_t))
     lhs = _factorial_moment_product(table, lam_t + (0,) * (width - len(lam_t)))
     rhs = _factorial_moment_product(table, mu_t + (0,) * (width - len(mu_t)))
-    horizon = (width, top)
-    if lhs > rhs:
-        return CmReport(suite_name="majorization", passed=False, horizon=horizon,
-                        first_violation=(0, 0, format_rational(lhs - rhs)))
-    return CmReport(suite_name="majorization", passed=True, horizon=horizon,
-                    first_violation=None)
+    return _report("majorization", (width, top),
+                   (0, 0, format_rational(lhs - rhs)) if lhs > rhs else None)
 
 
 def check_log_convexity(table: GregoryTable) -> CmReport:
@@ -328,14 +335,15 @@ def check_log_convexity(table: GregoryTable) -> CmReport:
     N = table.max_index
     if N < 3:
         raise ValueError("log-convexity needs coefficients through index 3")
+    # m[i] = i! b_{i+1} * den: integers over the common denominator den
+    nums, den = _common_denominator(table.values[1:])
+    m = [math.factorial(i) * p for i, p in enumerate(nums)]
     for i in range(0, N - 2):
-        lhs = (math.factorial(i) * table[i + 1]) * (math.factorial(i + 2) * table[i + 3])
-        rhs = (math.factorial(i + 1) * table[i + 2]) ** 2
-        if lhs < rhs:
-            return CmReport(suite_name="log-convexity", passed=False, horizon=(N, 0),
-                            first_violation=(0, i, format_rational(lhs - rhs)))
-    return CmReport(suite_name="log-convexity", passed=True, horizon=(N, 0),
-                    first_violation=None)
+        gap = m[i] * m[i + 2] - m[i + 1] ** 2
+        if gap < 0:
+            return _report("log-convexity", (N, 0),
+                           (0, i, format_rational(Fraction(gap, den * den))))
+    return _report("log-convexity", (N, 0), None)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +375,7 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
         raise ValueError("step h must be positive")
     if slack < 0:
         raise ValueError("slack must be >= 0")
-    tables = []
+    columns = []    # column 0 of each point's signed difference table
     for x in points:
         step = h if h is not None else min(0.1, x / (2 * max(K, 1)))
         samples = []
@@ -377,16 +385,13 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
             if not math.isfinite(v):
                 raise IntegrandEvaluationError(abscissa, v)
             samples.append(v)
-        tables.append(difference_table(samples, K))
+        columns.append([row[0] for row in _signed_rows(samples)])
     for k in range(K + 1):
-        for n, table in enumerate(tables):
-            signed = table.alternating(k, 0)
-            if signed < -slack:
-                return CmReport(suite_name=suite_name, passed=False,
-                                horizon=(len(points) - 1, K),
-                                first_violation=(k, n, _value_string(signed)))
-    return CmReport(suite_name=suite_name, passed=True,
-                    horizon=(len(points) - 1, K), first_violation=None)
+        for n, column in enumerate(columns):
+            if column[k] < -slack:
+                return _report(suite_name, (len(points) - 1, K),
+                               (k, n, _value_string(column[k])))
+    return _report(suite_name, (len(points) - 1, K), None)
 
 
 @dataclass(frozen=True)
@@ -451,15 +456,12 @@ def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], floa
         if not math.isfinite(v):
             raise IntegrandEvaluationError(x, v)
         if v < -slack:
-            return CmReport(suite_name=suite_name, passed=False, horizon=horizon,
-                            first_violation=(0, n, _value_string(v)))
+            return _report(suite_name, horizon, (0, n, _value_string(v)))
     screen = cm_grid_test(f_prime, points, K=K, h=h, slack=slack)
-    violation = None
-    if not screen.passed:
-        k, n, value = screen.first_violation
-        violation = (k + 1, n, value)
-    return CmReport(suite_name=suite_name, passed=screen.passed, horizon=horizon,
-                    first_violation=violation)
+    if screen.passed:
+        return _report(suite_name, horizon, None)
+    k, n, value = screen.first_violation
+    return _report(suite_name, horizon, (k + 1, n, value))
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +525,6 @@ def check_shifted_kernel_determinants(x: float, m_max: int = 2, entry_max: int =
         for idx, a in enumerate(tuples):
             det = _float_determinant(_moment_matrix(entry, a, variant))
             if det < -slack:
-                return CmReport(suite_name="kernel-determinants", passed=False,
-                                horizon=(len(tuples) - 1, 1),
-                                first_violation=(stage, idx, _value_string(det)))
-    return CmReport(suite_name="kernel-determinants", passed=True,
-                    horizon=(len(tuples) - 1, 1), first_violation=None)
+                return _report("kernel-determinants", (len(tuples) - 1, 1),
+                               (stage, idx, _value_string(det)))
+    return _report("kernel-determinants", (len(tuples) - 1, 1), None)

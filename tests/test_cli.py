@@ -174,7 +174,7 @@ class TestVerifyCommand:
 
     def test_failing_suite_sets_exit_code(self, capsys, monkeypatch):
         """Any red suite other than minimality must drive exit status 1."""
-        def broken(n_max, tol):
+        def broken(n_max, tol, table):
             return CmReport("degree", False, (1, 1), (0, 0, "-1/1"))
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "degree", broken)
@@ -186,7 +186,7 @@ class TestVerifyCommand:
     def test_synthetic_minimality_violation_still_passes(self, capsys,
                                                           monkeypatch):
         """A minimality run that does find a violation is a success."""
-        def witnessed(n_max, tol):
+        def witnessed(n_max, tol, table):
             return CmReport("minimality", True, (30, 30), (1, 0, "-1/12"))
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "minimality", witnessed)
@@ -328,6 +328,17 @@ class TestInputBoundary:
             ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
         assert code == 0
         assert f"reference      = {float(exact)!r}" in out.splitlines()
+
+    @pytest.mark.parametrize("x, k", [("1e150", 1), ("1e300", 2), ("1e20", 4)])
+    def test_collapsed_stencil_has_no_reference(self, x, k, capsys):
+        """At huge x the stencil's abscissas round to one double, so there is
+        no numeric reference; k! b_k is only right for tiny x, so n/a."""
+        code, out, _ = run_cli(
+            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert "reference      = n/a" in lines
+        assert "deviation      = n/a" in lines
 
 
 _NUMBER = st.one_of(

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gregory import (
@@ -23,14 +23,36 @@ from gregory import (
     cm_grid_test,
     difference_table,
     estimate_cm_degree,
+    format_rational,
     genfun_derivative_integral,
     genfun_integral,
     hankel_determinant,
     is_majorized,
     signed_moment_sequence,
 )
+from gregory.quadrature import DEFAULT_MAX_LEVELS, _integrate_transformed
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+
+# Hausdorff moments sum_i w_i t_i**n of finite measures on [0, 1]: CM sequences
+moment_sequences = st.builds(
+    lambda atoms, length: [sum(w * t ** n for w, t in atoms) for n in range(length)],
+    st.lists(st.tuples(st.fractions(0, 3, max_denominator=20),
+                       st.fractions(0, 1, max_denominator=20)), min_size=1, max_size=4),
+    st.integers(1, 8))
+
+
+def _moved(mu, i, d):
+    # mu with its term i (mod the length) shifted by d
+    i %= len(mu)
+    return mu[:i] + [mu[i] + d] + mu[i + 1:]
+
+
+# CM sequences, CM sequences with one term moved, and arbitrary ones
+rational_sequences = st.one_of(
+    moment_sequences,
+    st.builds(_moved, moment_sequences, st.integers(0, 7), small_fractions),
+    st.lists(small_fractions, min_size=1, max_size=8))
 
 
 def _cofactor_determinant(rows):
@@ -126,6 +148,62 @@ class TestCmSequence:
     def test_violation_json_shape(self):
         payload = check_cm_sequence([Fraction(1), Fraction(2)]).to_json_dict()
         assert payload["first_violation"] == {"k": 1, "n": 0, "value": "-1/1"}
+
+
+def _reference_cm(mu, suite_name="cm-sequence"):
+    # CM report read off the full difference table, scanned k-major
+    table = difference_table(mu, len(mu) - 1)
+    horizon = (len(mu) - 1, table.order)
+    for k in range(table.order + 1):
+        for n in range(len(table.rows[k])):
+            value = table.alternating(k, n)
+            if value < 0:
+                return CmReport(suite_name, False, horizon, (k, n, format_rational(value)))
+    return CmReport(suite_name, True, horizon, None)
+
+
+class TestIntegerPath:
+    """The integer-row checks agree with the Fraction difference table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=rational_sequences)
+    def test_cm_sequence_matches_difference_table(self, mu):
+        assert check_cm_sequence(mu) == _reference_cm(mu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=rational_sequences,
+           eps=st.fractions(min_value=Fraction(1, 1000), max_value=3, max_denominator=1000),
+           tie=st.booleans(), k=st.integers(0, 7))
+    def test_minimality_matches_perturbed_table(self, mu, eps, tie, k):
+        """Same report as a second full table of (mu_0 - eps, mu_1, ...).
+
+        With tie, eps is set to a positive column-0 entry of order k, the
+        boundary where the perturbed entry is exactly zero.
+        """
+        if not _reference_cm(mu).passed:
+            with pytest.raises(ValueError):
+                check_minimality_perturbation(mu, eps)
+            return
+        entry = difference_table(mu, len(mu) - 1).alternating(k % len(mu), 0)
+        if tie and entry > 0:
+            eps = entry
+        probe = _reference_cm([mu[0] - eps] + mu[1:], "minimality")
+        assert check_minimality_perturbation(mu, eps) == CmReport(
+            "minimality", not probe.passed, probe.horizon, probe.first_violation)
+
+    def test_column_zero_matches_quadrature(self, table31):
+        """(-1)**k Delta**k mu_0 = integral_0^1 (1-s)**k v(s)/s ds for k <= 30.
+
+        The term jac * sigc**(k+1) / (y**2 + pi**2) is that integrand in
+        the tanh-sinh variables; summed by the engine itself, it keeps the
+        1/(s ln(s)**2) tail that integrate_01 cuts at the smallest normal s.
+        """
+        table = difference_table(signed_moment_sequence(table31), 30)
+        for k in range(31):
+            got = _integrate_transformed(
+                lambda nd: nd[4] * nd[3] ** (k + 1) / (nd[1] ** 2 + math.pi ** 2),
+                1e-15, DEFAULT_MAX_LEVELS)
+            assert abs(got.value - float(table.alternating(k, 0))) <= 1e-14, k
 
 
 class TestMinimality:

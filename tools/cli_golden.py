@@ -11,8 +11,9 @@ the check for a refactor that must not change output:
 
 SRC defaults to the ``src`` directory next to this script.  The set
 covers every compute method, format and a range of --n-max, every verify
-suite, and an eval grid reaching tol 1e-30 and x 1e300.  It stays inside
-inputs with a settled output; the boundary inputs (overflowing kernel
+suite (the exact ones up to --n-max 160, as far as the benchmark goes),
+and an eval grid reaching tol 1e-30 and x 1e300.  It stays inside inputs
+with a settled output; the boundary inputs (overflowing kernel
 powers, tolerances that underflow once scaled, k > 170, stencil steps
 that underflow, bernstein-identity above x = 1e307) are pinned by the
 regression cases in tests/test_cli.py.
@@ -62,6 +63,9 @@ def golden_argvs() -> list[list[str]]:
                             "--tol", tol])
     for tol in ("1e-3", "1e-14", "1e-30"):
         out.append(["verify", "--suite", "all", "--n-max", "30", "--tol", tol])
+    # the benchmark reaches --n-max 160, where the exact suites cost the most
+    for suite in ("cm-sequence", "minimality", "log-convexity", "all"):
+        out.append(["verify", "--suite", suite, "--n-max", "160"])
     out += [["verify", "--suite", "all", "--n-max", "60"],
             ["verify", "--suite", "nope"],
             ["verify", "--tol", "0"],
