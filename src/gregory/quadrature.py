@@ -27,8 +27,11 @@ turns K into a trapezoid sum over tau with the one term
 
 where 1/(y^2 + pi^2) IS v(s), since ln((1-s)/s) = -y.  The logarithm in
 the kernel is therefore available exactly even where s or 1 - s
-underflows.  Arbitrary caller integrands go through :func:`integrate_01`,
-which evaluates f at the abscissa s directly.
+underflows.  The engine hands a term function whole columns of nodes
+and takes back a chunk of terms, so a kernel's terms come from one list
+comprehension per chunk.  Arbitrary caller integrands go through
+:func:`integrate_01`, which evaluates f at the abscissa s directly, one
+visited node at a time.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.
@@ -40,6 +43,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import chain, islice, starmap
 
 PI = math.pi
 _PI_SQ = PI * PI
@@ -65,7 +69,10 @@ class QuadratureResult:
 
     ``converged=True`` implies ``abs_error_estimate <= tol`` as requested
     by the caller, and ``n_evals`` is always positive by the time any
-    result is produced.
+    result is produced.  ``n_evals`` counts the terms summed: the nodes
+    the rule visits.  A kernel computes its tail terms a chunk at a time,
+    and the few it computes past the node where a side stops are dropped
+    and not counted.
     """
 
     value: float
@@ -85,32 +92,51 @@ class QuadratureResult:
 # ----------------------------------------------------------------------
 # node table
 #
-# One node per abscissa tau >= 0, stored as (tau, y, sig, sigc, jac) with
-# y = pi*sinh(tau), sig = sigma(y), sigc = sigma(-y) (both computed
-# without cancellation), jac = pi*cosh(tau).  Level 0 holds tau = j for
-# all integers j; level L >= 1 holds tau = j * 2**-L for odd j, so the
-# union through level L is the full step-2**-L grid.  Negative tau is
-# obtained by mirroring.  The table is immutable once built; building is
-# guarded by a lock so concurrent first calls stay safe.
+# Nodes sit at tau >= 0 and are stored as four columns: sig = sigma(y),
+# sigc = sigma(-y) (both computed without cancellation), jac =
+# pi*cosh(tau) and d = y^2 + pi^2, with y = pi*sinh(tau).  Level 0 holds
+# tau = j for the integers j >= 1 (tau = 0 is the separate _CENTER node);
+# level L >= 1 holds tau = j * 2**-L for odd j, so the union through
+# level L is the full step-2**-L grid.  Swapping the sig and sigc columns
+# mirrors a side to -tau, since y^2, and with it d, is even.
+#
+# Each side of a level is split once into a head, every node through
+# the first one with tau >= 6, before which no side may stop, and tail
+# chunks that cover _TAIL_SPAN in tau (at least _TAIL_MIN nodes), walked
+# only until the side stops.  A level is the pair (head, tail chunks) for
+# tau > 0 and its mirror, every head and chunk being a (sig, sigc, jac,
+# d) tuple of columns.  The tables are immutable once built; building
+# is guarded by a lock so concurrent first calls stay safe.
 # ----------------------------------------------------------------------
 
+_STOP_TAU = 6.0             # a side may stop only at a node with tau >= this
+_STOP_RUN = 3               # ... after this many small terms in a row
+_TAIL_SPAN = 1.0            # tau covered by one tail chunk
+_TAIL_MIN = 8               # nodes in the shortest tail chunk
+
 _node_lock = threading.Lock()
-_node_levels: dict[int, tuple[tuple[float, float, float, float, float], ...]] = {}
+_node_levels: dict[int, tuple] = {}
 
 
-def _make_node(tau: float) -> tuple[float, float, float, float, float]:
-    y = PI * math.sinh(tau)
-    e = math.exp(-abs(y))
-    big = 1.0 / (1.0 + e)
-    small = e / (1.0 + e)
-    if y >= 0.0:
-        sig, sigc = big, small
-    else:
-        sig, sigc = small, big
-    return (tau, y, sig, sigc, PI * math.cosh(tau))
+def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
+    ys = [PI * math.sinh(tau) for tau in taus]
+    es = [math.exp(-y) for y in ys]            # y >= 0 for tau >= 0
+    return (tuple([1.0 / (1.0 + e) for e in es]),
+            tuple([e / (1.0 + e) for e in es]),
+            tuple([PI * math.cosh(tau) for tau in taus]),
+            tuple([y * y + _PI_SQ for y in ys]))
 
 
-def _level_nodes(level: int) -> tuple[tuple[float, float, float, float, float], ...]:
+_CENTER = _columns([0.0])
+
+
+def _split(cols, lo: int, hi: int):
+    # nodes lo:hi as (sig, sigc, jac, d) columns, and mirrored to -tau
+    sig, sigc, jac, d = (col[lo:hi] for col in cols)
+    return (sig, sigc, jac, d), (sigc, sig, jac, d)
+
+
+def _level_table(level: int) -> tuple:
     try:
         return _node_levels[level]
     except KeyError:
@@ -118,36 +144,58 @@ def _level_nodes(level: int) -> tuple[tuple[float, float, float, float, float], 
     with _node_lock:
         if level not in _node_levels:   # re-check under the lock
             h = 2.0 ** -level
-            top = int(_T_MAX / h)
-            js = range(0, top + 1) if level == 0 else range(1, top + 1, 2)
-            _node_levels[level] = tuple(_make_node(j * h) for j in js)
+            step = 1 if level == 0 else 2
+            taus = [j * h for j in range(1, int(_T_MAX / h) + 1, step)]
+            cols = _columns(taus)
+            cut = next(i for i, tau in enumerate(taus) if tau >= _STOP_TAU) + 1
+            width = max(_TAIL_MIN, int(_TAIL_SPAN / (step * h)))
+            head, mirrored_head = _split(cols, 0, cut)
+            chunks = [_split(cols, lo, lo + width) for lo in range(cut, len(taus), width)]
+            _node_levels[level] = ((head, tuple(c[0] for c in chunks)),
+                                   (mirrored_head, tuple(c[1] for c in chunks)))
         return _node_levels[level]
 
 
-def _mirror(nd):
-    tau, y, sig, sigc, jac = nd
-    return (-tau, -y, sigc, sig, jac)
+def _first_nonfinite(terms: list[float], visits: list) -> IntegrandEvaluationError:
+    """The error for the first non-finite term, at the abscissa of its node.
+
+    visits holds each side's (head, tail, number of terms taken) in the
+    order the terms were summed, so the terms line up with their nodes'
+    abscissas; the first non-finite one is where a walk that checks
+    every term as it goes would abort.
+    """
+    abscissas = chain(_CENTER[0], *(islice(chain(head[0], *(c[0] for c in tail)), taken)
+                                    for head, tail, taken in visits))
+    return next(IntegrandEvaluationError(s, v)
+                for s, v in zip(abscissas, terms) if not math.isfinite(v))
 
 
-def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
-    """Trapezoid-in-tau summation of one weighted term function g.
+def _integrate_transformed(term, tol: float, max_levels: int) -> QuadratureResult:
+    """Trapezoid-in-tau summation of one weighted term function.
 
-    g maps a node tuple to one term of the transformed integrand
-    (Jacobian included).  Levels halve the step until the error estimate
-    meets tol; the estimate combines the last level-to-level difference,
-    the magnitude of the outermost significant terms on each side (tail
-    truncation), and a rounding floor proportional to sum(|terms|).
-    Terms are accumulated with math.fsum so the rounding floor is not
-    optimistic.  A side may stop early once its terms fall below a small
-    fraction of tol; the last significant magnitude seen there feeds the
-    tail part of the estimate, so nothing is dropped silently.
+    term(sig, sigc, jac, d) maps equal-length node columns to an iterable
+    of the transformed integrand's terms (Jacobian included), one per
+    node and in node order.  It is pulled for a side's head as a whole
+    and for each tail chunk only as far as the side walks, so a lazy
+    term function sees exactly the nodes the rule visits.  Levels halve
+    the step until the error estimate meets tol; the estimate combines
+    the last level-to-level difference, the magnitude of the outermost
+    significant terms on each side (tail truncation), and a rounding
+    floor proportional to sum(|terms|).  Terms are accumulated with
+    math.fsum so the rounding floor is not optimistic.  A side stops at
+    a node with tau >= 6 once three terms in a row fall below a small
+    fraction of tol; the last significant magnitude seen there feeds
+    the tail part of the estimate, so nothing is dropped silently.
+    n_evals counts the terms summed.  A non-finite term aborts with an
+    :class:`IntegrandEvaluationError` at the abscissa of its node.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    gvals: list[float] = []
-    absvals: list[float] = []
+    terms: list[float] = []
+    visits = []         # (head, tail, terms taken) per side, for error reports
+    signed = False
     prev_total = None
     est = math.inf
     value = 0.0
@@ -156,40 +204,44 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
     cutoff = max(0.02 * tol, 1e-280)
     for level in range(0, max_levels + 1):
         h = 2.0 ** -level
-        nodes = _level_nodes(level)
+        level_start = len(terms)
         if level == 0:
-            v = g(nodes[0])
-            if not math.isfinite(v):
-                raise IntegrandEvaluationError(nodes[0][2], v)
-            gvals.append(v)
-            absvals.append(abs(v))
-            nodes = nodes[1:]
+            terms.extend(term(*_CENTER))
         edges = 0.0
-        for side in (nodes, map(_mirror, nodes)):
-            tiny = 0
-            edge = 0.0
-            for nd in side:
-                v = g(nd)
-                if not math.isfinite(v):
-                    raise IntegrandEvaluationError(nd[2], v)
-                gvals.append(v)
-                absvals.append(abs(v))
-                if abs(v) > cutoff:
-                    tiny = 0
-                    edge = abs(v)
-                else:
-                    tiny += 1
-                    if abs(nd[0]) >= 6.0 and tiny >= 3:
-                        break
+        for head, tail in _level_table(level):
+            start = len(terms)
+            terms.extend(term(*head))
+            # the head ends at the first node where the side may stop:
+            # carry its run of small terms and its last significant one
+            last = len(terms) - 1
+            while last >= start and abs(terms[last]) <= cutoff:
+                last -= 1
+            tiny = len(terms) - 1 - last
+            edge = abs(terms[last]) if last >= start else 0.0
+            if tiny < _STOP_RUN:
+                for v in chain.from_iterable(starmap(term, tail)):
+                    terms.append(v)
+                    if abs(v) > cutoff:
+                        tiny = 0
+                        edge = abs(v)
+                    else:
+                        tiny += 1
+                        if tiny >= _STOP_RUN:
+                            break
+            visits.append((head, tail, len(terms) - start))
             edges += edge
-        total = h * math.fsum(gvals)
-        abs_total = h * math.fsum(absvals)
-        tail = 2.0 * edges
+        # sum(|terms|) is the total itself while no term is negative,
+        # as kernel terms never are
+        signed = signed or min(terms[level_start:]) < 0.0
+        total = h * math.fsum(terms)
+        if not math.isfinite(total):
+            raise _first_nonfinite(terms, visits)
+        abs_total = h * math.fsum(map(abs, terms)) if signed else total
         if prev_total is None:
             prev_total = total
             continue
         diff = abs(total - prev_total)
-        est = diff + tail + 1.1e-16 * abs_total
+        est = diff + 2.0 * edges + 1.1e-16 * abs_total
         value = total
         prev_total = total
         if est <= tol:
@@ -202,7 +254,7 @@ def _integrate_transformed(g, tol: float, max_levels: int) -> QuadratureResult:
         else:
             stagnant = 0
     return QuadratureResult(value=value, abs_error_estimate=est,
-                            n_evals=len(gvals), converged=converged)
+                            n_evals=len(terms), converged=converged)
 
 
 def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> QuadratureResult:
@@ -228,31 +280,66 @@ def integrate_01(f, tol: float = DEFAULT_TOL,
     (log-type and worse) are handled without special casing.
 
     Returns converged=False, never raises, when tol is not met within
-    max_levels refinements.  A non-finite f(s) aborts with an
-    :class:`IntegrandEvaluationError` identifying s.
+    max_levels refinements.  A non-finite f(s), or a non-finite term
+    f(s)*jac*s*(1-s), aborts with an :class:`IntegrandEvaluationError`
+    identifying s.  f is called lazily, node by node, so it never sees
+    an abscissa the rule does not visit.
     """
-    def g(nd):
-        s = nd[2]
+    def one(s, sigc, jac):
         if s < _SMALLEST_NORMAL or s >= 1.0:
             return 0.0
         fv = f(s)
         if not math.isfinite(fv):
             raise IntegrandEvaluationError(s, fv)
-        return fv * nd[4] * s * nd[3]
-    return _integrate_transformed(g, tol, max_levels)
+        v = fv * jac * s * sigc
+        if not math.isfinite(v):
+            raise IntegrandEvaluationError(s, v)
+        return v
+
+    def term(sig, sigc, jac, d):
+        return map(one, sig, sigc, jac)
+    return _integrate_transformed(term, tol, max_levels)
 
 
 def _kernel(a: int, x: float, p: int, tol: float, max_levels: int) -> QuadratureResult:
-    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled."""
-    def g(nd):
-        _, y, sig, sigc, jac = nd
-        try:
-            return jac * sigc * sig ** a / ((y * y + _PI_SQ) * (1.0 + x * sig) ** p)
-        except OverflowError:
-            # (1+x sig)^p > 1.8e308 puts the term below ~1e-290, under the
-            # engine's 1e-280 cutoff, so 0.0 keeps the error estimate honest
-            return 0.0
-    return _integrate_transformed(g, tol, max_levels)
+    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled.
+
+    Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
+    negative for finite x >= 0.  The special cases below drop only
+    factors that are exactly 1.0 in IEEE arithmetic, so they round
+    identically.
+    """
+    if p == 0 or x == 0.0:
+        if a == 0:
+            def term(sig, sigc, jac, d):
+                return [j * c / e for c, j, e in zip(sigc, jac, d)]
+        else:
+            def term(sig, sigc, jac, d):
+                return [j * c * s ** a / e for s, c, j, e in zip(sig, sigc, jac, d)]
+    elif p == 1:
+        if a == 0:
+            def term(sig, sigc, jac, d):
+                return [j * c / (e * (1.0 + x * s)) for s, c, j, e in zip(sig, sigc, jac, d)]
+        else:
+            def term(sig, sigc, jac, d):
+                return [j * c * s ** a / (e * (1.0 + x * s))
+                        for s, c, j, e in zip(sig, sigc, jac, d)]
+    else:
+        def one(s, c, j, e):
+            try:
+                return j * c * s ** a / (e * (1.0 + x * s) ** p)
+            except OverflowError:
+                # (1+x sig)^p > 1.8e308 puts the term below ~1e-290, under
+                # the engine's 1e-280 cutoff, so 0.0 keeps the estimate honest
+                return 0.0
+
+        def term(sig, sigc, jac, d):
+            try:
+                return [j * c * s ** a / (e * (1.0 + x * s) ** p)
+                        for s, c, j, e in zip(sig, sigc, jac, d)]
+            except OverflowError:
+                return list(map(one, sig, sigc, jac, d))
+    return _integrate_transformed(term, tol, max_levels)
 
 
 def _inner_tol(tol: float, scale: float) -> float:

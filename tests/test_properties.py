@@ -195,13 +195,15 @@ class TestIntegerPath:
         """(-1)**k Delta**k mu_0 = integral_0^1 (1-s)**k v(s)/s ds for k <= 30.
 
         The term jac * sigc**(k+1) / (y**2 + pi**2) is that integrand in
-        the tanh-sinh variables; summed by the engine itself, it keeps the
-        1/(s ln(s)**2) tail that integrate_01 cuts at the smallest normal s.
+        the tanh-sinh variables, with d = y**2 + pi**2 a node column;
+        summed by the engine itself, it keeps the 1/(s ln(s)**2) tail that
+        integrate_01 cuts at the smallest normal s.
         """
         table = difference_table(signed_moment_sequence(table31), 30)
         for k in range(31):
             got = _integrate_transformed(
-                lambda nd: nd[4] * nd[3] ** (k + 1) / (nd[1] ** 2 + math.pi ** 2),
+                lambda sig, sigc, jac, d: [j * c ** (k + 1) / e
+                                           for c, j, e in zip(sigc, jac, d)],
                 1e-15, DEFAULT_MAX_LEVELS)
             assert abs(got.value - float(table.alternating(k, 0))) <= 1e-14, k
 

@@ -2,11 +2,16 @@
 
 import math
 import concurrent.futures
+import functools
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
+from gregory import quadrature
 from gregory import (
     IntegrandEvaluationError,
     QuadratureResult,
@@ -69,6 +74,216 @@ def _coefficient_integral_exp_map(n: int, h: float = 0.0625):
     fine = one_pass(h)
     coarse = one_pass(2.0 * h)
     return fine, abs(fine - coarse) + 1e-15
+
+
+# ----------------------------------------------------------------------
+# per-node reference of the engine
+#
+# The engine written node by node: one (tau, y, sig, sigc, jac) tuple per
+# node, one g(node) call per term, the stop rule and the estimate checked
+# after every term.  The tests below hold the column engine to it bit for
+# bit.
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _reference_level(level: int) -> tuple:
+    h = 2.0 ** -level
+    top = int(36.0 / h)
+    js = range(0, top + 1) if level == 0 else range(1, top + 1, 2)
+    nodes = []
+    for j in js:
+        tau = j * h
+        y = math.pi * math.sinh(tau)
+        e = math.exp(-abs(y))
+        big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+        sig, sigc = (big, small) if y >= 0.0 else (small, big)
+        nodes.append((tau, y, sig, sigc, math.pi * math.cosh(tau)))
+    return tuple(nodes)
+
+
+def _reference_integrate(g, tol: float, max_levels: int) -> QuadratureResult:
+    gvals, absvals = [], []
+    prev_total = None
+    est, value, converged, stagnant = math.inf, 0.0, False, 0
+    cutoff = max(0.02 * tol, 1e-280)
+    for level in range(0, max_levels + 1):
+        h = 2.0 ** -level
+        nodes = _reference_level(level)
+        if level == 0:
+            v = g(nodes[0])
+            if not math.isfinite(v):
+                raise IntegrandEvaluationError(nodes[0][2], v)
+            gvals.append(v)
+            absvals.append(abs(v))
+            nodes = nodes[1:]
+        mirrored = [(-tau, -y, sigc, sig, jac) for tau, y, sig, sigc, jac in nodes]
+        edges = 0.0
+        for side in (nodes, mirrored):
+            tiny, edge = 0, 0.0
+            for nd in side:
+                v = g(nd)
+                if not math.isfinite(v):
+                    raise IntegrandEvaluationError(nd[2], v)
+                gvals.append(v)
+                absvals.append(abs(v))
+                if abs(v) > cutoff:
+                    tiny, edge = 0, abs(v)
+                else:
+                    tiny += 1
+                    if abs(nd[0]) >= 6.0 and tiny >= 3:
+                        break
+            edges += edge
+        total = h * math.fsum(gvals)
+        abs_total = h * math.fsum(absvals)
+        if prev_total is None:
+            prev_total = total
+            continue
+        diff = abs(total - prev_total)
+        est = diff + 2.0 * edges + 1.1e-16 * abs_total
+        value = total
+        prev_total = total
+        if est <= tol:
+            converged = True
+            break
+        if diff <= max(1e-16 * abs(total), 1e-300):
+            stagnant += 1
+            if stagnant >= 2:
+                break
+        else:
+            stagnant = 0
+    return QuadratureResult(value=value, abs_error_estimate=est,
+                            n_evals=len(gvals), converged=converged)
+
+
+def _reference_kernel(a: int, x: float, p: int, tol: float, max_levels: int):
+    def g(nd):
+        _, y, sig, sigc, jac = nd
+        try:
+            return jac * sigc * sig ** a / ((y * y + math.pi * math.pi) * (1.0 + x * sig) ** p)
+        except OverflowError:
+            return 0.0
+    return _reference_integrate(g, tol, max_levels)
+
+
+def _reference_integrate_01(f, tol: float, max_levels: int):
+    def g(nd):
+        s = nd[2]
+        if s < 2.2250738585072014e-308 or s >= 1.0:
+            return 0.0
+        fv = f(s)
+        if not math.isfinite(fv):
+            raise IntegrandEvaluationError(s, fv)
+        return fv * nd[4] * s * nd[3]
+    return _reference_integrate(g, tol, max_levels)
+
+
+def _bits(result: QuadratureResult) -> tuple:
+    return (result.value.hex(), result.abs_error_estimate.hex(),
+            result.n_evals, result.converged)
+
+
+_TOLS = st.one_of(st.just(5e-324),
+                  st.integers(-323, -1).map(lambda e: 10.0 ** e),
+                  st.floats(min_value=5e-324, max_value=0.1))
+_KERNEL_ARGS = st.one_of(
+    # a = 0: the slow 1/(pi cosh tau) tail of 1/ln(1+x), x/ln(1+x) and f'
+    st.tuples(st.just(0),
+              st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e6)),
+              st.integers(0, 2)),
+    # (1 + x s)^p overflows on part of a chunk: 0.0 beside finite terms
+    st.tuples(st.integers(0, 40), st.floats(min_value=1e150, max_value=1e308),
+              st.integers(2, 171)),
+    st.tuples(st.integers(0, 300),
+              st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e308)),
+              st.integers(0, 171)),
+)
+
+
+class TestColumnEngineMatchesPerNodeReference:
+    @settings(max_examples=150, deadline=None)
+    @given(args=_KERNEL_ARGS, tol=_TOLS, max_levels=st.integers(1, 12))
+    @example(args=(0, 0.5, 1), tol=1e-15, max_levels=12)
+    @example(args=(0, 0.0, 0), tol=1e-10, max_levels=12)
+    @example(args=(0, 1e3, 2), tol=5e-324, max_levels=12)
+    @example(args=(2, 1e300, 3), tol=1e-10, max_levels=6)
+    @example(args=(0, 1e150, 3), tol=5e-324, max_levels=12)
+    @example(args=(299, 0.0, 0), tol=1e-10, max_levels=12)
+    @example(args=(9, 0.25, 11), tol=1e-13 / 3628800, max_levels=12)
+    def test_kernel_bits(self, args, tol, max_levels):
+        """Value, estimate, n_evals and converged agree bit for bit."""
+        a, x, p = args
+        got = quadrature._kernel(a, x, p, tol, max_levels)
+        assert _bits(got) == _bits(_reference_kernel(a, x, p, tol, max_levels))
+
+    def test_overflow_example_mixes_zero_and_finite_terms_in_one_chunk(self):
+        """The example (a, x, p) = (2, 1e300, 3) sends a head through the
+        overflow path with finite terms beside the zeros."""
+        x, p = 1e300, 3
+
+        def overflows(s):
+            try:
+                (1.0 + x * s) ** p
+            except OverflowError:
+                return True
+            return False
+
+        _, (mirrored_head, _) = quadrature._level_table(0)
+        flags = [overflows(s) for s in mirrored_head[0]]
+        assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("a, p", [(0, 0), (3, 0), (0, 1), (4, 1), (1, 2), (6, 7)])
+    def test_nonfinite_x_gives_the_reference_result_or_abort(self, a, x, p):
+        """A NaN or infinite x makes NaN terms once p >= 1; the abort names
+        the same node (s = 0.5 for NaN, the first s = 0.0 for inf)."""
+        def outcome(engine):
+            try:
+                return _bits(engine(a, x, p, 1e-10, 12))
+            except IntegrandEvaluationError as exc:
+                return ("abort", exc.abscissa.hex(), repr(exc.value))
+
+        assert outcome(quadrature._kernel) == outcome(_reference_kernel)
+
+    @pytest.mark.parametrize("f", [
+        lambda s: 1.0,
+        lambda s: s - 0.5,
+        lambda s: math.sin(40.0 * s),
+        lambda s: -math.log(s),
+        lambda s: stieltjes_weight_unit(s) / s,
+        lambda s: 1.0 / s,                # f*jac*s*(1-s) overflows near s = 0
+        lambda s: 1e300 / s,              # f itself overflows near s = 0
+        lambda s: 3.0 ** s,
+    ])
+    @pytest.mark.parametrize("tol, max_levels", [
+        (1e-3, 1), (1e-10, 4), (1e-15, 12), (1e-30, 7), (5e-324, 12)])
+    def test_integrate_01_visits_the_same_abscissas(self, f, tol, max_levels):
+        """f is called at exactly the reference's abscissas, in order, and
+        the result or the abort is the same."""
+        def outcome(engine):
+            seen = []
+
+            def recording(s):
+                seen.append(s)
+                return f(s)
+            try:
+                result = _bits(engine(recording, tol, max_levels))
+            except IntegrandEvaluationError as exc:
+                result = ("abort", exc.abscissa.hex(), repr(exc.value))
+            return result, [s.hex() for s in seen]
+
+        assert outcome(integrate_01) == outcome(_reference_integrate_01)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.3, 1e-3, 1e-200, 0.999999])
+    def test_nonfinite_f_aborts_at_the_same_abscissa(self, threshold):
+        def bad(s):
+            return math.inf if s < threshold else 1.0
+
+        aborts = []
+        for engine in (integrate_01, _reference_integrate_01):
+            with pytest.raises(IntegrandEvaluationError) as exc_info:
+                engine(bad, 1e-12, 12)
+            aborts.append(exc_info.value.abscissa)
+        assert aborts[0] == aborts[1]
 
 
 class TestIntegrate01:
@@ -147,6 +362,22 @@ class TestIntegrate01:
             values = list(pool.map(job, range(8)))
         assert len(set(values)) == 1
         assert abs(values[0] - 0.25) < 1e-12
+
+    def test_threaded_first_use_of_column_tables(self):
+        """Eight threads that build every level at once agree with a serial call."""
+        serial = genfun_derivative_integral(0.25, 10, 1e-13)
+        with quadrature._node_lock:
+            quadrature._node_levels.clear()
+        start = threading.Barrier(8)
+
+        def job(_):
+            start.wait()
+            return genfun_derivative_integral(0.25, 10, 1e-13)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(job, range(8)))
+        assert sorted(quadrature._node_levels) == list(range(quadrature.DEFAULT_MAX_LEVELS + 1))
+        assert [_bits(r) for r in results] == [_bits(serial)] * 8
 
 
 class TestResultType:
