@@ -47,7 +47,6 @@ from .properties import (
     CmReport,
     DegreeBracket,
     DeterminantVariant,
-    DifferenceTable,
     bareiss_determinant,
     check_bernstein,
     check_cm_sequence,
@@ -56,7 +55,6 @@ from .properties import (
     check_minimality_perturbation,
     check_shifted_kernel_determinants,
     cm_grid_test,
-    difference_table,
     estimate_cm_degree,
     hankel_determinant,
     is_majorized,
@@ -93,7 +91,6 @@ __all__ = [
     "CmReport",
     "DegreeBracket",
     "DeterminantVariant",
-    "DifferenceTable",
     "bareiss_determinant",
     "check_bernstein",
     "check_cm_sequence",
@@ -102,7 +99,6 @@ __all__ = [
     "check_minimality_perturbation",
     "check_shifted_kernel_determinants",
     "cm_grid_test",
-    "difference_table",
     "estimate_cm_degree",
     "hankel_determinant",
     "is_majorized",

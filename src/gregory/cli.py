@@ -27,10 +27,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .exact import (
     GregoryTable,
@@ -67,32 +66,8 @@ from .quadrature import (
     stieltjes_weight_unit,
 )
 
-_METHOD_RANK = {"series": 0, "explicit": 1, "integral": 2}
 _RESIDUAL_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted coefficient value; exact and numeric are alternatives."""
-
-    n: int
-    exact: Optional[str]
-    numeric: Optional[float]
-    method: str
-    error_estimate: Optional[float]
-
-    def __post_init__(self):
-        if self.exact is None and self.numeric is None:
-            raise ValueError("record needs an exact or a numeric value")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact": self.exact,
-            "numeric": self.numeric,
-            "method": self.method,
-            "error_estimate": self.error_estimate,
-        }
+_RECORD_FIELDS = ("n", "exact", "numeric", "method", "error_estimate")
 
 
 def _finite_float(text: str) -> float:
@@ -136,22 +111,18 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
                       file=sys.stderr)
                 exit_code = 1
 
-    records: list[OutputRecord] = []
+    # one dict per value, keyed by _RECORD_FIELDS; exact and numeric are
+    # alternatives, and the loop emits them sorted by n, then by method
+    records: list[dict] = []
     for n in range(0, n_max + 1):
-        if series is not None:
-            records.append(OutputRecord(n=n, exact=format_rational(series[n]),
-                                        numeric=None, method="series",
-                                        error_estimate=None))
-        if explicit is not None:
-            records.append(OutputRecord(n=n, exact=format_rational(explicit[n]),
-                                        numeric=None, method="explicit",
-                                        error_estimate=None))
+        for name, table in (("series", series), ("explicit", explicit)):
+            if table is not None:
+                records.append({"n": n, "exact": format_rational(table[n]), "numeric": None,
+                                "method": name, "error_estimate": None})
         if n in integral:
-            records.append(OutputRecord(n=n, exact=None,
-                                        numeric=integral[n].value,
-                                        method="integral",
-                                        error_estimate=integral[n].abs_error_estimate))
-    records.sort(key=lambda r: (r.n, _METHOD_RANK[r.method]))
+            records.append({"n": n, "exact": None, "numeric": integral[n].value,
+                            "method": "integral",
+                            "error_estimate": integral[n].abs_error_estimate})
 
     footer = None
     if method == "all":
@@ -164,44 +135,26 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
         footer = f"max cross-method deviation: {deviation:.3e}"
 
     if fmt == "csv":
-        _emit_csv(records)
-        if footer:
-            print(footer, file=sys.stderr)
+        writer = csv.DictWriter(sys.stdout, _RECORD_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)     # None as "", floats as repr
     elif fmt == "json":
-        _emit_json(records)
-        if footer:
-            print(footer, file=sys.stderr)
+        print(json.dumps(records, indent=2))
     elif method == "all":
         _emit_table_all(n_max, series, explicit, integral)
-        print(footer)
     else:
         _emit_table(records)
+    if footer:
+        print(footer, file=sys.stdout if fmt == "table" else sys.stderr)
     return exit_code
 
 
-def _emit_csv(records: list[OutputRecord]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["n", "exact", "numeric", "method", "error_estimate"])
-    for r in records:
-        writer.writerow([
-            r.n,
-            r.exact if r.exact is not None else "",
-            repr(r.numeric) if r.numeric is not None else "",
-            r.method,
-            repr(r.error_estimate) if r.error_estimate is not None else "",
-        ])
-
-
-def _emit_json(records: list[OutputRecord]) -> None:
-    print(json.dumps([r.to_json_dict() for r in records], indent=2))
-
-
-def _emit_table(records: list[OutputRecord]) -> None:
+def _emit_table(records: list[dict]) -> None:
     rows = [["n", "value", "method", "error_estimate"]]
     for r in records:
-        value = r.exact if r.exact is not None else repr(r.numeric)
-        est = f"{r.error_estimate:.3e}" if r.error_estimate is not None else "n/a"
-        rows.append([str(r.n), value, r.method, est])
+        value = r["exact"] if r["exact"] is not None else repr(r["numeric"])
+        est = r["error_estimate"]
+        rows.append([str(r["n"]), value, r["method"], "n/a" if est is None else f"{est:.3e}"])
     _print_aligned(rows)
 
 
@@ -230,10 +183,23 @@ def _print_aligned(rows: list[list[str]]) -> None:
 #
 # Each suite maps (n_max, tol, table) to one CmReport; table is the run's one
 # exact table, through the last index any selected suite reads (see
-# _SUITE_NEEDS), or None.  Aggregate suites that bundle several sub-checks
-# use the report's (k, n) coordinates as (sub-check stage, index within the
-# stage); the stages are numbered in the order the docstrings list them.
+# _SUITES), or None.  An aggregate suite bundles several sub-checks: it is a
+# generator of (stage, index within the stage, evidence) violations, in the
+# order its docstring numbers the stages, and its report carries the first
+# one, so no check after a violation runs.
 # ----------------------------------------------------------------------
+
+_Violations = Iterator[tuple[int, int, str]]
+
+
+def _aggregate(name: str, horizon: Callable[[int], tuple[int, int]]):
+    """Make a violation generator a suite runner reporting under name and horizon(n_max)."""
+    def wrap(violations: Callable[[int, float, Optional[GregoryTable]], _Violations]):
+        def run(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmReport:
+            return _report(name, horizon(n_max), next(violations(n_max, tol, table), None))
+        return run
+    return wrap
+
 
 def _suite_cm_sequence(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Exact complete monotonicity of mu_n = (-1)**n b_{n+1}, n <= n_max."""
@@ -246,7 +212,8 @@ def _suite_minimality(n_max: int, tol: float, table: GregoryTable) -> CmReport:
                                          Fraction(1, 10))
 
 
-def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> CmReport:
+@_aggregate("hankel", lambda n_max: (n_max, 3))
+def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Hankel determinant positivity.
 
     Stage 0: golden determinants for index tuples (0,), (0,1), (0,1,2).
@@ -263,26 +230,24 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> CmReport:
         for variant in DeterminantVariant:
             got = hankel_determinant(table, indices, variant)
             if got != expected:
-                return _report("hankel", (n_max, 3),
-                               (0, idx, format_rational(got - expected)))
+                yield 0, idx, format_rational(got - expected)
     tuples = [t for m in range(1, 5)
               for t in combinations_with_replacement(range(6), m)]
     for idx, indices in enumerate(tuples):
         plain = hankel_determinant(table, indices, DeterminantVariant.PLAIN)
         signed = hankel_determinant(table, indices, DeterminantVariant.SIGNED)
         if plain != signed:
-            return _report("hankel", (n_max, 3),
-                           (1, idx, format_rational(plain - signed)))
+            yield 1, idx, format_rational(plain - signed)
         if plain < 0:
-            return _report("hankel", (n_max, 3), (2, idx, format_rational(plain)))
+            yield 2, idx, format_rational(plain)
     for idx, x in enumerate((0.5, 1.0)):
         probe = check_shifted_kernel_determinants(x, tol=tol)
         if not probe.passed:
-            return _report("hankel", (n_max, 3), (3, idx, probe.first_violation[2]))
-    return _report("hankel", (n_max, 3), None)
+            yield 3, idx, probe.first_violation[2]
 
 
-def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> CmReport:
+@_aggregate("majorization", lambda n_max: (3, 6))
+def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Factorial-moment products along every majorizing pair.
 
     Exhaustive over nondecreasing index tuples with size <= 3 and entries
@@ -298,8 +263,7 @@ def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> CmReport
                 continue
             probe = check_majorization_inequality(table, lam, mu)
             if not probe.passed:
-                return _report("majorization", (3, 6), (i, j, probe.first_violation[2]))
-    return _report("majorization", (3, 6), None)
+                yield i, j, probe.first_violation[2]
 
 
 def _suite_log_convexity(n_max: int, tol: float, table: GregoryTable) -> CmReport:
@@ -307,7 +271,8 @@ def _suite_log_convexity(n_max: int, tol: float, table: GregoryTable) -> CmRepor
     return check_log_convexity(GregoryTable(table.values[: n_max + 1], table.method))
 
 
-def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> CmReport:
+@_aggregate("integrals", lambda n_max: (min(n_max, 20), 12))
+def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Quadrature cross-checks against the exact table and closed forms.
 
     Stage 0: signed ray integral vs exact coefficients, n <= min(n_max, 20),
@@ -320,62 +285,58 @@ def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     Stage 5: moment integrals for n in {0, 1, 4} vs exact values.
     Stage 6: shifted-kernel spot values and bounds.
     """
-    top = min(n_max, 20)
-    for n in range(1, top + 1):
+    for n in range(1, min(n_max, 20) + 1):
         exact_value = float(table[n])
         got = bernoulli2_integral(n, tol).value
         bound = max(1e-10 * abs(exact_value), 1e-14)
         if abs(got - exact_value) > bound:
-            return _report("integrals", (top, 12),
-                           (0, n, _value_string(got - exact_value)))
+            yield 0, n, _value_string(got - exact_value)
     for idx, x in enumerate(_RESIDUAL_GRID):
         got = stieltjes_recip_log(x, tol)
         residual = abs(got.value - 1.0 / math.log1p(x))
         if residual > 1e-8 or residual > 10.0 * max(got.abs_error_estimate, 1e-16):
-            return _report("integrals", (top, 12), (1, idx, _value_string(residual)))
+            yield 1, idx, _value_string(residual)
     for idx, x in enumerate(_RESIDUAL_GRID):
         got = genfun_integral(x, tol)
         residual = abs(got.value - x / math.log1p(x))
         if residual > 1e-8:
-            return _report("integrals", (top, 12), (2, idx, _value_string(residual)))
+            yield 2, idx, _value_string(residual)
     for k in range(1, 13):
         reference = float(math.factorial(k) * table[k])
         scaled_tol = max(1e-9 * abs(reference), 1e-15)
         got = genfun_derivative_integral(0.0, k, scaled_tol).value
         if abs(got - reference) > 1e-9 * abs(reference):
-            return _report("integrals", (top, 12),
-                           (3, k, _value_string(got - reference)))
+            yield 3, k, _value_string(got - reference)
     for idx, s in enumerate((0.1, 0.25, 0.4)):
         left = stieltjes_weight_unit(s)
         right = stieltjes_weight_unit(1.0 - s)
         if abs(left - right) > 5e-16 * abs(left):
-            return _report("integrals", (top, 12),
-                           (4, idx, _value_string(left - right)))
+            yield 4, idx, _value_string(left - right)
     for idx, (n, expected) in enumerate(((0, Fraction(1, 2)),
                                          (1, Fraction(1, 12)),
                                          (4, Fraction(3, 160)))):
         got = moment_integral(n, tol).value
         bound = max(1e-10 * float(expected), 1e-14)
         if abs(got - float(expected)) > bound:
-            return _report("integrals", (top, 12),
-                           (5, idx, _value_string(got - float(expected))))
+            yield 5, idx, _value_string(got - float(expected))
     spot = shifted_kernel_integral(2, 0.0, tol).value
     if abs(spot - 1.0 / 12.0) > 1e-10:
-        return _report("integrals", (top, 12), (6, 0, _value_string(spot - 1.0 / 12.0)))
+        yield 6, 0, _value_string(spot - 1.0 / 12.0)
     far = shifted_kernel_integral(1, 1000.0, tol).value
     if not 0.0 < far < 0.5:
-        return _report("integrals", (top, 12), (6, 1, _value_string(far)))
+        yield 6, 1, _value_string(far)
     mid = shifted_kernel_integral(3, 1.0, tol).value
     if not 0.0 < mid <= 1.0 / 24.0 + 1e-12:
-        return _report("integrals", (top, 12), (6, 2, _value_string(mid)))
-    return _report("integrals", (top, 12), None)
+        yield 6, 2, _value_string(mid)
 
 
-def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmReport:
+@_aggregate("bernstein", lambda n_max: (2, 7))
+def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _Violations:
     """Bernstein screens for the generating function.
 
-    Stage 0 is the grid screen itself (propagated verbatim when it
-    fails).  Stage 1: exponential-integral identity vs x/ln(1+x) within
+    Stage 0 is the grid screen itself, whose violation (k = derivative
+    order of f, n = grid index) is passed on verbatim; its horizon is the
+    suite's.  Stage 1: exponential-integral identity vs x/ln(1+x) within
     1e-10 on {0.5, 1, e^2-1}.  Stage 2: small-x limit toward 1.
     Stage 3: first derivative vs a central finite difference of the
     closed form, within 1e-5.
@@ -385,25 +346,24 @@ def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> C
         lambda x: genfun_derivative_integral(x, 1, 1e-9).value,
         (0.25, 1.0, 4.0), K=6, slack=1e-6)
     if not screen.passed:
-        return screen
-    horizon = (2, 7)
+        yield screen.first_violation
     for idx, x in enumerate((0.5, 1.0, math.exp(2.0) - 1.0)):
         got = bernstein_identity(x, tol).value
         residual = abs(got - x / math.log1p(x))
         if residual > 1e-10:
-            return _report("bernstein", horizon, (1, idx, _value_string(residual)))
+            yield 1, idx, _value_string(residual)
     tiny = bernstein_identity(1e-8, tol).value
     if abs(tiny - 1.0) > 1e-7:
-        return _report("bernstein", horizon, (2, 0, _value_string(tiny - 1.0)))
+        yield 2, 0, _value_string(tiny - 1.0)
     for idx, x in enumerate((0.25, 1.0, 4.0)):
         got = genfun_derivative_integral(x, 1, 1e-10).value
         reference = _central_derivative(lambda t: t / math.log1p(t), x, 1)
         if abs(got - reference) > 1e-5:
-            return _report("bernstein", horizon, (3, idx, _value_string(got - reference)))
-    return _report("bernstein", horizon, None)
+            yield 3, idx, _value_string(got - reference)
 
 
-def _suite_degree(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmReport:
+@_aggregate("degree", lambda n_max: (4, 8))
+def _suite_degree(n_max: int, tol: float, table: Optional[GregoryTable]) -> _Violations:
     """Power-weight degree brackets and direct grid screens.
 
     Stage 0: x**r * (x/ln(1+x)) passes at r = -1, fails at r = -1/2.
@@ -412,51 +372,36 @@ def _suite_degree(n_max: int, tol: float, table: Optional[GregoryTable]) -> CmRe
     Stage 3: (1 - e^-u)/u passes.  Stage 4: e^-x passes.
     """
     grid = (0.25, 1.0, 4.0, 16.0)
-    bracket = estimate_cm_degree(lambda x: x / math.log1p(x),
-                                 (-1.0, -0.5, 0.0), grid)
-    if bracket.last_pass != -1.0 or bracket.first_fail != -0.5:
-        return _report("degree", (4, 8),
-                       (0, 0, f"bracket ({bracket.last_pass}, {bracket.first_fail})"))
-    bracket = estimate_cm_degree(lambda x: math.log1p(x) / x,
-                                 (0.0, 0.5, 1.0), grid)
-    if bracket.last_pass != 0.0 or bracket.first_fail != 0.5:
-        return _report("degree", (4, 8),
-                       (1, 0, f"bracket ({bracket.last_pass}, {bracket.first_fail})"))
+    # the bracket must be (last pass, first fail) = the first two exponents
+    for stage, f, r_grid in ((0, lambda x: x / math.log1p(x), (-1.0, -0.5, 0.0)),
+                             (1, lambda x: math.log1p(x) / x, (0.0, 0.5, 1.0))):
+        bracket = estimate_cm_degree(f, r_grid, grid)
+        if (bracket.last_pass, bracket.first_fail) != r_grid[:2]:
+            yield stage, 0, f"bracket ({bracket.last_pass}, {bracket.first_fail})"
     increasing = cm_grid_test(math.log1p, (1.0,), K=2, h=0.5)
     if increasing.passed or increasing.first_violation[0] != 1:
-        return _report("degree", (4, 8), (2, 0, "ln(1+x) screen did not fail at k=1"))
+        yield 2, 0, "ln(1+x) screen did not fail at k=1"
     ratio = cm_grid_test(lambda u: (1.0 - math.exp(-u)) / u, (0.1, 1.0, 5.0),
                          K=8, h=0.1)
     if not ratio.passed:
-        return _report("degree", (4, 8), (3, 0, ratio.first_violation[2]))
+        yield 3, 0, ratio.first_violation[2]
     decay = cm_grid_test(lambda x: math.exp(-x), (0.5, 1.0, 2.0), K=8, h=0.1)
     if not decay.passed:
-        return _report("degree", (4, 8), (4, 0, decay.first_violation[2]))
-    return _report("degree", (4, 8), None)
+        yield 4, 0, decay.first_violation[2]
 
 
-_SUITE_RUNNERS: dict[str, Callable[[int, float, Optional[GregoryTable]], CmReport]] = {
-    "cm-sequence": _suite_cm_sequence,
-    "minimality": _suite_minimality,
-    "hankel": _suite_hankel,
-    "majorization": _suite_majorization,
-    "log-convexity": _suite_log_convexity,
-    "integrals": _suite_integrals,
-    "bernstein": _suite_bernstein,
-    "degree": _suite_degree,
-}
-
-# per suite: the smallest usable --n-max (composite "all" takes the max)
-# and the last coefficient index it reads at --n-max n (None: no table)
-_SUITE_NEEDS: dict[str, tuple[int, Optional[Callable[[int], int]]]] = {
-    "cm-sequence": (1, lambda n: n + 1),
-    "minimality": (1, lambda n: n + 1),
-    "hankel": (11, lambda n: 11),       # sweep entries reach index 2*5+1
-    "majorization": (7, lambda n: 7),   # products reach index 6+1
-    "log-convexity": (3, lambda n: n),
-    "integrals": (1, lambda n: max(min(n, 20), 13)),
-    "bernstein": (0, None),
-    "degree": (0, None),
+# name -> (smallest usable --n-max, where composite "all" takes the max;
+# the last coefficient index read at --n-max n, None for no table; runner)
+_SUITES: dict[str, tuple[int, Optional[Callable[[int], int]],
+                         Callable[[int, float, Optional[GregoryTable]], CmReport]]] = {
+    "cm-sequence": (1, lambda n: n + 1, _suite_cm_sequence),
+    "minimality": (1, lambda n: n + 1, _suite_minimality),
+    "hankel": (11, lambda n: 11, _suite_hankel),    # sweep entries reach index 2*5+1
+    "majorization": (7, lambda n: 7, _suite_majorization),  # products reach index 6+1
+    "log-convexity": (3, lambda n: n, _suite_log_convexity),
+    "integrals": (1, lambda n: max(min(n, 20), 13), _suite_integrals),
+    "bernstein": (0, None, _suite_bernstein),
+    "degree": (0, None, _suite_degree),
 }
 
 
@@ -465,16 +410,16 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
         return _fail_usage("--tol must be positive")
     if n_max < 0:
         return _fail_usage("--n-max must be >= 0")
-    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    needed = max(_SUITE_NEEDS[name][0] for name in names)
+    names = list(_SUITES) if suite == "all" else [suite]
+    needed = max(_SUITES[name][0] for name in names)
     if n_max < needed:
         return _fail_usage(f"suite '{suite}' needs --n-max >= {needed}")
-    reads = [last(n_max) for last in (_SUITE_NEEDS[name][1] for name in names) if last]
+    reads = [last(n_max) for last in (_SUITES[name][1] for name in names) if last]
     table = bernoulli2_series(max(reads)) if reads else None
     failures = 0
     for name in names:
         try:
-            report = _SUITE_RUNNERS[name](n_max, tol, table)
+            report = _SUITES[name][2](n_max, tol, table)
         except IntegrandEvaluationError as exc:
             print(f"suite {name} aborted: {exc}", file=sys.stderr)
             failures += 1
@@ -597,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=tuple(_SUITE_RUNNERS) + ("all",))
+                          choices=tuple(_SUITES) + ("all",))
     p_verify.add_argument("--n-max", type=int, default=30)
     p_verify.add_argument("--tol", type=_finite_float, default=1e-10)
 

@@ -37,52 +37,6 @@ def _value_string(v) -> str:
 
 
 @dataclass(frozen=True)
-class DifferenceTable:
-    """Forward difference table: rows[k][n] holds the raw k-th difference.
-
-    Row 0 is the input sequence itself; row k has k fewer entries.  The
-    values are raw differences, not sign-adjusted: callers testing
-    complete monotonicity multiply row k by (-1)**k themselves.
-    """
-
-    rows: tuple[tuple, ...]
-
-    @property
-    def base(self) -> tuple:
-        return self.rows[0]
-
-    @property
-    def order(self) -> int:
-        return len(self.rows) - 1
-
-    def forward(self, k: int, n: int):
-        return self.rows[k][n]
-
-    def alternating(self, k: int, n: int):
-        """(-1)**k times the k-th forward difference at n."""
-        v = self.rows[k][n]
-        return -v if k % 2 else v
-
-
-def difference_table(mu: Sequence, K: int) -> DifferenceTable:
-    """Build forward differences of mu through order K.
-
-    Requires 0 <= K <= len(mu) - 1 so every requested row is nonempty.
-    Works on any subtractable values; exact inputs give exact rows.
-    """
-    terms = tuple(mu)
-    if not terms:
-        raise ValueError("sequence must be nonempty")
-    if K < 0 or K > len(terms) - 1:
-        raise ValueError(f"order K={K} needs a sequence of at least K+1 terms")
-    rows = [terms]
-    for _ in range(K):
-        prev = rows[-1]
-        rows.append(tuple(prev[n + 1] - prev[n] for n in range(len(prev) - 1)))
-    return DifferenceTable(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
 class CmReport:
     """Outcome of one property suite.
 
@@ -134,7 +88,7 @@ def _signed_rows(row: list):
         row = [a - b for a, b in zip(row, row[1:])]
 
 
-def check_cm_sequence(mu: Sequence, suite_name: str = "cm-sequence") -> CmReport:
+def check_cm_sequence(mu: Sequence) -> CmReport:
     """Check that mu is completely monotonic as far as its length allows.
 
     mu holds exact rationals (ints or Fractions).  Requires
@@ -148,8 +102,8 @@ def check_cm_sequence(mu: Sequence, suite_name: str = "cm-sequence") -> CmReport
     for k, signed in enumerate(_signed_rows(row)):
         if min(signed) < 0:
             n, v = next((i, v) for i, v in enumerate(signed) if v < 0)
-            return _report(suite_name, horizon, (k, n, format_rational(Fraction(v, den))))
-    return _report(suite_name, horizon, None)
+            return _report("cm-sequence", horizon, (k, n, format_rational(Fraction(v, den))))
+    return _report("cm-sequence", horizon, None)
 
 
 def check_minimality_perturbation(mu: Sequence, epsilon: Fraction) -> CmReport:
@@ -352,8 +306,7 @@ def check_log_convexity(table: GregoryTable) -> CmReport:
 
 def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
                  K: int = DEFAULT_GRID_ORDER, h: Optional[float] = None,
-                 slack: float = DEFAULT_CLOSED_FORM_SLACK,
-                 suite_name: str = "cm-grid") -> CmReport:
+                 slack: float = DEFAULT_CLOSED_FORM_SLACK) -> CmReport:
     """Finite-difference screen for complete monotonicity on a grid.
 
     At every grid point x the signed forward differences
@@ -389,9 +342,9 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
     for k in range(K + 1):
         for n, column in enumerate(columns):
             if column[k] < -slack:
-                return _report(suite_name, (len(points) - 1, K),
+                return _report("cm-grid", (len(points) - 1, K),
                                (k, n, _value_string(column[k])))
-    return _report(suite_name, (len(points) - 1, K), None)
+    return _report("cm-grid", (len(points) - 1, K), None)
 
 
 @dataclass(frozen=True)
@@ -426,9 +379,7 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
     for r in rs:
         def weighted(x: float, _r=r) -> float:
             return x ** _r * f(x)
-        report = cm_grid_test(weighted, x_grid, K=K, h=h, slack=slack,
-                              suite_name="degree")
-        if report.passed:
+        if cm_grid_test(weighted, x_grid, K=K, h=h, slack=slack).passed:
             last_pass = r
         elif first_fail is None:
             first_fail = r
@@ -438,8 +389,7 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
 def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], float],
                     x_grid: Sequence[float], K: int = DEFAULT_GRID_ORDER,
                     h: Optional[float] = None,
-                    slack: float = DEFAULT_CLOSED_FORM_SLACK,
-                    suite_name: str = "bernstein") -> CmReport:
+                    slack: float = DEFAULT_CLOSED_FORM_SLACK) -> CmReport:
     """Grid screen for the Bernstein property: f >= 0 and f' completely monotonic.
 
     Order 0 violations report f itself dipping below -slack; an order
@@ -456,12 +406,12 @@ def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], floa
         if not math.isfinite(v):
             raise IntegrandEvaluationError(x, v)
         if v < -slack:
-            return _report(suite_name, horizon, (0, n, _value_string(v)))
+            return _report("bernstein", horizon, (0, n, _value_string(v)))
     screen = cm_grid_test(f_prime, points, K=K, h=h, slack=slack)
     if screen.passed:
-        return _report(suite_name, horizon, None)
+        return _report("bernstein", horizon, None)
     k, n, value = screen.first_violation
-    return _report(suite_name, horizon, (k + 1, n, value))
+    return _report("bernstein", horizon, (k + 1, n, value))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gregory import cli
-from gregory.properties import CmReport
+from gregory import IntegrandEvaluationError, cli
+from gregory.properties import CmReport, DegreeBracket, DeterminantVariant
 
 
 def run_cli(argv, capsys):
@@ -134,7 +136,7 @@ class TestVerifyCommand:
         assert code == 0
         lines = out.strip().splitlines()
         json_lines = [l for l in lines if l.startswith("{")]
-        assert len(json_lines) == len(cli._SUITE_RUNNERS)
+        assert len(json_lines) == len(cli._SUITES)
         seen = set()
         for line in json_lines:
             payload = json.loads(line)
@@ -144,7 +146,7 @@ class TestVerifyCommand:
                 assert payload["first_violation"] is None
             else:
                 assert payload["passed"] is True
-        assert seen == set(cli._SUITE_RUNNERS)
+        assert seen == set(cli._SUITES)
         assert any("inconclusive" in l for l in lines)
 
     def test_hankel_suite(self, capsys):
@@ -177,7 +179,7 @@ class TestVerifyCommand:
         def broken(n_max, tol, table):
             return CmReport("degree", False, (1, 1), (0, 0, "-1/1"))
 
-        monkeypatch.setitem(cli._SUITE_RUNNERS, "degree", broken)
+        monkeypatch.setitem(cli._SUITES, "degree", cli._SUITES["degree"][:2] + (broken,))
         code, out, _ = run_cli(["verify", "--suite", "degree"], capsys)
         assert code == 1
         payload = json.loads(out.strip())
@@ -189,7 +191,8 @@ class TestVerifyCommand:
         def witnessed(n_max, tol, table):
             return CmReport("minimality", True, (30, 30), (1, 0, "-1/12"))
 
-        monkeypatch.setitem(cli._SUITE_RUNNERS, "minimality", witnessed)
+        monkeypatch.setitem(cli._SUITES, "minimality",
+                            cli._SUITES["minimality"][:2] + (witnessed,))
         code, out, _ = run_cli(["verify", "--suite", "minimality"], capsys)
         assert code == 0
         assert "inconclusive" not in out
@@ -198,6 +201,157 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--tol", "-1"], capsys)
         assert code == 2
         assert "tol" in err
+
+
+BIG = 2.0 ** 60    # BIG - e rounds to BIG for |e| < 64: an exact evidence value
+BIG_STR = "1152921504606846976/1"
+
+
+def _when(match, bad):
+    # a fake for a cli-level function: bad(real, *args) where match(*args),
+    # the real call elsewhere
+    def install(real):
+        def fake(*args, **kwargs):
+            if match(*args, **kwargs):
+                return bad(real, *args, **kwargs)
+            return real(*args, **kwargs)
+        return fake
+    return install
+
+
+def _off(real, *args, **kwargs):
+    # the real quadrature result with its value replaced by BIG
+    return dataclasses.replace(real(*args, **kwargs), value=BIG)
+
+
+def _const(value):
+    return lambda real, *args, **kwargs: value
+
+
+def _failing(suite, violation):
+    return _const(CmReport(suite, False, (2, 8), violation))
+
+
+# (suite, horizon, cli attribute, fake, expected first_violation (k, n, value))
+_STAGE_CASES = [
+    ("hankel", [30, 3], "hankel_determinant",
+     _when(lambda table, idx, variant: idx == (0, 1, 2),
+           lambda real, *args: real(*args) + 1),
+     (0, 2, "1/1")),
+    ("hankel", [30, 3], "hankel_determinant",
+     _when(lambda table, idx, variant: idx == (1,) and variant is DeterminantVariant.SIGNED,
+           lambda real, *args: real(*args) - 1),
+     (1, 1, "1/1")),
+    ("hankel", [30, 3], "hankel_determinant",
+     _when(lambda table, idx, variant: idx == (2,), _const(Fraction(-1))),
+     (2, 2, "-1/1")),
+    ("hankel", [30, 3], "check_shifted_kernel_determinants",
+     _when(lambda x, tol: x == 1.0, _failing("kernel-determinants", (1, 4, "-1/3"))),
+     (3, 1, "-1/3")),
+    ("majorization", [3, 6], "check_majorization_inequality",
+     _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (0, 2)),
+           _failing("majorization", (0, 0, "-1/5"))),
+     (14, 9, "-1/5")),
+    ("integrals", [20, 12], "bernoulli2_integral",
+     _when(lambda n, tol: n == 5, _off), (0, 5, BIG_STR)),
+    ("integrals", [20, 12], "stieltjes_recip_log",
+     _when(lambda x, tol: x == 2.0, _off), (1, 3, BIG_STR)),
+    ("integrals", [20, 12], "genfun_integral",
+     _when(lambda x, tol: x == 10.0, _off), (2, 4, BIG_STR)),
+    ("integrals", [20, 12], "genfun_derivative_integral",
+     _when(lambda x, k, tol: k == 3, _off), (3, 3, BIG_STR)),
+    ("integrals", [20, 12], "stieltjes_weight_unit",
+     _when(lambda s: s == 0.75, _const(BIG)), (4, 1, "-" + BIG_STR)),
+    ("integrals", [20, 12], "moment_integral",
+     _when(lambda n, tol: n == 4, _off), (5, 2, BIG_STR)),
+    ("integrals", [20, 12], "shifted_kernel_integral",
+     _when(lambda p, x, tol: (p, x) == (2, 0.0), _off), (6, 0, BIG_STR)),
+    ("integrals", [20, 12], "shifted_kernel_integral",
+     _when(lambda p, x, tol: (p, x) == (1, 1000.0), _off), (6, 1, BIG_STR)),
+    ("integrals", [20, 12], "shifted_kernel_integral",
+     _when(lambda p, x, tol: (p, x) == (3, 1.0), _off), (6, 2, BIG_STR)),
+    ("bernstein", [2, 7], "bernstein_identity",
+     _when(lambda x, tol: x == 1.0, _off), (1, 1, BIG_STR)),
+    ("bernstein", [2, 7], "bernstein_identity",
+     _when(lambda x, tol: x == 1e-8, _off), (2, 0, BIG_STR)),
+    ("bernstein", [2, 7], "genfun_derivative_integral",
+     _when(lambda x, k, tol: (x, tol) == (4.0, 1e-10), _off), (3, 2, BIG_STR)),
+    ("degree", [4, 8], "estimate_cm_degree",
+     _when(lambda f, r_grid, x_grid: r_grid[0] == -1.0, _const(DegreeBracket(-0.5, 0.0))),
+     (0, 0, "bracket (-0.5, 0.0)")),
+    ("degree", [4, 8], "estimate_cm_degree",
+     _when(lambda f, r_grid, x_grid: r_grid[0] == 0.0, _const(DegreeBracket(None, 0.5))),
+     (1, 0, "bracket (None, 0.5)")),
+    ("degree", [4, 8], "cm_grid_test",
+     _when(lambda f, grid, **kw: grid == (1.0,), _const(CmReport("cm-grid", True, (0, 2), None))),
+     (2, 0, "ln(1+x) screen did not fail at k=1")),
+    ("degree", [4, 8], "cm_grid_test",
+     _when(lambda f, grid, **kw: grid == (0.1, 1.0, 5.0), _failing("cm-grid", (5, 2, "-1/9"))),
+     (3, 0, "-1/9")),
+    ("degree", [4, 8], "cm_grid_test",
+     _when(lambda f, grid, **kw: grid == (0.5, 1.0, 2.0), _failing("cm-grid", (5, 2, "-1/9"))),
+     (4, 0, "-1/9")),
+]
+
+
+def _report_line(suite, horizon, violation):
+    k, n, value = violation
+    return json.dumps({"suite": suite, "passed": False, "horizon": horizon,
+                       "first_violation": {"k": k, "n": n, "value": value}}) + "\n"
+
+
+class TestVerifyStageEvidence:
+    """Each stage of each aggregate suite, made to fail in turn, reports
+    (k = stage, n = index within it, value) under the suite's horizon."""
+
+    @pytest.mark.parametrize("suite, horizon, attr, fake, violation", _STAGE_CASES,
+                             ids=[f"{c[0]}-{c[4][0]}-{c[4][1]}" for c in _STAGE_CASES])
+    def test_stage_violation(self, suite, horizon, attr, fake, violation,
+                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, attr, fake(getattr(cli, attr)))
+        code, out, err = run_cli(["verify", "--suite", suite], capsys)
+        assert (code, out, err) == (1, _report_line(suite, horizon, violation), "")
+
+    def test_bernstein_grid_screen_is_passed_on_verbatim(self, capsys, monkeypatch):
+        """A failing grid screen (here on -f') is the suite's report as it stands."""
+        real, screens = cli.check_bernstein, []
+
+        def negated(f, f_prime, grid, **kwargs):
+            screens.append(real(f, lambda x: -f_prime(x), grid, **kwargs))
+            return screens[-1]
+
+        monkeypatch.setattr(cli, "check_bernstein", negated)
+        code, out, err = run_cli(["verify", "--suite", "bernstein"], capsys)
+        assert screens[0].first_violation[:2] == (1, 0)
+        assert (code, out, err) == (1, json.dumps(screens[0].to_json_dict()) + "\n", "")
+
+    def test_first_violation_stops_the_suite(self, capsys, monkeypatch):
+        """No stage after the first violation runs, nor the rest of its own."""
+        def later(*args, **kwargs):
+            raise AssertionError("ran after the first violation")
+
+        real = cli.bernoulli2_integral
+
+        def first_fails(n, tol):
+            if n > 1:
+                later()
+            return dataclasses.replace(real(n, tol), value=BIG)
+
+        monkeypatch.setattr(cli, "bernoulli2_integral", first_fails)
+        for attr in ("stieltjes_recip_log", "genfun_integral", "genfun_derivative_integral",
+                     "stieltjes_weight_unit", "moment_integral", "shifted_kernel_integral"):
+            monkeypatch.setattr(cli, attr, later)
+        code, out, err = run_cli(["verify", "--suite", "integrals"], capsys)
+        assert (code, out, err) == (1, _report_line("integrals", [20, 12], (0, 1, BIG_STR)), "")
+
+    def test_integrand_error_aborts_the_suite(self, capsys, monkeypatch):
+        def raising(x, tol):
+            raise IntegrandEvaluationError(x, math.inf)
+
+        monkeypatch.setattr(cli, "genfun_integral", raising)
+        code, out, err = run_cli(["verify", "--suite", "integrals"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "suite integrals aborted: integrand evaluated to inf at s=0.1\n"
 
 
 class TestEvalCommand:

@@ -1,8 +1,10 @@
 """Property checks: difference tables, CM reports, determinants, screens."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from gregory import (
     check_minimality_perturbation,
     check_shifted_kernel_determinants,
     cm_grid_test,
-    difference_table,
     estimate_cm_degree,
     format_rational,
     genfun_derivative_integral,
@@ -66,6 +67,55 @@ def _cofactor_determinant(rows):
         term = rows[0][c] * _cofactor_determinant(minor)
         total += term if c % 2 == 0 else -term
     return total
+
+
+# The full forward difference table: the reference that the integer-row CM
+# checks in gregory.properties are held to (TestIntegerPath).
+@dataclass(frozen=True)
+class DifferenceTable:
+    """Forward difference table: rows[k][n] holds the raw k-th difference.
+
+    Row 0 is the input sequence itself; row k has k fewer entries.  The
+    values are raw differences, not sign-adjusted: callers testing
+    complete monotonicity multiply row k by (-1)**k themselves.
+    """
+
+    rows: tuple[tuple, ...]
+
+    @property
+    def base(self) -> tuple:
+        return self.rows[0]
+
+    @property
+    def order(self) -> int:
+        return len(self.rows) - 1
+
+    def forward(self, k: int, n: int):
+        return self.rows[k][n]
+
+    def alternating(self, k: int, n: int):
+        """(-1)**k times the k-th forward difference at n."""
+        v = self.rows[k][n]
+        return -v if k % 2 else v
+
+
+def difference_table(mu: Sequence, K: int) -> DifferenceTable:
+    """Build forward differences of mu through order K.
+
+    Requires 0 <= K <= len(mu) - 1 so every requested row is nonempty.
+    Works on any subtractable values; exact inputs give exact rows.
+    """
+    terms = tuple(mu)
+    if not terms:
+        raise ValueError("sequence must be nonempty")
+    if K < 0 or K > len(terms) - 1:
+        raise ValueError(f"order K={K} needs a sequence of at least K+1 terms")
+    rows = [terms]
+    for _ in range(K):
+        prev = rows[-1]
+        rows.append(tuple(prev[n + 1] - prev[n] for n in range(len(prev) - 1)))
+    return DifferenceTable(rows=tuple(rows))
+
 
 
 class TestDifferenceTable:
