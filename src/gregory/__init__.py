@@ -16,7 +16,6 @@ screens for x/ln(1+x) and its relatives.
 
 from .exact import (
     GregoryTable,
-    NestedSumMemo,
     TableMethod,
     a_coefficient,
     bernoulli2_explicit,
@@ -24,7 +23,6 @@ from .exact import (
     bernoulli2_series,
     format_rational,
     nested_sum,
-    parse_rational,
     signed_moment_sequence,
 )
 from .quadrature import (
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GregoryTable",
-    "NestedSumMemo",
     "TableMethod",
     "a_coefficient",
     "bernoulli2_explicit",
@@ -72,7 +69,6 @@ __all__ = [
     "bernoulli2_series",
     "format_rational",
     "nested_sum",
-    "parse_rational",
     "signed_moment_sequence",
     "DEFAULT_MAX_LEVELS",
     "DEFAULT_TOL",

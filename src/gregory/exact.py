@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -38,14 +39,6 @@ def format_rational(q: Fraction) -> str:
     ``"3/1"``.  This is the wire format used by the CSV/JSON emitters.
     """
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the ``"num/den"`` form produced by :func:`format_rational`.
-
-    Bare integer strings are accepted as a convenience.
-    """
-    return Fraction(text.strip())
 
 
 class TableMethod(Enum):
@@ -130,55 +123,32 @@ def _next_stirling_row(row: Sequence[int], m: int) -> list[int]:
     return [a + m * b for a, b in zip((0, *row), (*row, 0))]
 
 
-class NestedSumMemo:
-    """Memo of the chain sums S(m, d), held as integer Stirling rows.
+def _stirling_row(m: int) -> list[int]:
+    """|s(m, 0..m)|, the unsigned Stirling numbers of the first kind."""
+    return reduce(_next_stirling_row, range(m), [1])
 
-    S(m, d) is the sum over strictly decreasing integer chains
-    m >= l_1 > l_2 > ... > l_d >= 1 of prod_j 1/l_j, with the
-    conventions S(m, 0) = 1 (the empty chain) and S(m, d) = 0 for
-    d > m.  It is the elementary symmetric function e_d(1, 1/2, ..., 1/m),
-    so m! S(m, d) = e_{m-d}(1, ..., m), the coefficient of x**(d+1) in
-    x(x+1)...(x+m).  Hence
+
+def nested_sum(m: int, d: int) -> Fraction:
+    """S(m, d), the sum of prod_j 1/l_j over strictly decreasing chains.
+
+    The chains are the integer sequences m >= l_1 > l_2 > ... > l_d >= 1,
+    with the conventions S(m, 0) = 1 (the empty chain) and S(m, d) = 0
+    for d > m.  S(m, d) is the elementary symmetric function
+    e_d(1, 1/2, ..., 1/m), so m! S(m, d) = e_{m-d}(1, ..., m), the
+    coefficient of x**(d+1) in x(x+1)...(x+m).  Hence
 
         S(m, d) = |s(m+1, d+1)| / m!,
 
-    with s the Stirling numbers of the first kind.  The memo keeps row m
-    of |s(m, .)| for every m reached so far.  Instances mutate while
-    they grow, so share one between threads only behind a lock, or hand
-    each thread its own.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = [(1,)]  # row m holds |s(m, 0..m)|
-
-    def stirling_row(self, m: int) -> tuple[int, ...]:
-        """|s(m, 0..m)|, the unsigned Stirling numbers of the first kind."""
-        if m < 0:
-            raise ValueError("row index must be nonnegative")
-        while len(self._rows) <= m:
-            self._rows.append(tuple(_next_stirling_row(self._rows[-1], len(self._rows) - 1)))
-        return self._rows[m]
-
-    def value(self, m: int, d: int) -> Fraction:
-        if m < 0 or d < 0:
-            raise ValueError("chain sum indices must be nonnegative")
-        if d > m:
-            return ZERO
-        return Fraction(self.stirling_row(m + 1)[d + 1], math.factorial(m))
-
-
-def nested_sum(m: int, d: int, memo: NestedSumMemo | None = None) -> Fraction:
-    """S(m, d), the strictly-decreasing-chain sum (see NestedSumMemo).
-
-    A fresh memo is created when none is passed; callers looping over
-    many (m, d) pairs should pass one in and reuse it.
+    with s the Stirling numbers of the first kind.
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
-    return (memo if memo is not None else NestedSumMemo()).value(m, d)
+    if d > m:
+        return ZERO
+    return Fraction(_stirling_row(m + 1)[d + 1], math.factorial(m))
 
 
-def a_coefficient(n: int, i: int, memo: NestedSumMemo | None = None) -> Fraction:
+def a_coefficient(n: int, i: int) -> Fraction:
     """Exact coefficient a(n, i) of the explicit formula.
 
     a(n, 2) = (n-1)! and, for 3 <= i <= n+1,
@@ -193,8 +163,7 @@ def a_coefficient(n: int, i: int, memo: NestedSumMemo | None = None) -> Fraction
         raise ValueError("n must be >= 1")
     if i < 2 or i > n + 1:
         raise ValueError(f"a({n}, {i}) is undefined: need 2 <= i <= n+1")
-    memo = memo if memo is not None else NestedSumMemo()
-    return Fraction(math.factorial(i - 1) * memo.stirling_row(n)[i - 1])
+    return Fraction(math.factorial(i - 1) * _stirling_row(n)[i - 1])
 
 
 def _explicit_from_rows(n: int, prev: Sequence[int], row: Sequence[int], lcm: int) -> Fraction:
@@ -213,20 +182,19 @@ def _explicit_from_rows(n: int, prev: Sequence[int], row: Sequence[int], lcm: in
     return Fraction(bracket if n % 2 == 0 else -bracket, math.factorial(n) * lcm)
 
 
-def bernoulli2_explicit(n: int, memo: NestedSumMemo | None = None) -> Fraction:
+def bernoulli2_explicit(n: int) -> Fraction:
     """Exact b_n by the explicit nested-sum formula, valid for n >= 2.
 
         b_n = (-1)**n / n! * [ 1/(n+1)
               + sum_{k=2}^{n} (a(n, k) - n a(n-1, k)) / k! ]
 
-    Every a(., .) in the sum is defined (2 <= k <= n), and the formula is
-    evaluated on the memo's integer Stirling rows n-1 and n.
+    Every a(., .) in the sum is defined (2 <= k <= n).  The value is
+    entry n of :func:`bernoulli2_explicit_table`, whose walk over the
+    integer Stirling rows is the one evaluation of the formula.
     """
     if n < 2:
         raise ValueError("explicit formula applies for n >= 2 only")
-    memo = memo if memo is not None else NestedSumMemo()
-    return _explicit_from_rows(n, memo.stirling_row(n - 1), memo.stirling_row(n),
-                               math.lcm(*range(1, n + 2)))
+    return bernoulli2_explicit_table(n)[n]
 
 
 def bernoulli2_explicit_table(n_max: int) -> GregoryTable:

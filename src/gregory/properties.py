@@ -27,7 +27,7 @@ from .quadrature import IntegrandEvaluationError, shifted_kernel_integral
 
 DEFAULT_GRID_ORDER = 8          # difference orders checked by the grid tests
 DEFAULT_CLOSED_FORM_SLACK = 1e-12
-DEFAULT_QUADRATURE_SLACK = 1e-6
+KERNEL_DETERMINANT_SLACK = 1e-6  # floor of check_shifted_kernel_determinants
 
 
 def _value_string(v) -> str:
@@ -320,7 +320,7 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
     points = tuple(x_grid)
     if not points:
         raise ValueError("x_grid must be nonempty")
-    if any(x <= 0 for x in points):
+    if any(not x > 0 for x in points):
         raise ValueError("grid points must be positive")
     if K < 0:
         raise ValueError("difference order K must be >= 0")
@@ -361,15 +361,15 @@ class DegreeBracket:
 
 
 def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
-                       x_grid: Sequence[float], K: int = DEFAULT_GRID_ORDER,
-                       h: Optional[float] = None,
-                       slack: float = DEFAULT_CLOSED_FORM_SLACK) -> DegreeBracket:
+                       x_grid: Sequence[float]) -> DegreeBracket:
     """Scan exponents r and bracket where x**r * f(x) stops being CM.
 
-    r_grid must be strictly ascending.  Each candidate runs the same
-    grid screen as :func:`cm_grid_test` on the weighted function.
+    r_grid must be strictly ascending.  Each candidate runs
+    :func:`cm_grid_test` with its default order, step and slack on the
+    weighted function, over the same x_grid points.
     """
     rs = tuple(r_grid)
+    points = tuple(x_grid)
     if not rs:
         raise ValueError("r_grid must be nonempty")
     if any(rs[i] >= rs[i + 1] for i in range(len(rs) - 1)):
@@ -379,7 +379,7 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
     for r in rs:
         def weighted(x: float, _r=r) -> float:
             return x ** _r * f(x)
-        if cm_grid_test(weighted, x_grid, K=K, h=h, slack=slack).passed:
+        if cm_grid_test(weighted, points).passed:
             last_pass = r
         elif first_fail is None:
             first_fail = r
@@ -388,26 +388,21 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
 
 def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], float],
                     x_grid: Sequence[float], K: int = DEFAULT_GRID_ORDER,
-                    h: Optional[float] = None,
                     slack: float = DEFAULT_CLOSED_FORM_SLACK) -> CmReport:
     """Grid screen for the Bernstein property: f >= 0 and f' completely monotonic.
 
-    Order 0 violations report f itself dipping below -slack; an order
-    k >= 1 violation is the (k-1)-th signed difference of f' failing at
-    that grid point of :func:`cm_grid_test` on f', so the report's k axis
-    reads as derivative order of f.  Horizon order is K + 1 accordingly.
+    Order 0 is :func:`cm_grid_test` on f with K = 0, which reports f
+    itself dipping below -slack.  An order k >= 1 violation is the
+    (k-1)-th signed difference of f' failing at that grid point of
+    :func:`cm_grid_test` on f', so the report's k axis reads as
+    derivative order of f.  Horizon order is K + 1 accordingly.
     """
     points = tuple(x_grid)
-    if any(x <= 0 for x in points):
-        raise ValueError("grid points must be positive")
     horizon = (len(points) - 1, K + 1)
-    for n, x in enumerate(points):
-        v = f(x)
-        if not math.isfinite(v):
-            raise IntegrandEvaluationError(x, v)
-        if v < -slack:
-            return _report("bernstein", horizon, (0, n, _value_string(v)))
-    screen = cm_grid_test(f_prime, points, K=K, h=h, slack=slack)
+    values = cm_grid_test(f, points, K=0, slack=slack)
+    if not values.passed:
+        return _report("bernstein", horizon, values.first_violation)
+    screen = cm_grid_test(f_prime, points, K=K, slack=slack)
     if screen.passed:
         return _report("bernstein", horizon, None)
     k, n, value = screen.first_violation
@@ -418,63 +413,36 @@ def check_bernstein(f: Callable[[float], float], f_prime: Callable[[float], floa
 # determinants of the shifted kernel integrals (numeric)
 # ----------------------------------------------------------------------
 
-def _float_determinant(rows: list[list[float]]) -> float:
-    m = len(rows)
-    mat = [row[:] for row in rows]
-    sign = 1.0
-    det = 1.0
-    for col in range(m):
-        pivot_row = max(range(col, m), key=lambda r: abs(mat[r][col]))
-        if mat[pivot_row][col] == 0.0:
-            return 0.0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        det *= pivot
-        for r in range(col + 1, m):
-            factor = mat[r][col] / pivot
-            for c in range(col, m):
-                mat[r][c] -= factor * mat[col][c]
-    return sign * det
-
-
-def check_shifted_kernel_determinants(x: float, m_max: int = 2, entry_max: int = 2,
-                                      n: int = 1, tol: float = 1e-10,
-                                      slack: float = DEFAULT_QUADRATURE_SLACK) -> CmReport:
+def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
     """Nonnegativity of determinants built from the shifted kernel integrals.
 
-    For every nondecreasing index tuple (a_1..a_m) with m <= m_max and
-    entries <= entry_max, forms the matrix with entries
+    A fixed sweep: for every nondecreasing index tuple (a_1..a_m) with
+    m <= 2 and entries <= 2, forms the matrix with entries
 
-        (n + a_i + a_j - 1)! / (n - 1)!  *  h_{n + a_i + a_j}(x)
+        (a_i + a_j)!  *  h_{1 + a_i + a_j}(x)
 
     and its sign-prefixed variant ((-1)**(a_i+a_j) factor), and requires
-    both determinants to clear -slack.  Matrix entries come from
-    quadrature at absolute tolerance tol and are cached across tuples.
-    Violations report (variant stage, tuple index): stage 0 is the plain
+    both determinants to clear -1e-6.  Matrix entries come from
+    quadrature at absolute tolerance tol and are cached across tuples;
+    the determinants are exact, by :func:`bareiss_determinant` on the
+    binary rationals the float entries are.  Violations report (variant
+    stage, tuple index) with the exact determinant: stage 0 is the plain
     variant, stage 1 the signed one.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m_max < 1 or entry_max < 0:
-        raise ValueError("m_max must be >= 1 and entry_max >= 0")
-    cache: dict[int, float] = {}
+    cache: dict[int, Fraction] = {}
 
-    def entry(s: int) -> float:
+    def entry(s: int) -> Fraction:
         if s not in cache:
-            ratio = math.factorial(n + s - 1) // math.factorial(n - 1)
-            cache[s] = ratio * shifted_kernel_integral(n + s, x, tol).value
+            cache[s] = Fraction(math.factorial(s) * shifted_kernel_integral(1 + s, x, tol).value)
         return cache[s]
 
-    tuples = [t for m in range(1, m_max + 1)
-              for t in combinations_with_replacement(range(entry_max + 1), m)]
+    tuples = [t for m in (1, 2) for t in combinations_with_replacement(range(3), m)]
     for stage, variant in enumerate((DeterminantVariant.PLAIN, DeterminantVariant.SIGNED)):
         for idx, a in enumerate(tuples):
-            det = _float_determinant(_moment_matrix(entry, a, variant))
-            if det < -slack:
+            det = bareiss_determinant(_moment_matrix(entry, a, variant))
+            if det < -KERNEL_DETERMINANT_SLACK:
                 return _report("kernel-determinants", (len(tuples) - 1, 1),
-                               (stage, idx, _value_string(det)))
+                               (stage, idx, format_rational(det)))
     return _report("kernel-determinants", (len(tuples) - 1, 1), None)

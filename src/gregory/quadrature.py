@@ -34,7 +34,9 @@ comprehension per chunk.  Arbitrary caller integrands go through
 visited node at a time.
 
 Tolerances are absolute error targets throughout; callers wanting a
-relative target scale tol by a magnitude estimate first.
+relative target scale tol by a magnitude estimate first.  The
+kernel-backed functions refine through DEFAULT_MAX_LEVELS levels; only
+:func:`integrate_01` takes a ``max_levels`` of its own.
 """
 
 from __future__ import annotations
@@ -301,7 +303,8 @@ def integrate_01(f, tol: float = DEFAULT_TOL,
     return _integrate_transformed(term, tol, max_levels)
 
 
-def _kernel(a: int, x: float, p: int, tol: float, max_levels: int) -> QuadratureResult:
+def _kernel(a: int, x: float, p: int, tol: float,
+            max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled.
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
@@ -348,8 +351,7 @@ def _inner_tol(tol: float, scale: float) -> float:
     return max(tol / scale, math.ulp(0.0)) if tol > 0.0 else tol
 
 
-def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL,
-                        max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Signed b_n from the ray integral of the logarithmic kernel.
 
         b_n = (-1)**(n+1) * integral_1^inf dt / (((ln(t-1))^2 + pi^2) t^n)
@@ -360,13 +362,12 @@ def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL,
     """
     if n < 1:
         raise ValueError("integral representation needs n >= 1 (diverges at n = 0)")
-    raw = _kernel(n - 1, 0.0, 0, tol, max_levels)
+    raw = _kernel(n - 1, 0.0, 0, tol)
     sign = 1.0 if n % 2 == 1 else -1.0
     return _rescaled(raw, sign * raw.value, raw.abs_error_estimate, tol)
 
 
-def moment_integral(n: int, tol: float = DEFAULT_TOL,
-                    max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def moment_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """mu_n = integral_0^1 s**(n-1) v(s) ds for n >= 0.
 
     This is the Hausdorff moment form of the coefficients: the value
@@ -374,11 +375,10 @@ def moment_integral(n: int, tol: float = DEFAULT_TOL,
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    return _kernel(n, 0.0, 0, tol, max_levels)
+    return _kernel(n, 0.0, 0, tol)
 
 
-def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL,
-                        max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """1/ln(1+x) for x > 0 through its Stieltjes representation.
 
     Evaluates 1/x + integral_1^inf w(t)/(x+t) dt; under t = 1/s the
@@ -386,31 +386,29 @@ def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL,
     estimate adds one rounding ulp of the 1/x term to the quadrature
     estimate.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x must be positive")
-    tail = _kernel(0, x, 1, tol, max_levels)
+    tail = _kernel(0, x, 1, tol)
     value = 1.0 / x + tail.value
     est = tail.abs_error_estimate + 2.3e-16 * abs(1.0 / x)
     return _rescaled(tail, value, est, tol)
 
 
-def genfun_integral(x: float, tol: float = DEFAULT_TOL,
-                    max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def genfun_integral(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """x/ln(1+x) for x > 0 as 1 + x * (Stieltjes tail integral).
 
     The inner quadrature runs at tol/max(x, 1) so that tol stays an
     absolute target on the returned value after the x scaling.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x must be positive")
-    tail = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)), max_levels)
+    tail = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)))
     value = 1.0 + x * tail.value
     est = x * tail.abs_error_estimate + 2.3e-16 * abs(value)
     return _rescaled(tail, value, est, tol)
 
 
-def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL,
-                               max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """k-th derivative of x/ln(1+x) at x >= 0, 1 <= k <= 170, by quadrature.
 
         d^k/dx^k [x/ln(1+x)]
@@ -429,16 +427,15 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL,
         raise ValueError("derivative order k must be >= 1")
     if k > 170:
         raise ValueError("derivative order k must be <= 170")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be >= 0")
     kfac = float(math.factorial(k))
-    raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac), max_levels)
+    raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac))
     sign = 1.0 if k % 2 == 1 else -1.0
     return _rescaled(raw, sign * kfac * raw.value, kfac * raw.abs_error_estimate, tol)
 
 
-def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL,
-                            max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """h_n(x) = integral_1^inf dt / (((ln(t-1))^2 + pi^2) (t+x)^n).
 
     Defined for n >= 1 and x >= 0; h_n(0) is the unsigned coefficient
@@ -447,28 +444,27 @@ def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be >= 0")
-    return _kernel(n - 1, x, n, tol, max_levels)
+    return _kernel(n - 1, x, n, tol)
 
 
-def bernstein_identity(x: float, tol: float = DEFAULT_TOL,
-                       max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """integral_0^1 (1+x)^t dt for x > 0; equals x/ln(1+x).
 
     Deliberately routed through the generic :func:`integrate_01` path (a
     kernel-free second pipeline) so it cross-checks the transformed
     kernels end to end.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x must be positive")
     base = 1.0 + x
-    return integrate_01(lambda s: base ** s, tol, max_levels)
+    return integrate_01(lambda s: base ** s, tol)
 
 
 def stieltjes_weight(t: float) -> float:
     """w(t) = 1/((ln(t-1))^2 + pi^2) on (1, inf); peak value 1/pi^2 at t = 2."""
-    if t <= 1.0:
+    if not t > 1.0:
         raise ValueError("w is defined for t > 1")
     lg = math.log(t - 1.0)
     return 1.0 / (lg * lg + _PI_SQ)

@@ -40,7 +40,6 @@ from gregory import (
     signed_moment_sequence,
     stieltjes_recip_log,
 )
-from gregory.exact import NestedSumMemo
 
 RESIDUAL_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 
@@ -65,9 +64,8 @@ class TestAcceptanceGate:
         """The nested-sum formula reproduces the recurrence for n = 2..30."""
         start = time.perf_counter()
         table = bernoulli2_series(30)
-        memo = NestedSumMemo()
         for n in range(2, 31):
-            assert bernoulli2_explicit(n, memo) == table[n], f"n={n}"
+            assert bernoulli2_explicit(n) == table[n], f"n={n}"
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
         _record("2", "explicit formula equals recurrence")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gregory import (
     GregoryTable,
-    NestedSumMemo,
     TableMethod,
     a_coefficient,
     bernoulli2_explicit,
@@ -18,7 +17,6 @@ from gregory import (
     bernoulli2_series,
     format_rational,
     nested_sum,
-    parse_rational,
     signed_moment_sequence,
 )
 
@@ -92,13 +90,10 @@ class TestRationalSerialization:
     def test_golden_strings(self, golden_values):
         assert format_rational(golden_values[4]) == "-19/720"
 
-    def test_parse_accepts_bare_integers(self):
-        assert parse_rational("7") == Fraction(7)
-
     @given(st.fractions())
     def test_round_trip(self, q):
-        """format -> parse is the identity on every rational."""
-        assert parse_rational(format_rational(q)) == q
+        """Fraction parses what format_rational writes back to the same rational."""
+        assert Fraction(format_rational(q)) == q
 
 
 def _brute_chain_sum(m, d):
@@ -129,23 +124,15 @@ class TestNestedSums:
             nested_sum(2, -1)
 
     def test_matches_definition(self):
-        """The Stirling-row memo reproduces the chain sums by enumeration."""
-        memo = NestedSumMemo()
+        """The Stirling rows reproduce the chain sums by enumeration."""
         for m in range(10):
             for d in range(m + 2):
-                assert nested_sum(m, d, memo) == _brute_chain_sum(m, d), (m, d)
-
-    def test_shared_memo_matches_fresh(self):
-        memo = NestedSumMemo()
-        fresh = [nested_sum(m, d) for m in range(8) for d in range(m + 1)]
-        shared = [nested_sum(m, d, memo) for m in range(8) for d in range(m + 1)]
-        assert fresh == shared
+                assert nested_sum(m, d) == _brute_chain_sum(m, d), (m, d)
 
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25))
     def test_split_on_leading_element(self, m, d):
         """S(m,d) = S(m-1,d) + (1/m) S(m-1,d-1): chains split on whether they start at m."""
-        memo = NestedSumMemo()
-        assert memo.value(m, d) == memo.value(m - 1, d) + Fraction(1, m) * memo.value(m - 1, d - 1)
+        assert nested_sum(m, d) == nested_sum(m - 1, d) + Fraction(1, m) * nested_sum(m - 1, d - 1)
 
 
 class TestExplicitCoefficients:
@@ -191,9 +178,8 @@ class TestExplicitFormula:
     def test_agrees_with_recurrence_through_30(self):
         """The two exact algorithms agree index by index."""
         series = bernoulli2_series(30)
-        memo = NestedSumMemo()
         for n in range(2, 31):
-            assert bernoulli2_explicit(n, memo) == series[n]
+            assert bernoulli2_explicit(n) == series[n]
 
     def test_rejects_low_index(self):
         """The closed formula starts at n = 2."""

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gregory.properties
 from gregory import (
     CmReport,
     DeterminantVariant,
     IntegrandEvaluationError,
+    QuadratureResult,
     bareiss_determinant,
     bernoulli2_series,
+    bernstein_identity,
     check_bernstein,
     check_cm_sequence,
     check_log_convexity,
@@ -29,7 +32,10 @@ from gregory import (
     genfun_integral,
     hankel_determinant,
     is_majorized,
+    shifted_kernel_integral,
     signed_moment_sequence,
+    stieltjes_recip_log,
+    stieltjes_weight,
 )
 from gregory.quadrature import DEFAULT_MAX_LEVELS, _integrate_transformed
 
@@ -509,6 +515,12 @@ class TestDegreeBracket:
         with pytest.raises(ValueError):
             estimate_cm_degree(math.exp, (1.0, 0.5), (1.0,))
 
+    def test_one_shot_grid_matches_tuple(self):
+        """Every exponent reads the grid, so a generator must work too."""
+        f, r_grid, grid = (lambda x: math.log1p(x) / x), (0.0, 0.5, 1.0), (0.25, 1.0, 4.0)
+        assert (estimate_cm_degree(f, r_grid, (x for x in grid))
+                == estimate_cm_degree(f, r_grid, grid))
+
 
 class TestBernsteinScreen:
     def test_quadrature_generating_function_passes(self):
@@ -542,6 +554,16 @@ class TestBernsteinScreen:
         with pytest.raises(IntegrandEvaluationError):
             check_bernstein(lambda x: math.inf, lambda x: 0.0, (1.0,), K=2)
 
+    @pytest.mark.parametrize("f, f_prime, grid", [
+        (lambda x: 1.0 - math.exp(-x), lambda x: math.exp(-x), (0.5, 1.0, 2.0)),
+        (lambda x: x * x, lambda x: 2.0 * x, (0.5, 1.0)),
+        (lambda x: 1.0 - x, lambda x: -1.0, (0.5, 2.0)),
+    ], ids=["passes", "fails-on-f-prime", "fails-on-f"])
+    def test_one_shot_grid_matches_tuple(self, f, f_prime, grid):
+        """The grid is read twice (f, then f'), so a generator must work too."""
+        from_tuple = check_bernstein(f, f_prime, grid, K=4)
+        assert check_bernstein(f, f_prime, (x for x in grid), K=4) == from_tuple
+
 
 class TestShiftedKernelDeterminants:
     def test_passes_at_half(self):
@@ -555,7 +577,43 @@ class TestShiftedKernelDeterminants:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             check_shifted_kernel_determinants(-1.0)
-        with pytest.raises(ValueError):
-            check_shifted_kernel_determinants(1.0, n=0)
-        with pytest.raises(ValueError):
-            check_shifted_kernel_determinants(1.0, m_max=0)
+
+    def test_violation_carries_the_exact_determinant(self, monkeypatch):
+        """Entries h_1..h_5 = 0.1, 0.3, 0.1, 0.1, 0.1 make the plain 2x2
+        determinant of tuple (0, 1), index 4 of the sweep, negative:
+        0.1 * (2 * 0.1) - 0.3**2, evaluated exactly on the binary rationals."""
+        values = {1: 0.1, 2: 0.3, 3: 0.1, 4: 0.1, 5: 0.1}
+        calls = []
+
+        def stub(n, x, tol):
+            calls.append((n, x, tol))
+            return QuadratureResult(values[n], 0.0, 1, True)
+
+        monkeypatch.setattr(gregory.properties, "shifted_kernel_integral", stub)
+        report = check_shifted_kernel_determinants(0.5, tol=1e-9)
+        assert report.suite_name == "kernel-determinants"
+        assert report.horizon == (8, 1)
+        assert report.first_violation == (
+            0, 4, "-45432597512179735985034319846441/649037107316853453566312041152512")
+        assert sorted(set(calls)) == [(n, 0.5, 1e-9) for n in (1, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: genfun_integral(math.nan), "x must be positive"),
+    (lambda: stieltjes_recip_log(math.nan), "x must be positive"),
+    (lambda: bernstein_identity(math.nan), "x must be positive"),
+    (lambda: genfun_derivative_integral(math.nan, 1), "x must be >= 0"),
+    (lambda: shifted_kernel_integral(1, math.nan), "x must be >= 0"),
+    (lambda: stieltjes_weight(math.nan), "w is defined for t > 1"),
+    (lambda: check_shifted_kernel_determinants(math.nan), "x must be >= 0"),
+    (lambda: cm_grid_test(math.exp, (1.0, math.nan)), "grid points must be positive"),
+    (lambda: check_bernstein(lambda x: 1.0, lambda x: 0.0, (math.nan,)),
+     "grid points must be positive"),
+    (lambda: estimate_cm_degree(math.exp, (0.0,), (math.nan,)),
+     "grid points must be positive"),
+], ids=["genfun", "recip-log", "bernstein-identity", "derivative", "shifted-kernel",
+        "weight", "kernel-determinants", "cm-grid", "bernstein", "degree"])
+def test_nan_argument_gets_the_domain_error(call, message):
+    """A NaN argument fails each function's own domain check, not a later one."""
+    with pytest.raises(ValueError, match=message):
+        call()
