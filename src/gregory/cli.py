@@ -40,7 +40,6 @@ from .exact import (
 )
 from .properties import (
     CmReport,
-    DeterminantVariant,
     _report,
     _value_string,
     check_bernstein,
@@ -217,9 +216,9 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Hankel determinant positivity.
 
     Stage 0: golden determinants for index tuples (0,), (0,1), (0,1,2).
-    Stage 1: plain and signed variants agree on every sweep tuple.
-    Stage 2: exhaustive sweep, sizes <= 4 and entries <= 5, all >= 0.
-    Stage 3: shifted-kernel determinant screens at x in {0.5, 1}.
+    Stage 1: exhaustive sweep, sizes <= 4 and entries <= 5, all >= 0.
+    Stage 2: shifted-kernel determinant screens at x in {0.5, 1}.
+    A sign-prefixed matrix is D M D with D = diag((-1)**a_i): same det.
     """
     goldens = [
         ((0,), Fraction(1, 2)),
@@ -227,23 +226,19 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
         ((0, 1, 2), Fraction(407, 86400)),
     ]
     for idx, (indices, expected) in enumerate(goldens):
-        for variant in DeterminantVariant:
-            got = hankel_determinant(table, indices, variant)
-            if got != expected:
-                yield 0, idx, format_rational(got - expected)
+        got = hankel_determinant(table, indices)
+        if got != expected:
+            yield 0, idx, format_rational(got - expected)
     tuples = [t for m in range(1, 5)
               for t in combinations_with_replacement(range(6), m)]
     for idx, indices in enumerate(tuples):
-        plain = hankel_determinant(table, indices, DeterminantVariant.PLAIN)
-        signed = hankel_determinant(table, indices, DeterminantVariant.SIGNED)
-        if plain != signed:
-            yield 1, idx, format_rational(plain - signed)
-        if plain < 0:
-            yield 2, idx, format_rational(plain)
+        det = hankel_determinant(table, indices)
+        if det < 0:
+            yield 1, idx, format_rational(det)
     for idx, x in enumerate((0.5, 1.0)):
         probe = check_shifted_kernel_determinants(x, tol=tol)
         if not probe.passed:
-            yield 3, idx, probe.first_violation[2]
+            yield 2, idx, probe.first_violation[2]
 
 
 @_aggregate("majorization", lambda n_max: (3, 6))
@@ -334,19 +329,21 @@ def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> _Violations
 def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _Violations:
     """Bernstein screens for the generating function.
 
-    Stage 0 is the grid screen itself, whose violation (k = derivative
-    order of f, n = grid index) is passed on verbatim; its horizon is the
-    suite's.  Stage 1: exponential-integral identity vs x/ln(1+x) within
-    1e-10 on {0.5, 1, e^2-1}.  Stage 2: small-x limit toward 1.
-    Stage 3: first derivative vs a central finite difference of the
-    closed form, within 1e-5.
+    Stage 0 is the grid screen on {0.25, 1, 4}; a violation at derivative
+    order k of f and grid index i reports n = 3 k + i, order-major like
+    the screen's own scan.  Stage 1: exponential-integral identity vs
+    x/ln(1+x) within 1e-10 on {0.5, 1, e^2-1}.  Stage 2: small-x limit
+    toward 1.  Stage 3: first derivative vs a central finite difference
+    of the closed form, within 1e-5.
     """
+    grid = (0.25, 1.0, 4.0)
     screen = check_bernstein(
         lambda x: genfun_integral(x, 1e-9).value,
         lambda x: genfun_derivative_integral(x, 1, 1e-9).value,
-        (0.25, 1.0, 4.0), K=6, slack=1e-6)
+        grid, K=6, slack=1e-6)
     if not screen.passed:
-        yield screen.first_violation
+        order, point, value = screen.first_violation
+        yield 0, len(grid) * order + point, value
     for idx, x in enumerate((0.5, 1.0, math.exp(2.0) - 1.0)):
         got = bernstein_identity(x, tol).value
         residual = abs(got - x / math.log1p(x))

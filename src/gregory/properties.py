@@ -309,10 +309,10 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
                  slack: float = DEFAULT_CLOSED_FORM_SLACK) -> CmReport:
     """Finite-difference screen for complete monotonicity on a grid.
 
-    At every grid point x the signed forward differences
-    (-1)**k Delta_h^k f(x) for k = 0..K must clear -slack.  The step is
-    h when given, otherwise min(0.1, x/(2K)) per point, keeping the
-    sample window proportionate near the origin.  Violations are
+    At every grid point x, positive and finite, the signed forward
+    differences (-1)**k Delta_h^k f(x) for k = 0..K must clear -slack.
+    The step is h when given, otherwise min(0.1, x/(2K)) per point,
+    keeping the sample window proportionate near the origin.  Violations are
     reported as (k, grid index, signed value); scanning is k-major so
     the lowest offending order wins.  This is a screen, not a proof:
     slack absorbs rounding, and only the sampled window is seen.
@@ -320,8 +320,8 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
     points = tuple(x_grid)
     if not points:
         raise ValueError("x_grid must be nonempty")
-    if any(not x > 0 for x in points):
-        raise ValueError("grid points must be positive")
+    if any(not 0.0 < x < math.inf for x in points):
+        raise ValueError("grid points must be positive and finite")
     if K < 0:
         raise ValueError("difference order K must be >= 0")
     if h is not None and h <= 0:
@@ -421,16 +421,15 @@ def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
 
         (a_i + a_j)!  *  h_{1 + a_i + a_j}(x)
 
-    and its sign-prefixed variant ((-1)**(a_i+a_j) factor), and requires
-    both determinants to clear -1e-6.  Matrix entries come from
-    quadrature at absolute tolerance tol and are cached across tuples;
-    the determinants are exact, by :func:`bareiss_determinant` on the
-    binary rationals the float entries are.  Violations report (variant
-    stage, tuple index) with the exact determinant: stage 0 is the plain
-    variant, stage 1 the signed one.
+    and requires its determinant to clear -1e-6; the sign-prefixed matrix
+    is D M D with D = diag((-1)**a_i), so it has the same determinant.
+    Entries come from quadrature at absolute tolerance tol, cached across
+    tuples; determinants are exact, by :func:`bareiss_determinant` on the
+    binary rationals the float entries are.  A violation reports
+    (0, tuple index) with the exact determinant.
     """
-    if not x >= 0.0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be >= 0 and finite")
     cache: dict[int, Fraction] = {}
 
     def entry(s: int) -> Fraction:
@@ -439,10 +438,9 @@ def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
         return cache[s]
 
     tuples = [t for m in (1, 2) for t in combinations_with_replacement(range(3), m)]
-    for stage, variant in enumerate((DeterminantVariant.PLAIN, DeterminantVariant.SIGNED)):
-        for idx, a in enumerate(tuples):
-            det = bareiss_determinant(_moment_matrix(entry, a, variant))
-            if det < -KERNEL_DETERMINANT_SLACK:
-                return _report("kernel-determinants", (len(tuples) - 1, 1),
-                               (stage, idx, format_rational(det)))
+    for idx, a in enumerate(tuples):
+        det = bareiss_determinant(_moment_matrix(entry, a, DeterminantVariant.PLAIN))
+        if det < -KERNEL_DETERMINANT_SLACK:
+            return _report("kernel-determinants", (len(tuples) - 1, 1),
+                           (0, idx, format_rational(det)))
     return _report("kernel-determinants", (len(tuples) - 1, 1), None)

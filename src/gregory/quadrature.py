@@ -45,7 +45,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain, islice, starmap
+from itertools import chain, starmap
 
 PI = math.pi
 _PI_SQ = PI * PI
@@ -158,20 +158,6 @@ def _level_table(level: int) -> tuple:
         return _node_levels[level]
 
 
-def _first_nonfinite(terms: list[float], visits: list) -> IntegrandEvaluationError:
-    """The error for the first non-finite term, at the abscissa of its node.
-
-    visits holds each side's (head, tail, number of terms taken) in the
-    order the terms were summed, so the terms line up with their nodes'
-    abscissas; the first non-finite one is where a walk that checks
-    every term as it goes would abort.
-    """
-    abscissas = chain(_CENTER[0], *(islice(chain(head[0], *(c[0] for c in tail)), taken)
-                                    for head, tail, taken in visits))
-    return next(IntegrandEvaluationError(s, v)
-                for s, v in zip(abscissas, terms) if not math.isfinite(v))
-
-
 def _integrate_transformed(term, tol: float, max_levels: int) -> QuadratureResult:
     """Trapezoid-in-tau summation of one weighted term function.
 
@@ -188,15 +174,15 @@ def _integrate_transformed(term, tol: float, max_levels: int) -> QuadratureResul
     a node with tau >= 6 once three terms in a row fall below a small
     fraction of tol; the last significant magnitude seen there feeds
     the tail part of the estimate, so nothing is dropped silently.
-    n_evals counts the terms summed.  A non-finite term aborts with an
-    :class:`IntegrandEvaluationError` at the abscissa of its node.
+    n_evals counts the terms summed.  Term functions return finite
+    terms: a kernel's are finite for finite x, and :func:`integrate_01`
+    raises before it would return a non-finite one.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     terms: list[float] = []
-    visits = []         # (head, tail, terms taken) per side, for error reports
     signed = False
     prev_total = None
     est = math.inf
@@ -230,14 +216,11 @@ def _integrate_transformed(term, tol: float, max_levels: int) -> QuadratureResul
                         tiny += 1
                         if tiny >= _STOP_RUN:
                             break
-            visits.append((head, tail, len(terms) - start))
             edges += edge
         # sum(|terms|) is the total itself while no term is negative,
         # as kernel terms never are
         signed = signed or min(terms[level_start:]) < 0.0
         total = h * math.fsum(terms)
-        if not math.isfinite(total):
-            raise _first_nonfinite(terms, visits)
         abs_total = h * math.fsum(map(abs, terms)) if signed else total
         if prev_total is None:
             prev_total = total
@@ -379,15 +362,15 @@ def moment_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
 
 def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """1/ln(1+x) for x > 0 through its Stieltjes representation.
+    """1/ln(1+x) for finite x > 0 through its Stieltjes representation.
 
     Evaluates 1/x + integral_1^inf w(t)/(x+t) dt; under t = 1/s the
     integral part becomes integral_0^1 v(s)/(s(1+xs)) ds.  The error
     estimate adds one rounding ulp of the 1/x term to the quadrature
     estimate.
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     tail = _kernel(0, x, 1, tol)
     value = 1.0 / x + tail.value
     est = tail.abs_error_estimate + 2.3e-16 * abs(1.0 / x)
@@ -395,13 +378,13 @@ def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
 
 def genfun_integral(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """x/ln(1+x) for x > 0 as 1 + x * (Stieltjes tail integral).
+    """x/ln(1+x) for finite x > 0 as 1 + x * (Stieltjes tail integral).
 
     The inner quadrature runs at tol/max(x, 1) so that tol stays an
     absolute target on the returned value after the x scaling.
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     tail = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)))
     value = 1.0 + x * tail.value
     est = x * tail.abs_error_estimate + 2.3e-16 * abs(value)
@@ -409,7 +392,7 @@ def genfun_integral(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
 
 def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """k-th derivative of x/ln(1+x) at x >= 0, 1 <= k <= 170, by quadrature.
+    """k-th derivative of x/ln(1+x) at finite x >= 0, 1 <= k <= 170, by quadrature.
 
         d^k/dx^k [x/ln(1+x)]
             = (-1)**(k+1) k! * integral_1^inf w(t) t / (x+t)^{k+1} dt
@@ -427,8 +410,8 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> Qu
         raise ValueError("derivative order k must be >= 1")
     if k > 170:
         raise ValueError("derivative order k must be <= 170")
-    if not x >= 0.0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be >= 0 and finite")
     kfac = float(math.factorial(k))
     raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac))
     sign = 1.0 if k % 2 == 1 else -1.0
@@ -438,26 +421,26 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> Qu
 def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """h_n(x) = integral_1^inf dt / (((ln(t-1))^2 + pi^2) (t+x)^n).
 
-    Defined for n >= 1 and x >= 0; h_n(0) is the unsigned coefficient
+    Defined for n >= 1 and finite x >= 0; h_n(0) is the unsigned coefficient
     integral |b_n|, and h_n is completely monotonic in x.  Computed as
     integral_0^1 v(s) s^{n-2} / (1+xs)^n ds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not x >= 0.0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be >= 0 and finite")
     return _kernel(n - 1, x, n, tol)
 
 
 def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """integral_0^1 (1+x)^t dt for x > 0; equals x/ln(1+x).
+    """integral_0^1 (1+x)^t dt for finite x > 0; equals x/ln(1+x).
 
     Deliberately routed through the generic :func:`integrate_01` path (a
     kernel-free second pipeline) so it cross-checks the transformed
     kernels end to end.
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     base = 1.0 + x
     return integrate_01(lambda s: base ** s, tol)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gregory import IntegrandEvaluationError, cli
-from gregory.properties import CmReport, DegreeBracket, DeterminantVariant
+from gregory.properties import CmReport, DegreeBracket
 
 
 def run_cli(argv, capsys):
@@ -235,19 +235,15 @@ def _failing(suite, violation):
 # (suite, horizon, cli attribute, fake, expected first_violation (k, n, value))
 _STAGE_CASES = [
     ("hankel", [30, 3], "hankel_determinant",
-     _when(lambda table, idx, variant: idx == (0, 1, 2),
+     _when(lambda table, idx: idx == (0, 1, 2),
            lambda real, *args: real(*args) + 1),
      (0, 2, "1/1")),
     ("hankel", [30, 3], "hankel_determinant",
-     _when(lambda table, idx, variant: idx == (1,) and variant is DeterminantVariant.SIGNED,
-           lambda real, *args: real(*args) - 1),
-     (1, 1, "1/1")),
-    ("hankel", [30, 3], "hankel_determinant",
-     _when(lambda table, idx, variant: idx == (2,), _const(Fraction(-1))),
-     (2, 2, "-1/1")),
+     _when(lambda table, idx: idx == (2,), _const(Fraction(-1))),
+     (1, 2, "-1/1")),
     ("hankel", [30, 3], "check_shifted_kernel_determinants",
-     _when(lambda x, tol: x == 1.0, _failing("kernel-determinants", (1, 4, "-1/3"))),
-     (3, 1, "-1/3")),
+     _when(lambda x, tol: x == 1.0, _failing("kernel-determinants", (0, 4, "-1/3"))),
+     (2, 1, "-1/3")),
     ("majorization", [3, 6], "check_majorization_inequality",
      _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (0, 2)),
            _failing("majorization", (0, 0, "-1/5"))),
@@ -312,8 +308,9 @@ class TestVerifyStageEvidence:
         code, out, err = run_cli(["verify", "--suite", suite], capsys)
         assert (code, out, err) == (1, _report_line(suite, horizon, violation), "")
 
-    def test_bernstein_grid_screen_is_passed_on_verbatim(self, capsys, monkeypatch):
-        """A failing grid screen (here on -f') is the suite's report as it stands."""
+    def test_bernstein_grid_screen_is_stage_zero(self, capsys, monkeypatch):
+        """A failing grid screen (here on -f', at order 1 and grid point 0)
+        reports stage 0 with n = 3 * order + point, its own evidence."""
         real, screens = cli.check_bernstein, []
 
         def negated(f, f_prime, grid, **kwargs):
@@ -322,8 +319,23 @@ class TestVerifyStageEvidence:
 
         monkeypatch.setattr(cli, "check_bernstein", negated)
         code, out, err = run_cli(["verify", "--suite", "bernstein"], capsys)
-        assert screens[0].first_violation[:2] == (1, 0)
-        assert (code, out, err) == (1, json.dumps(screens[0].to_json_dict()) + "\n", "")
+        order, point, value = screens[0].first_violation
+        assert (order, point) == (1, 0)
+        assert (code, out, err) == (1, _report_line("bernstein", [2, 7], (0, 3, value)), "")
+
+    def test_hankel_takes_one_determinant_per_matrix(self, capsys, monkeypatch):
+        """3 goldens and 209 sweep tuples: 212 determinants, none twice."""
+        real, calls = cli.hankel_determinant, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hankel_determinant", counting)
+        code, _, _ = run_cli(["verify", "--suite", "hankel", "--n-max", "30"], capsys)
+        assert code == 0
+        assert len(calls) == 212
+        assert len(set(calls[3:])) == 209
 
     def test_first_violation_stops_the_suite(self, capsys, monkeypatch):
         """No stage after the first violation runs, nor the rest of its own."""

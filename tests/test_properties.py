@@ -597,23 +597,47 @@ class TestShiftedKernelDeterminants:
             0, 4, "-45432597512179735985034319846441/649037107316853453566312041152512")
         assert sorted(set(calls)) == [(n, 0.5, 1e-9) for n in (1, 2, 3, 5)]
 
+    def test_one_determinant_per_tuple(self, monkeypatch):
+        """The sign-prefixed matrix D M D has M's determinant, so each of
+        the 9 tuples is one Bareiss elimination."""
+        real, calls = gregory.properties.bareiss_determinant, []
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: genfun_integral(math.nan), "x must be positive"),
-    (lambda: stieltjes_recip_log(math.nan), "x must be positive"),
-    (lambda: bernstein_identity(math.nan), "x must be positive"),
-    (lambda: genfun_derivative_integral(math.nan, 1), "x must be >= 0"),
-    (lambda: shifted_kernel_integral(1, math.nan), "x must be >= 0"),
-    (lambda: stieltjes_weight(math.nan), "w is defined for t > 1"),
-    (lambda: check_shifted_kernel_determinants(math.nan), "x must be >= 0"),
-    (lambda: cm_grid_test(math.exp, (1.0, math.nan)), "grid points must be positive"),
-    (lambda: check_bernstein(lambda x: 1.0, lambda x: 0.0, (math.nan,)),
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(gregory.properties, "bareiss_determinant", counting)
+        assert check_shifted_kernel_determinants(0.5).passed
+        assert len(calls) == 9
+
+
+_DOMAIN_CHECKS = [
+    ("genfun", genfun_integral, "x must be positive"),
+    ("recip-log", stieltjes_recip_log, "x must be positive"),
+    ("bernstein-identity", bernstein_identity, "x must be positive"),
+    ("derivative", lambda v: genfun_derivative_integral(v, 1), "x must be >= 0"),
+    ("shifted-kernel", lambda v: shifted_kernel_integral(1, v), "x must be >= 0"),
+    ("weight", stieltjes_weight, "w is defined for t > 1"),
+    ("kernel-determinants", check_shifted_kernel_determinants, "x must be >= 0"),
+    ("cm-grid", lambda v: cm_grid_test(math.exp, (1.0, v)), "grid points must be positive"),
+    ("bernstein", lambda v: check_bernstein(lambda x: 1.0, lambda x: 0.0, (v,)),
      "grid points must be positive"),
-    (lambda: estimate_cm_degree(math.exp, (0.0,), (math.nan,)),
+    ("degree", lambda v: estimate_cm_degree(math.exp, (0.0,), (v,)),
      "grid points must be positive"),
-], ids=["genfun", "recip-log", "bernstein-identity", "derivative", "shifted-kernel",
-        "weight", "kernel-determinants", "cm-grid", "bernstein", "degree"])
-def test_nan_argument_gets_the_domain_error(call, message):
-    """A NaN argument fails each function's own domain check, not a later one."""
+]
+
+
+# The kernel-backed functions' rejections keep every quadrature term finite,
+# so the engine sums without a rescan.  w(inf) = 0 is the limit of the
+# weight, so only the NaN case applies to it.
+@pytest.mark.parametrize("call, message, bad", [
+    pytest.param(call, message, math.nan, id=name) for name, call, message in _DOMAIN_CHECKS
+] + [
+    pytest.param(call, message, math.inf, id=f"{name}-inf")
+    for name, call, message in _DOMAIN_CHECKS if name != "weight"
+])
+def test_nan_argument_gets_the_domain_error(call, message, bad):
+    """A NaN or infinite argument fails each function's own domain check,
+    not a later one."""
     with pytest.raises(ValueError, match=message):
-        call()
+        call(bad)
