@@ -245,6 +245,26 @@ class TestColumnEngineMatchesPerNodeReference:
         flags = [overflows(s) for s in mirrored_head[0]]
         assert any(flags) and not all(flags)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        pytest.param(stieltjes_recip_log, id="recip-log"),
+        pytest.param(genfun_integral, id="genfun"),
+        pytest.param(lambda x: genfun_derivative_integral(x, 1), id="derivative-1"),
+        pytest.param(lambda x: genfun_derivative_integral(x, 7), id="derivative-7"),
+        pytest.param(lambda x: shifted_kernel_integral(1, x), id="shifted-kernel-1"),
+        pytest.param(lambda x: shifted_kernel_integral(5, x), id="shifted-kernel-5"),
+        pytest.param(bernstein_identity, id="bernstein-identity"),
+    ])
+    def test_nonfinite_x_never_reaches_the_engine(self, call, x, monkeypatch):
+        """A NaN or infinite x is rejected before any term is summed, so the
+        engine never meets the non-finite terms it no longer rescans for."""
+        def engine(*args):
+            raise AssertionError("the engine was entered")
+
+        monkeypatch.setattr(quadrature, "_integrate_transformed", engine)
+        with pytest.raises(ValueError, match="^x must be"):
+            call(x)
+
     @pytest.mark.parametrize("f", [
         lambda s: 1.0,
         lambda s: s - 0.5,
