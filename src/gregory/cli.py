@@ -354,7 +354,7 @@ def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _
         yield 2, 0, _value_string(tiny - 1.0)
     for idx, x in enumerate((0.25, 1.0, 4.0)):
         got = genfun_derivative_integral(x, 1, 1e-10).value
-        reference = _central_derivative(lambda t: t / math.log1p(t), x, 1)
+        reference = _central_derivative(x, 1)
         if abs(got - reference) > 1e-5:
             yield 3, idx, _value_string(got - reference)
 
@@ -436,19 +436,23 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
 # eval
 # ----------------------------------------------------------------------
 
-def _stencil_step(x: float, k: int) -> float:
-    # coarse step of the order-k central difference at x > 0
-    return min(1e-2, x / (2.0 * k)) if k > 1 else min(1e-3, x / 2.0)
+def _taylor_derivative(x: float, k: int) -> float:
+    """f^(k)(x) of x/ln(1+x) at 0 < x <= 1/2: sum of n!/(n-k)! b_n x^(n-k), n <= k+64.
+
+    Each exact coefficient is rounded once and math.fsum adds the terms;
+    for k <= 4 the dropped tail is about 1e-15 relative.
+    """
+    b = bernoulli2_series(k + 64)
+    return math.fsum(float(math.perm(n, k) * b[n]) * x ** (n - k) for n in range(k, k + 65))
 
 
-def _central_derivative(f: Callable[[float], float], x: float, k: int) -> Optional[float]:
-    """Richardson-extrapolated central difference of order k at x > 0.
+def _central_derivative(x: float, k: int) -> Optional[float]:
+    """Richardson-extrapolated central difference of x/ln(1+x), order k, at x >= 1/4.
 
     None when two abscissas of a stencil round to the same double (x so
-    large that the step is below the spacing of doubles there).  The
-    caller rules out steps whose k-th power underflows.
+    large that the step is below the spacing of doubles there).
     """
-    h = _stencil_step(x, k)
+    h = min(1e-2, x / (2.0 * k)) if k > 1 else min(1e-3, x / 2.0)
     estimates = []
     for step in (h, h / 2.0):
         abscissas = [x + (k * 0.5 - j) * step for j in range(k + 1)]
@@ -456,7 +460,7 @@ def _central_derivative(f: Callable[[float], float], x: float, k: int) -> Option
             return None
         total = 0.0
         for j, t in enumerate(abscissas):
-            total += (-1.0) ** j * math.comb(k, j) * f(t)
+            total += (-1.0) ** j * math.comb(k, j) * (t / math.log1p(t))
         estimates.append(total / step ** k)
     coarse, fine = estimates
     return (4.0 * fine - coarse) / 3.0
@@ -474,12 +478,10 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
             return _fail_usage("--k must be <= 170")
         result = genfun_derivative_integral(x, k, tol)
         reference = None    # no cheap trustworthy reference beyond k = 4
-        if x == 0.0 or (k <= 4 and (_stencil_step(x, k) / 2.0) ** k == 0.0):
-            # x is 0 or so small that the stencil step underflows; there
-            # f^(k)(x) equals f^(k)(0) = k! b_k to double precision
+        if x == 0.0:
             reference = float(math.factorial(k) * bernoulli2_series(k)[k])
         elif k <= 4:
-            reference = _central_derivative(lambda t: t / math.log1p(t), x, k)
+            reference = _taylor_derivative(x, k) if x <= 0.5 else _central_derivative(x, k)
     else:
         if x <= 0.0:
             return _fail_usage(f"--x must be positive for {function}")

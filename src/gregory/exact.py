@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -39,6 +39,14 @@ def format_rational(q: Fraction) -> str:
     ``"3/1"``.  This is the wire format used by the CSV/JSON emitters.
     """
     return f"{q.numerator}/{q.denominator}"
+
+
+def _common_denominator(values: Sequence) -> tuple[list[int], int]:
+    # exact rationals (ints or Fractions) as numerators over their denominators' lcm
+    if not values:
+        raise ValueError("sequence must be nonempty")
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 class TableMethod(Enum):
@@ -69,10 +77,8 @@ class GregoryTable:
             raise ValueError("b_0 must be 1")
         if len(self.values) > 1 and self.values[1] != ONE_HALF:
             raise ValueError("b_1 must be 1/2")
-        for n in range(1, len(self.values)):
-            expected = 1 if n % 2 == 1 else -1
-            v = self.values[n]
-            if v == 0 or (1 if v > 0 else -1) != expected:
+        for n, v in enumerate(self.values[1:], 1):
+            if v == 0 or (v > 0) != (n % 2 == 1):
                 raise ValueError(f"sign of b_{n} violates (-1)**(n+1) alternation")
 
     @property
@@ -81,6 +87,17 @@ class GregoryTable:
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
+
+    @cached_property
+    def factorial_moments(self) -> tuple[tuple[int, ...], int]:
+        """(m, D) with m[s] / D = s! b_{s+1} for s < max_index, built once per table.
+
+        The Hausdorff moments that the Hankel, majorization and
+        log-convexity checks read, as integers over one denominator.
+        """
+        moments = [math.factorial(s) * b for s, b in enumerate(self.values[1:])]
+        nums, den = _common_denominator(moments) if moments else ([], 1)
+        return tuple(nums), den
 
 
 def bernoulli2_series(n_max: int) -> GregoryTable:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
 from typing import Callable, Optional, Sequence
 
-from .exact import GregoryTable, format_rational
+from .exact import GregoryTable, _common_denominator, format_rational
 from .quadrature import IntegrandEvaluationError, shifted_kernel_integral
 
 DEFAULT_GRID_ORDER = 8          # difference orders checked by the grid tests
@@ -54,10 +54,8 @@ class CmReport:
     first_violation: Optional[tuple[int, int, str]]
 
     def to_json_dict(self) -> dict:
-        fv = None
-        if self.first_violation is not None:
-            k, n, value = self.first_violation
-            fv = {"k": k, "n": n, "value": value}
+        fv = (None if self.first_violation is None
+              else dict(zip(("k", "n", "value"), self.first_violation)))
         return {
             "suite": self.suite_name,
             "passed": self.passed,
@@ -71,14 +69,6 @@ def _report(suite: str, horizon: tuple[int, int],
     # report of a direct check: it passed exactly when nothing was violated
     return CmReport(suite_name=suite, passed=violation is None,
                     horizon=horizon, first_violation=violation)
-
-
-def _common_denominator(values: Sequence) -> tuple[list[int], int]:
-    # exact rationals (ints or Fractions) as numerators over their denominators' lcm
-    if not values:
-        raise ValueError("sequence must be nonempty")
-    den = math.lcm(*(q.denominator for q in values))
-    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def _signed_rows(row: list):
@@ -158,12 +148,9 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         raise ValueError("matrix must be nonempty")
     if any(len(row) != m for row in rows):
         raise ValueError("matrix must be square")
-    scale = 1
-    imat: list[list[int]] = []
-    for row in rows:
-        irow, den = _common_denominator(row)
-        scale *= den
-        imat.append(irow)
+    scaled = [_common_denominator(row) for row in rows]
+    imat = [irow for irow, _ in scaled]
+    scale = math.prod(den for _, den in scaled)
     sign = 1
     prev = 1
     for col in range(m - 1):
@@ -218,8 +205,8 @@ def hankel_determinant(table: GregoryTable, indices,
     if needed > table.max_index:
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
-    moments = {s: math.factorial(s) * table[s + 1] for s in {a + b for a in idx for b in idx}}
-    return bareiss_determinant(_moment_matrix(moments.__getitem__, idx, variant))
+    moments, den = table.factorial_moments
+    return bareiss_determinant(_moment_matrix(moments.__getitem__, idx, variant)) / den ** len(idx)
 
 
 # ----------------------------------------------------------------------
@@ -246,12 +233,6 @@ def is_majorized(lam, mu) -> bool:
     return True
 
 
-def _factorial_moment_product(table: GregoryTable, indices: tuple[int, ...]) -> Fraction:
-    # |prod_i  indices_i! * b_{indices_i + 1}|, exact, reduced once
-    num = math.prod(math.factorial(a) * table[a + 1].numerator for a in indices)
-    return Fraction(abs(num), math.prod(table[a + 1].denominator for a in indices))
-
-
 def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
     """Product inequality along majorization order.
 
@@ -272,10 +253,12 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
         raise ValueError(
             f"need coefficients through index {top + 1}, table stops at {table.max_index}")
     width = max(len(lam_t), len(mu_t))
-    lhs = _factorial_moment_product(table, lam_t + (0,) * (width - len(lam_t)))
-    rhs = _factorial_moment_product(table, mu_t + (0,) * (width - len(mu_t)))
+    moments, den = table.factorial_moments    # each product is over den**width
+    lhs, rhs = (abs(math.prod(moments[a] for a in t + (0,) * (width - len(t))))
+                for t in (lam_t, mu_t))
     return _report("majorization", (width, top),
-                   (0, 0, format_rational(lhs - rhs)) if lhs > rhs else None)
+                   (0, 0, format_rational(Fraction(lhs - rhs, den ** width)))
+                   if lhs > rhs else None)
 
 
 def check_log_convexity(table: GregoryTable) -> CmReport:
@@ -289,9 +272,7 @@ def check_log_convexity(table: GregoryTable) -> CmReport:
     N = table.max_index
     if N < 3:
         raise ValueError("log-convexity needs coefficients through index 3")
-    # m[i] = i! b_{i+1} * den: integers over the common denominator den
-    nums, den = _common_denominator(table.values[1:])
-    m = [math.factorial(i) * p for i, p in enumerate(nums)]
+    m, den = table.factorial_moments
     for i in range(0, N - 2):
         gap = m[i] * m[i + 2] - m[i + 1] ** 2
         if gap < 0:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gregory import IntegrandEvaluationError, cli
+from gregory import GregoryTable, IntegrandEvaluationError, bernoulli2_series, cli
 from gregory.properties import CmReport, DegreeBracket
 
 
@@ -337,6 +338,23 @@ class TestVerifyStageEvidence:
         assert len(calls) == 212
         assert len(set(calls[3:])) == 209
 
+    def test_factorial_moment_row_built_once_per_table(self, capsys, monkeypatch):
+        """Hankel, majorization and log-convexity share their tables' rows:
+        one build for the run's table, one for log-convexity's prefix."""
+        built = []
+        real = GregoryTable.factorial_moments.func
+
+        def counting(table):
+            built.append(table)
+            return real(table)
+
+        row = functools.cached_property(counting)
+        row.__set_name__(GregoryTable, "factorial_moments")
+        monkeypatch.setattr(GregoryTable, "factorial_moments", row)
+        code, _, _ = run_cli(["verify", "--suite", "all", "--n-max", "30"], capsys)
+        assert code == 0
+        assert [t.max_index for t in built] == [31, 30]
+
     def test_first_violation_stops_the_suite(self, capsys, monkeypatch):
         """No stage after the first violation runs, nor the rest of its own."""
         def later(*args, **kwargs):
@@ -390,6 +408,20 @@ class TestEvalCommand:
         fields = {k.strip(): v.strip() for k, v in fields.items()}
         assert abs(float(fields["value"]) - 0.25) < 1e-9
         assert fields["reference"] == "0.25"
+
+    @pytest.mark.parametrize("x", ["1e-20", "1e-8", "1e-3", "0.25", "0.5"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_small_x_reference_is_the_taylor_sum(self, x, k, capsys):
+        """For 0 < x <= 1/2 the reference is f^(k)(x) to 1e-13 relative,
+        against the exact sum of n!/(n-k)! b_n x^(n-k) over n < k + 100."""
+        code, out, _ = run_cli(
+            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
+        assert code == 0
+        reference = next(line.split("=")[1] for line in out.splitlines()
+                         if line.startswith("reference"))
+        b, xq = bernoulli2_series(k + 100), Fraction(float(x))
+        exact = sum(math.perm(n, k) * b[n] * xq ** (n - k) for n in range(k, k + 100))
+        assert abs(Fraction(float(reference)) - exact) <= Fraction(1e-13) * abs(exact)
 
     def test_derivative_deep_order_has_no_reference(self, capsys):
         """Past k = 4 at interior points no finite-difference check is shown."""
@@ -465,7 +497,7 @@ class TestInputBoundary:
         (["verify", "--suite", "integrals", "--n-max", "20", "--tol", "5e-324"], 0),
         # k! overflows a double
         (["eval", "--function", "derivative", "--x", "0", "--k", "200"], 2),
-        # the finite-difference step underflows
+        # x so small that the Taylor reference is k! b_k
         (["eval", "--function", "derivative", "--x", "1e-100", "--k", "4"], 0),
         (["eval", "--function", "derivative", "--x", "5e-324", "--k", "3"], 0),
         # f(s) * jac overflows in the generic integrate_01 path
@@ -488,8 +520,8 @@ class TestInputBoundary:
         ("5e-324", 3, Fraction(1, 4)),
         ("5e-324", 1, Fraction(1, 2)),
     ])
-    def test_underflowing_stencil_uses_exact_reference(self, x, k, exact, capsys):
-        """f^(k)(x) equals k! b_k to double precision where the step underflows."""
+    def test_tiny_x_reference_is_k_factorial_b_k(self, x, k, exact, capsys):
+        """The Taylor reference equals k! b_k to double precision at tiny x."""
         code, out, _ = run_cli(
             ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
         assert code == 0

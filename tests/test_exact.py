@@ -81,6 +81,27 @@ class TestGregoryTable:
                          method=TableMethod.SERIES_RECURRENCE)
 
 
+class TestFactorialMoments:
+    @pytest.mark.parametrize("build", [bernoulli2_series, bernoulli2_explicit_table])
+    def test_row_is_the_factorial_moments(self, build):
+        """m[s] / D == s! b_{s+1} exactly, for every s < N and N <= 40."""
+        for n_max in range(41):
+            table = build(n_max)
+            row, den = table.factorial_moments
+            assert all(type(v) is int for v in row) and type(den) is int and den > 0
+            assert [Fraction(v, den) for v in row] == [
+                math.factorial(s) * table[s + 1] for s in range(n_max)]
+
+    def test_b0_only_table_has_an_empty_row(self):
+        assert bernoulli2_series(0).factorial_moments == ((), 1)
+
+    def test_row_is_cached_and_immutable(self):
+        table = bernoulli2_series(12)
+        row, _ = table.factorial_moments
+        assert table.factorial_moments[0] is row
+        assert isinstance(row, tuple)
+
+
 class TestRationalSerialization:
     def test_integers_keep_denominator(self):
         """Whole numbers serialize with an explicit /1."""

@@ -14,8 +14,10 @@ import gregory.properties
 from gregory import (
     CmReport,
     DeterminantVariant,
+    GregoryTable,
     IntegrandEvaluationError,
     QuadratureResult,
+    TableMethod,
     bareiss_determinant,
     bernoulli2_series,
     bernstein_identity,
@@ -423,6 +425,48 @@ class TestMajorization:
                 report = check_majorization_inequality(table31, lam, mu)
                 assert report.passed, f"violated at {lam} vs {mu}"
         assert pairs > 300
+
+
+def _doctored_table():
+    """b_0..b_12 with b_4 scaled by 50: valid signs, broken inequalities."""
+    values = list(bernoulli2_series(12).values)
+    values[4] *= 50
+    return GregoryTable(values=tuple(values), method=TableMethod.SERIES_RECURRENCE)
+
+
+def _abs_moment_product(table, indices):
+    return abs(math.prod(math.factorial(a) * table[a + 1] for a in indices))
+
+
+class TestViolationEvidence:
+    """On a doctored table the reported evidence is the defining value."""
+
+    def test_majorization_evidence(self):
+        table = _doctored_table()
+        tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(6), m)]
+        violations = 0
+        for lam in tuples:
+            for mu in tuples:
+                if not is_majorized(lam, mu):
+                    continue
+                width = max(len(lam), len(mu))
+                gap = (_abs_moment_product(table, lam + (0,) * (width - len(lam)))
+                       - _abs_moment_product(table, mu + (0,) * (width - len(mu))))
+                report = check_majorization_inequality(table, lam, mu)
+                assert report.passed == (gap <= 0)
+                if gap > 0:
+                    violations += 1
+                    assert report.first_violation == (0, 0, format_rational(gap))
+        assert violations > 10
+
+    def test_log_convexity_evidence(self):
+        table = _doctored_table()
+        gaps = [math.factorial(i) * table[i + 1] * math.factorial(i + 2) * table[i + 3]
+                - (math.factorial(i + 1) * table[i + 2]) ** 2 for i in range(10)]
+        i = next(i for i, gap in enumerate(gaps) if gap < 0)
+        report = check_log_convexity(table)
+        assert not report.passed
+        assert report.first_violation == (0, i, format_rational(gaps[i]))
 
 
 class TestLogConvexity:

@@ -15,8 +15,8 @@ method up to --n-max 300), every verify suite (the exact ones up to
 --n-max 160, as far as the benchmark goes), and an eval grid reaching
 tol 1e-30 and x 1e300, with every derivative order 1..20 at tol 1e-13.  It stays inside inputs
 with a settled output; the boundary inputs (overflowing kernel
-powers, tolerances that underflow once scaled, k > 170, stencil steps
-that underflow, bernstein-identity above x = 1e307) are pinned by the
+powers, tolerances that underflow once scaled, k > 170, derivatives at
+x far below 1e-8, bernstein-identity above x = 1e307) are pinned by the
 regression cases in tests/test_cli.py.
 An argv that lets an exception escape is recorded as such, and the
 script then exits 1.  Stdlib only; a full run takes about six seconds
