@@ -77,8 +77,10 @@ class GregoryTable:
             raise ValueError("b_0 must be 1")
         if len(self.values) > 1 and self.values[1] != ONE_HALF:
             raise ValueError("b_1 must be 1/2")
-        for n, v in enumerate(self.values[1:], 1):
-            if v == 0 or (v > 0) != (n % 2 == 1):
+        for n in range(1, len(self.values)):
+            expected = 1 if n % 2 == 1 else -1
+            v = self.values[n]
+            if v == 0 or (1 if v > 0 else -1) != expected:
                 raise ValueError(f"sign of b_{n} violates (-1)**(n+1) alternation")
 
     @property

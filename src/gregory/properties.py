@@ -54,8 +54,10 @@ class CmReport:
     first_violation: Optional[tuple[int, int, str]]
 
     def to_json_dict(self) -> dict:
-        fv = (None if self.first_violation is None
-              else dict(zip(("k", "n", "value"), self.first_violation)))
+        fv = None
+        if self.first_violation is not None:
+            k, n, value = self.first_violation
+            fv = {"k": k, "n": n, "value": value}
         return {
             "suite": self.suite_name,
             "passed": self.passed,
@@ -148,9 +150,12 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         raise ValueError("matrix must be nonempty")
     if any(len(row) != m for row in rows):
         raise ValueError("matrix must be square")
-    scaled = [_common_denominator(row) for row in rows]
-    imat = [irow for irow, _ in scaled]
-    scale = math.prod(den for _, den in scaled)
+    scale = 1
+    imat: list[list[int]] = []
+    for row in rows:
+        irow, den = _common_denominator(row)
+        scale *= den
+        imat.append(irow)
     sign = 1
     prev = 1
     for col in range(m - 1):
@@ -244,9 +249,8 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
     0!*|b_1| = 1/2.  Raises if lam is not majorized by mu; equality
     (e.g. identical tuples) passes.
     """
-    lam_t = _validate_index_tuple(lam)
-    mu_t = _validate_index_tuple(mu)
-    if not is_majorized(lam_t, mu_t):
+    lam_t, mu_t = tuple(lam), tuple(mu)
+    if not is_majorized(lam_t, mu_t):    # validates both tuples
         raise ValueError(f"{lam_t} is not majorized by {mu_t}")
     top = max(max(lam_t), max(mu_t))
     if top + 1 > table.max_index:
