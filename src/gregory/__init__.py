@@ -34,7 +34,6 @@ from .quadrature import (
     bernstein_identity,
     genfun_derivative_integral,
     genfun_integral,
-    integrate_01,
     moment_integral,
     shifted_kernel_integral,
     stieltjes_recip_log,
@@ -78,7 +77,6 @@ __all__ = [
     "bernstein_identity",
     "genfun_derivative_integral",
     "genfun_integral",
-    "integrate_01",
     "moment_integral",
     "shifted_kernel_integral",
     "stieltjes_recip_log",

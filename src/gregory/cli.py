@@ -12,12 +12,11 @@ Three subcommands:
   eval      evaluate one quadrature-backed function at a point and
             compare against its closed form.
 
-Exit codes: 0 success, 1 a failed verify suite, a compute quadrature
-that did not converge or an eval quadrature that aborted on a non-finite
-integrand value, 2 usage error.  eval exits 0 when its quadrature does
-not converge and says so in a warning on stderr.  Output ordering is
-deterministic: records sort by n, then by method in the fixed order
-series, explicit, integral.
+Exit codes: 0 success, 1 a failed or aborted verify suite or a compute
+quadrature that did not converge, 2 usage error.  eval exits 0 when its
+quadrature does not converge and says so in a warning on stderr.
+Output ordering is deterministic: records sort by n, then by method in
+the fixed order series, explicit, integral.
 """
 
 from __future__ import annotations
@@ -263,7 +262,7 @@ def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> _Violati
 
 def _suite_log_convexity(n_max: int, tol: float, table: GregoryTable) -> CmReport:
     """Exact log-convexity of i! b_{i+1} through b_{n_max}."""
-    return check_log_convexity(GregoryTable(table.values[: n_max + 1], table.method))
+    return check_log_convexity(table, n_max)
 
 
 @_aggregate("integrals", lambda n_max: (min(n_max, 20), 12))
@@ -332,7 +331,8 @@ def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _
     Stage 0 is the grid screen on {0.25, 1, 4}; a violation at derivative
     order k of f and grid index i reports n = 3 k + i, order-major like
     the screen's own scan.  Stage 1: exponential-integral identity vs
-    x/ln(1+x) within 1e-10 on {0.5, 1, e^2-1}.  Stage 2: small-x limit
+    x/ln(1+x) within 1e-10 on {0.5, 1, e^2-1}, computed at its own tol
+    1e-11 whatever --tol is, like stages 0 and 3.  Stage 2: small-x limit
     toward 1.  Stage 3: first derivative vs a central finite difference
     of the closed form, within 1e-5.
     """
@@ -345,7 +345,7 @@ def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _
         order, point, value = screen.first_violation
         yield 0, len(grid) * order + point, value
     for idx, x in enumerate((0.5, 1.0, math.exp(2.0) - 1.0)):
-        got = bernstein_identity(x, tol).value
+        got = bernstein_identity(x, 1e-11).value
         residual = abs(got - x / math.log1p(x))
         if residual > 1e-10:
             yield 1, idx, _value_string(residual)
@@ -492,12 +492,7 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
             result = stieltjes_recip_log(x, tol)
             reference = 1.0 / math.log1p(x)
         else:   # bernstein-identity
-            try:
-                result = bernstein_identity(x, tol)
-            except IntegrandEvaluationError as exc:
-                # f(s) * jac overflows in the generic path for x above ~1e307
-                print(f"eval {function} aborted: {exc}", file=sys.stderr)
-                return 1
+            result = bernstein_identity(x, tol)
             reference = x / math.log1p(x)
 
     print(f"function       = {function}")

@@ -265,17 +265,20 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
                    if lhs > rhs else None)
 
 
-def check_log_convexity(table: GregoryTable) -> CmReport:
+def check_log_convexity(table: GregoryTable, n_max: Optional[int] = None) -> CmReport:
     """Log-convexity of the factorial-scaled coefficient magnitudes.
 
     Checks (i! b_{i+1}) ((i+2)! b_{i+3}) >= ((i+1)! b_{i+2})**2 exactly
-    for every i with i+3 <= max_index.  The left side pairs
-    coefficients of equal sign, so the literal signed products already
-    compare cleanly.  Needs a table through index 3 at least.
+    for every i with i+3 <= n_max, which defaults to max_index; a
+    smaller n_max reads a prefix of the table's own factorial-moment
+    row.  The left side pairs coefficients of equal sign, so the literal
+    signed products already compare cleanly.  Needs 3 <= n_max <=
+    max_index.
     """
-    N = table.max_index
-    if N < 3:
-        raise ValueError("log-convexity needs coefficients through index 3")
+    N = table.max_index if n_max is None else n_max
+    if not 3 <= N <= table.max_index:
+        raise ValueError("log-convexity needs coefficients through index 3 "
+                         "and no further than the table")
     m, den = table.factorial_moments
     for i in range(0, N - 2):
         gap = m[i] * m[i + 2] - m[i + 1] ** 2

@@ -27,33 +27,34 @@ turns K into a trapezoid sum over tau with the one term
 
 where 1/(y^2 + pi^2) IS v(s), since ln((1-s)/s) = -y.  The logarithm in
 the kernel is therefore available exactly even where s or 1 - s
-underflows.  The engine hands a term function whole columns of nodes
-and takes back a chunk of terms, so a kernel's terms come from one list
-comprehension per chunk.  Arbitrary caller integrands go through
-:func:`integrate_01`, which evaluates f at the abscissa s directly, one
-visited node at a time.
+underflows.  As y^2 + pi^2 = (pi cosh tau)^2, every term is bounded in
+advance by sigma(-|y|)^alpha / (pi cosh tau), with alpha = 1 on the
+s -> 1 side and alpha = a on the s -> 0 side; the engine stops each
+side where that bound falls below a fixed fraction of tol and adds the
+bound on what it dropped to the error estimate.  It hands a term
+function whole columns of nodes, so a kernel's terms come from one list
+comprehension per side and level.  :func:`bernstein_identity`, the one
+integral without the kernel, has a column term and envelope of its own.
 
 Tolerances are absolute error targets throughout; callers wanting a
-relative target scale tol by a magnitude estimate first.  The
-kernel-backed functions refine through DEFAULT_MAX_LEVELS levels; only
-:func:`integrate_01` takes a ``max_levels`` of its own.
+relative target scale tol by a magnitude estimate first.  Every public
+function refines through DEFAULT_MAX_LEVELS levels.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, starmap
 
 PI = math.pi
 _PI_SQ = PI * PI
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 12     # dyadic refinements; about 2^12 nodes per side
+_MIN_LEVEL = 2              # first level whose estimate may claim convergence
 _T_MAX = 36.0               # |tau| cap; slowest tail is ~exp(-tau) < 3e-16 there
-_SMALLEST_NORMAL = sys.float_info.min
 
 
 class IntegrandEvaluationError(ArithmeticError):
@@ -71,10 +72,8 @@ class QuadratureResult:
 
     ``converged=True`` implies ``abs_error_estimate <= tol`` as requested
     by the caller, and ``n_evals`` is always positive by the time any
-    result is produced.  ``n_evals`` counts the terms summed: the nodes
-    the rule visits.  A kernel computes its tail terms a chunk at a time,
-    and the few it computes past the node where a side stops are dropped
-    and not counted.
+    result is produced.  ``n_evals`` counts the terms summed: every term
+    computed, as no side computes a term past the node where it stops.
     """
 
     value: float
@@ -97,24 +96,13 @@ class QuadratureResult:
 # Nodes sit at tau >= 0 and are stored as four columns: sig = sigma(y),
 # sigc = sigma(-y) (both computed without cancellation), jac =
 # pi*cosh(tau) and d = y^2 + pi^2, with y = pi*sinh(tau).  Level 0 holds
-# tau = j for the integers j >= 1 (tau = 0 is the separate _CENTER node);
-# level L >= 1 holds tau = j * 2**-L for odd j, so the union through
-# level L is the full step-2**-L grid.  Swapping the sig and sigc columns
-# mirrors a side to -tau, since y^2, and with it d, is even.
-#
-# Each side of a level is split once into a head, every node through
-# the first one with tau >= 6, before which no side may stop, and tail
-# chunks that cover _TAIL_SPAN in tau (at least _TAIL_MIN nodes), walked
-# only until the side stops.  A level is the pair (head, tail chunks) for
-# tau > 0 and its mirror, every head and chunk being a (sig, sigc, jac,
-# d) tuple of columns.  The tables are immutable once built; building
-# is guarded by a lock so concurrent first calls stay safe.
+# tau = j for the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER
+# node); level L >= 1 holds tau = j * 2**-L for odd j, so the union
+# through level L is the full step-2**-L grid.  Swapping the sig and sigc
+# columns mirrors a side to -tau, since y^2, and with it d, is even.  The
+# tables are immutable once built; building is guarded by a lock so
+# concurrent first calls stay safe.
 # ----------------------------------------------------------------------
-
-_STOP_TAU = 6.0             # a side may stop only at a node with tau >= this
-_STOP_RUN = 3               # ... after this many small terms in a row
-_TAIL_SPAN = 1.0            # tau covered by one tail chunk
-_TAIL_MIN = 8               # nodes in the shortest tail chunk
 
 _node_lock = threading.Lock()
 _node_levels: dict[int, tuple] = {}
@@ -132,12 +120,6 @@ def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
 _CENTER = _columns([0.0])
 
 
-def _split(cols, lo: int, hi: int):
-    # nodes lo:hi as (sig, sigc, jac, d) columns, and mirrored to -tau
-    sig, sigc, jac, d = (col[lo:hi] for col in cols)
-    return (sig, sigc, jac, d), (sigc, sig, jac, d)
-
-
 def _level_table(level: int) -> tuple:
     try:
         return _node_levels[level]
@@ -147,89 +129,109 @@ def _level_table(level: int) -> tuple:
         if level not in _node_levels:   # re-check under the lock
             h = 2.0 ** -level
             step = 1 if level == 0 else 2
-            taus = [j * h for j in range(1, int(_T_MAX / h) + 1, step)]
-            cols = _columns(taus)
-            cut = next(i for i, tau in enumerate(taus) if tau >= _STOP_TAU) + 1
-            width = max(_TAIL_MIN, int(_TAIL_SPAN / (step * h)))
-            head, mirrored_head = _split(cols, 0, cut)
-            chunks = [_split(cols, lo, lo + width) for lo in range(cut, len(taus), width)]
-            _node_levels[level] = ((head, tuple(c[0] for c in chunks)),
-                                   (mirrored_head, tuple(c[1] for c in chunks)))
+            _node_levels[level] = _columns(
+                [j * h for j in range(1, int(_T_MAX / h) + 1, step)])
         return _node_levels[level]
 
 
-def _integrate_transformed(term, tol: float, max_levels: int) -> QuadratureResult:
+def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
+                           max_levels: int) -> QuadratureResult:
     """Trapezoid-in-tau summation of one weighted term function.
 
     term(sig, sigc, jac, d) maps equal-length node columns to an iterable
     of the transformed integrand's terms (Jacobian included), one per
-    node and in node order.  It is pulled for a side's head as a whole
-    and for each tail chunk only as far as the side walks, so a lazy
-    term function sees exactly the nodes the rule visits.  Levels halve
-    the step until the error estimate meets tol; the estimate combines
-    the last level-to-level difference, the magnitude of the outermost
-    significant terms on each side (tail truncation), and a rounding
-    floor proportional to sum(|terms|).  Terms are accumulated with
-    math.fsum so the rounding floor is not optimistic.  A side stops at
-    a node with tau >= 6 once three terms in a row fall below a small
-    fraction of tol; the last significant magnitude seen there feeds
-    the tail part of the estimate, so nothing is dropped silently.
-    n_evals counts the terms summed.  Term functions return finite
-    terms: a kernel's are finite for finite x, and :func:`integrate_01`
-    raises before it would return a non-finite one.
+    node and in node order; the terms are finite and never negative.
+    Each side is bounded in advance by the envelope
+
+        M(tau) = sigma(-pi sinh|tau|)**alpha * (pi cosh tau)**beta,
+
+    with alphas = (alpha on the s -> 1 side, alpha on the s -> 0 side):
+    every term at tau is at most M(tau).  M decreases in |tau| at the
+    rate alpha*sigma(|y|)*pi*cosh(tau) - beta*tanh|tau|, which is at
+    least r, that rate taken at the last node kept with tanh replaced by
+    1 if beta > 0; r must be positive (alpha*pi/2 > beta when beta > 0).
+
+    On each level a side computes terms only for the nodes before the
+    first one where M falls to the cut 4e-3*tol: a bisection on level 0,
+    and on a finer level one test of the node halfway between the last
+    node kept and the first dropped.  The nodes it drops then sum to at
+    most cut * (h + 1/r); a side whose envelope is still above the cut
+    at tau = 36 adds M/r taken there instead.
+
+    Levels halve the step until the error estimate meets tol.  The
+    estimate adds both sides' truncation bounds and a rounding floor of
+    1.1e-16 * total to the larger of the last level-to-level difference
+    d and total * (d'/total)**3, d' being the difference before it.
+    Under double-exponential convergence the relative error roughly
+    squares per level, so d approximates the previous level's error,
+    which bounds this one's, and d falls below the cube term only when
+    two coarse levels agree by chance while neither resolves the
+    integrand (the cube, not the square, leaves room for the model's
+    unknown prefactor).  Levels 0 and 1 hold a handful of nodes and have
+    no difference before theirs, so convergence is claimed from level
+    _MIN_LEVEL on.  Terms are accumulated with math.fsum so the rounding
+    floor is not optimistic.  n_evals counts the terms summed.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     terms: list[float] = []
-    signed = False
     prev_total = None
+    prev_diff = None
     est = math.inf
     value = 0.0
     converged = False
     stagnant = 0
-    cutoff = max(0.02 * tol, 1e-280)
+    cut = max(4e-3 * tol, 2e-281)
+    # per side, the first node of the step-h grid whose envelope is at
+    # most cut, as j in tau = j*h (36/h + 1 while none is)
+    firsts = [0, 0]
     for level in range(0, max_levels + 1):
         h = 2.0 ** -level
-        level_start = len(terms)
+        step = 1 if level == 0 else 2
         if level == 0:
             terms.extend(term(*_CENTER))
-        edges = 0.0
-        for head, tail in _level_table(level):
-            start = len(terms)
-            terms.extend(term(*head))
-            # the head ends at the first node where the side may stop:
-            # carry its run of small terms and its last significant one
-            last = len(terms) - 1
-            while last >= start and abs(terms[last]) <= cutoff:
-                last -= 1
-            tiny = len(terms) - 1 - last
-            edge = abs(terms[last]) if last >= start else 0.0
-            if tiny < _STOP_RUN:
-                for v in chain.from_iterable(starmap(term, tail)):
-                    terms.append(v)
-                    if abs(v) > cutoff:
-                        tiny = 0
-                        edge = abs(v)
-                    else:
-                        tiny += 1
-                        if tiny >= _STOP_RUN:
-                            break
-            edges += edge
-        # sum(|terms|) is the total itself while no term is negative,
-        # as kernel terms never are
-        signed = signed or min(terms[level_start:]) < 0.0
+        sig, sigc, jac, d = cols = _level_table(level)
+        trunc = 0.0
+        for s, (alpha, side) in enumerate(zip(alphas, (cols, (sigc, sig, jac, d)))):
+            def envelope(i):
+                return sigc[i] ** alpha * jac[i] ** beta
+            if level == 0:
+                stop = bisect_left(range(len(sig)), -cut, key=lambda i: -envelope(i))
+                firsts[s] = stop + 1
+            else:
+                # M decreases, so the only node of this level still open
+                # is the one between the last node kept and the first dropped
+                new = firsts[s] - 1
+                dropped = new == len(sig) or envelope(new) <= cut
+                firsts[s] = 2 * firsts[s] - dropped
+                stop = firsts[s] // 2
+            terms.extend(term(*(col[:stop] for col in side)))
+            # k is the last node kept (the first node if none is): r
+            # taken there bounds the envelope's decay past every dropped node
+            k = max(stop - 1, 0)
+            r = alpha * sig[k] * jac[k] - beta * (
+                1.0 if beta > 0 else math.tanh((step * k + 1) * h))
+            if stop < len(sig):
+                trunc += cut * (h + 1.0 / r)
+            else:
+                trunc += envelope(k) / r
         total = h * math.fsum(terms)
-        abs_total = h * math.fsum(map(abs, terms)) if signed else total
         if prev_total is None:
             prev_total = total
             continue
         diff = abs(total - prev_total)
-        est = diff + 2.0 * edges + 1.1e-16 * abs_total
+        # the error, relative to the total, roughly squares from one level
+        # to the next; a difference below even the cube of the one before
+        # is two coarse levels agreeing by chance, not convergence
+        predicted = 0.0 if prev_diff is None else (
+            total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff)
+        est = max(diff, predicted) + trunc + 1.1e-16 * total
+        prev_diff = diff
         value = total
         prev_total = total
-        if est <= tol:
+        if est <= tol and level >= _MIN_LEVEL:
             converged = True
             break
         if diff <= max(1e-16 * abs(total), 1e-300):
@@ -253,47 +255,18 @@ def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> Qu
 # public operations
 # ----------------------------------------------------------------------
 
-def integrate_01(f, tol: float = DEFAULT_TOL,
-                 max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
-    """Integrate a caller-supplied f over (0, 1) to absolute tolerance.
-
-    The rule never evaluates the endpoints.  Abscissas closer to an
-    endpoint than the smallest normal double fall outside the rule; the
-    mass they would carry is covered by the tail term of the error
-    estimate, so f only ever sees normal s with 0 < s < 1.  Endpoint
-    singularities integrable against the double-exponential weight
-    (log-type and worse) are handled without special casing.
-
-    Returns converged=False, never raises, when tol is not met within
-    max_levels refinements.  A non-finite f(s), or a non-finite term
-    f(s)*jac*s*(1-s), aborts with an :class:`IntegrandEvaluationError`
-    identifying s.  f is called lazily, node by node, so it never sees
-    an abscissa the rule does not visit.
-    """
-    def one(s, sigc, jac):
-        if s < _SMALLEST_NORMAL or s >= 1.0:
-            return 0.0
-        fv = f(s)
-        if not math.isfinite(fv):
-            raise IntegrandEvaluationError(s, fv)
-        v = fv * jac * s * sigc
-        if not math.isfinite(v):
-            raise IntegrandEvaluationError(s, v)
-        return v
-
-    def term(sig, sigc, jac, d):
-        return map(one, sig, sigc, jac)
-    return _integrate_transformed(term, tol, max_levels)
-
-
 def _kernel(a: int, x: float, p: int, tol: float,
             max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled.
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
-    negative for finite x >= 0.  The special cases below drop only
-    factors that are exactly 1.0 in IEEE arithmetic, so they round
-    identically.
+    negative for finite x >= 0.  As jac/d = 1/(pi cosh tau), sig**a <= 1,
+    sigc <= 1 and (1+x*sig)**-p <= 1, a term is at most
+    sigma(-|y|)/(pi cosh tau) on the s -> 1 side and
+    sigma(-|y|)**a/(pi cosh tau) on the s -> 0 side, for every x: the
+    engine's envelopes never cut the mass of a peaked integrand.  The
+    special cases below drop only factors that are exactly 1.0 in IEEE
+    arithmetic, so they round identically.
     """
     if p == 0 or x == 0.0:
         if a == 0:
@@ -325,7 +298,7 @@ def _kernel(a: int, x: float, p: int, tol: float,
                         for s, c, j, e in zip(sig, sigc, jac, d)]
             except OverflowError:
                 return list(map(one, sig, sigc, jac, d))
-    return _integrate_transformed(term, tol, max_levels)
+    return _integrate_transformed(term, (1, a), -1, tol, max_levels)
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -435,14 +408,21 @@ def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> Quadr
 def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """integral_0^1 (1+x)^t dt for finite x > 0; equals x/ln(1+x).
 
-    Deliberately routed through the generic :func:`integrate_01` path (a
-    kernel-free second pipeline) so it cross-checks the transformed
-    kernels end to end.
+    A kernel-free second pipeline that cross-checks the transformed
+    kernels end to end: no v(s), just the integrand (1+x)^s.  It is
+    summed as base * integral_0^1 base^(s-1) ds with base = 1+x, whose
+    terms jac*s*sigc*base^(-sigc) (1 - s = sigc exactly) never exceed
+    jac*sigma(-|y|) and stay finite up to the largest double, and the
+    inner quadrature runs at tol/base.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     base = 1.0 + x
-    return integrate_01(lambda s: base ** s, tol)
+
+    def term(sig, sigc, jac, d):
+        return [j * s * c * base ** -c for s, c, j in zip(sig, sigc, jac)]
+    raw = _integrate_transformed(term, (1, 1), 1, _inner_tol(tol, base), DEFAULT_MAX_LEVELS)
+    return _rescaled(raw, base * raw.value, base * raw.abs_error_estimate, tol)
 
 
 def stieltjes_weight(t: float) -> float:

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--suite", "minimality"], capsys)
         assert code == 0
         assert "inconclusive" in out
+
+    def test_bernstein_identity_stage_runs_at_its_own_tol(self, capsys, monkeypatch):
+        """Stage 1 checks a residual of 1e-10, so it computes the identity at
+        1e-11 whatever --tol is; stage 2 keeps --tol."""
+        tols = []
+        real = cli.bernstein_identity
+
+        def recording(x, tol):
+            tols.append(tol)
+            return real(x, tol)
+
+        monkeypatch.setattr(cli, "bernstein_identity", recording)
+        code, out, _ = run_cli(["verify", "--suite", "bernstein", "--tol", "1e-6"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert tols == [1e-11, 1e-11, 1e-11, 1e-6]
 
     def test_undersized_horizon_is_usage_error(self, capsys):
         """log-convexity needs four coefficients, so n_max 2 cannot run."""
@@ -339,8 +356,8 @@ class TestVerifyStageEvidence:
         assert len(set(calls[3:])) == 209
 
     def test_factorial_moment_row_built_once_per_table(self, capsys, monkeypatch):
-        """Hankel, majorization and log-convexity share their tables' rows:
-        one build for the run's table, one for log-convexity's prefix."""
+        """Hankel, majorization and log-convexity share the run's table and
+        build its factorial-moment row once; log-convexity reads a prefix."""
         built = []
         real = GregoryTable.factorial_moments.func
 
@@ -353,7 +370,7 @@ class TestVerifyStageEvidence:
         monkeypatch.setattr(GregoryTable, "factorial_moments", row)
         code, _, _ = run_cli(["verify", "--suite", "all", "--n-max", "30"], capsys)
         assert code == 0
-        assert [t.max_index for t in built] == [31, 30]
+        assert [t.max_index for t in built] == [31]
 
     def test_first_violation_stops_the_suite(self, capsys, monkeypatch):
         """No stage after the first violation runs, nor the rest of its own."""
@@ -440,6 +457,23 @@ class TestEvalCommand:
         fields = {k.strip(): v.strip() for k, v in fields.items()}
         assert abs(float(fields["value"]) - 1.4426950408889634) < 1e-10
 
+    def test_derivative_at_1e300_converges_to_the_closed_form(self, capsys):
+        """f'(x) = 1/L - x/((1+x) L^2), L = ln(1+x), at x = 1e300: the
+        integrand's mass sits at s ~ 1/x, which a side forced to stop three
+        small terms past tau = 6 missed (2.67e-6, reported unconverged)."""
+        code, out, err = run_cli(
+            ["eval", "--function", "derivative", "--x", "1e300", "--k", "1"], capsys)
+        assert (code, err) == (0, "")
+        fields = dict(line.split("=", 1) for line in out.strip().splitlines())
+        fields = {k.strip(): v.strip() for k, v in fields.items()}
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x = Decimal(1e300)
+            log = (1 + x).ln()
+            exact = float(1 / log - x / ((1 + x) * log * log))
+        assert fields["converged"] == "True"
+        assert abs(float(fields["value"]) - exact) <= 1e-10
+
     def test_recip_log_rejects_nonpositive_x(self, capsys):
         code, _, err = run_cli(
             ["eval", "--function", "recip-log", "--x", "-1"], capsys)
@@ -500,8 +534,10 @@ class TestInputBoundary:
         # x so small that the Taylor reference is k! b_k
         (["eval", "--function", "derivative", "--x", "1e-100", "--k", "4"], 0),
         (["eval", "--function", "derivative", "--x", "5e-324", "--k", "3"], 0),
-        # f(s) * jac overflows in the generic integrate_01 path
-        (["eval", "--function", "bernstein-identity", "--x", "1e308"], 1),
+        # base^(s-1) keeps every term finite up to the largest double
+        (["eval", "--function", "bernstein-identity", "--x", "1e307"], 0),
+        (["eval", "--function", "bernstein-identity", "--x", "1e308"], 0),
+        (["eval", "--function", "bernstein-identity", "--x", "1.7976931348623157e308"], 0),
     ])
     def test_regression(self, argv, expected, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -254,15 +254,17 @@ class TestIntegerPath:
 
         The term jac * sigc**(k+1) / (y**2 + pi**2) is that integrand in
         the tanh-sinh variables, with d = y**2 + pi**2 a node column;
-        summed by the engine itself, it keeps the 1/(s ln(s)**2) tail that
-        integrate_01 cuts at the smallest normal s.
+        summed by the engine itself, it keeps the 1/(s ln(s)**2) tail
+        below the smallest normal s.  Its envelope is sigma(-|y|)**(k+1)
+        / (pi cosh tau) on the s -> 1 side and 1/(pi cosh tau) on the
+        s -> 0 side.
         """
         table = difference_table(signed_moment_sequence(table31), 30)
         for k in range(31):
             got = _integrate_transformed(
                 lambda sig, sigc, jac, d: [j * c ** (k + 1) / e
                                            for c, j, e in zip(sigc, jac, d)],
-                1e-15, DEFAULT_MAX_LEVELS)
+                (k + 1, 0), -1, 1e-15, DEFAULT_MAX_LEVELS)
             assert abs(got.value - float(table.alternating(k, 0))) <= 1e-14, k
 
 
@@ -486,6 +488,21 @@ class TestLogConvexity:
     def test_needs_four_terms(self):
         with pytest.raises(ValueError):
             check_log_convexity(bernoulli2_series(2))
+
+    @pytest.mark.parametrize("n_max", [3, 4, 5, 8, 12])
+    def test_prefix_matches_a_table_built_to_n_max(self, n_max):
+        """n_max reads a prefix of the table's own row: the same report as a
+        table cut at n_max, also where the doctored b_4 breaks the prefix."""
+        table = _doctored_table()
+        prefix = GregoryTable(table.values[: n_max + 1], table.method)
+        assert check_log_convexity(table, n_max) == check_log_convexity(prefix)
+        assert check_log_convexity(bernoulli2_series(31), n_max) == \
+            check_log_convexity(bernoulli2_series(n_max))
+
+    @pytest.mark.parametrize("n_max", [2, 13])
+    def test_prefix_stays_inside_the_table(self, n_max):
+        with pytest.raises(ValueError):
+            check_log_convexity(_doctored_table(), n_max)
 
 
 class TestCmGrid:
