@@ -426,10 +426,10 @@ class TestEvalCommand:
         assert abs(float(fields["value"]) - 0.25) < 1e-9
         assert fields["reference"] == "0.25"
 
-    @pytest.mark.parametrize("x", ["1e-20", "1e-8", "1e-3", "0.25", "0.5"])
+    @pytest.mark.parametrize("x", ["1e-300", "1e-100", "1e-20", "1e-8", "1e-3", "0.25", "0.5"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_small_x_reference_is_the_taylor_sum(self, x, k, capsys):
-        """For 0 < x <= 1/2 the reference is f^(k)(x) to 1e-13 relative,
+    def test_small_x_reference_matches_the_exact_taylor_sum(self, x, k, capsys):
+        """For 0 < x <= 1/2 the reference is f^(k)(x) to 1e-15 relative,
         against the exact sum of n!/(n-k)! b_n x^(n-k) over n < k + 100."""
         code, out, _ = run_cli(
             ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
@@ -438,10 +438,10 @@ class TestEvalCommand:
                          if line.startswith("reference"))
         b, xq = bernoulli2_series(k + 100), Fraction(float(x))
         exact = sum(math.perm(n, k) * b[n] * xq ** (n - k) for n in range(k, k + 100))
-        assert abs(Fraction(float(reference)) - exact) <= Fraction(1e-13) * abs(exact)
+        assert abs(Fraction(float(reference)) - exact) <= Fraction(1e-15) * abs(exact)
 
     def test_derivative_deep_order_has_no_reference(self, capsys):
-        """Past k = 4 at interior points no finite-difference check is shown."""
+        """Past k = 4 at interior points the reference is n/a."""
         code, out, _ = run_cli(
             ["eval", "--function", "derivative", "--x", "1", "--k", "6"],
             capsys)
@@ -473,6 +473,35 @@ class TestEvalCommand:
             exact = float(1 / log - x / ((1 + x) * log * log))
         assert fields["converged"] == "True"
         assert abs(float(fields["value"]) - exact) <= 1e-10
+
+    @staticmethod
+    def _reference(x, k, capsys):
+        code, out, _ = run_cli(
+            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
+        assert code == 0
+        return next(line.split("=")[1].strip() for line in out.splitlines()
+                    if line.startswith("reference"))
+
+    @pytest.mark.parametrize("x", ["1e9", "1e11", "1e12", "4e12", "1e150"])
+    def test_large_x_first_derivative_reference(self, x, capsys):
+        """At k = 1 the reference is f'(x) = 1/L - x/((1+x) L^2), L = ln(1+x),
+        correctly rounded from 40 digits; a fixed-step stencil was 2.8 % off
+        at x = 1e11 and collapsed to n/a at 1e150."""
+        with localcontext() as ctx:
+            ctx.prec = 40
+            xd = Decimal(float(x))
+            log = (1 + xd).ln()
+            exact = float(1 / log - xd / ((1 + xd) * log * log))
+        assert self._reference(x, 1, capsys) == repr(exact)
+
+    @pytest.mark.parametrize("x, k", [("100", 4), ("1e6", 2), ("1e6", 3), ("1e6", 4),
+                                      ("1e300", 2), ("1e20", 4)])
+    def test_large_x_higher_derivative_reference(self, x, k, capsys):
+        """The reference is the correctly rounded f^(k)(x) where a stencil
+        had the wrong sign (k = 4 at x = 100), read 0.0 or 1e11 to 1e18 times
+        the value (x = 1e6), or collapsed to n/a (1e300, 1e20)."""
+        mpmath = pytest.importorskip("mpmath")
+        assert self._reference(x, k, capsys) == repr(_mpmath_derivative(mpmath, float(x), k))
 
     def test_recip_log_rejects_nonpositive_x(self, capsys):
         code, _, err = run_cli(
@@ -531,7 +560,7 @@ class TestInputBoundary:
         (["verify", "--suite", "integrals", "--n-max", "20", "--tol", "5e-324"], 0),
         # k! overflows a double
         (["eval", "--function", "derivative", "--x", "0", "--k", "200"], 2),
-        # x so small that the Taylor reference is k! b_k
+        # x so small that the closed-form reference is k! b_k
         (["eval", "--function", "derivative", "--x", "1e-100", "--k", "4"], 0),
         (["eval", "--function", "derivative", "--x", "5e-324", "--k", "3"], 0),
         # base^(s-1) keeps every term finite up to the largest double
@@ -557,22 +586,32 @@ class TestInputBoundary:
         ("5e-324", 1, Fraction(1, 2)),
     ])
     def test_tiny_x_reference_is_k_factorial_b_k(self, x, k, exact, capsys):
-        """The Taylor reference equals k! b_k to double precision at tiny x."""
+        """The closed-form reference equals k! b_k to double precision at tiny x."""
         code, out, _ = run_cli(
             ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
         assert code == 0
         assert f"reference      = {float(exact)!r}" in out.splitlines()
 
-    @pytest.mark.parametrize("x, k", [("1e150", 1), ("1e300", 2), ("1e20", 4)])
-    def test_collapsed_stencil_has_no_reference(self, x, k, capsys):
-        """At huge x the stencil's abscissas round to one double, so there is
-        no numeric reference; k! b_k is only right for tiny x, so n/a."""
-        code, out, _ = run_cli(
-            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
-        assert code == 0
-        lines = out.splitlines()
-        assert "reference      = n/a" in lines
-        assert "deviation      = n/a" in lines
+
+def _mpmath_derivative(mpmath, x, k):
+    """f^(k)(x) of x/ln(1+x) by mpmath at 500 digits, rounded to a double.
+
+    The step is given explicitly: mpmath's default step is far too small
+    against a large x."""
+    with mpmath.workdps(500):
+        xm = mpmath.mpf(x)
+        return float(mpmath.diff(lambda t: t / mpmath.log1p(t), xm, k,
+                                 h=xm * mpmath.mpf("1e-20")))
+
+
+@pytest.mark.parametrize("x, k", [(1e-3, 1), (1e-3, 20), (0.3, 3), (0.3, 12), (1.0, 2),
+                                  (1.0, 7), (7.5, 4), (1e3, 5), (1e3, 16), (1e20, 1),
+                                  (1e20, 9), (1e150, 3), (1e150, 14), (1e300, 2),
+                                  (1e300, 20)])
+def test_closed_derivative_matches_mpmath(x, k):
+    """cli._closed_derivative is the correctly rounded f^(k)(x)."""
+    mpmath = pytest.importorskip("mpmath")
+    assert cli._closed_derivative(x, k) == _mpmath_derivative(mpmath, x, k)
 
 
 _NUMBER = st.one_of(

@@ -13,12 +13,12 @@ SRC defaults to the ``src`` directory next to this script.  The set
 covers every compute method, format and a range of --n-max (the integral
 method up to --n-max 300), every verify suite (the exact ones up to
 --n-max 160, as far as the benchmark goes), and an eval grid reaching
-tol 1e-30 and x 1e300, with every derivative order 1..20 at tol 1e-13, and
+tol 1e-30 and x 1e300, with every derivative order 1..20 at tol 1e-13,
+derivative references for k <= 4 from x = 5e-324 to 1e300, and
 bernstein-identity up to the largest double.  It stays inside inputs
 with a settled output; the boundary inputs (overflowing kernel
-powers, tolerances that underflow once scaled, k > 170, derivatives at
-x far below 1e-8) are pinned by the regression cases in
-tests/test_cli.py.
+powers, tolerances that underflow once scaled, k > 170) are pinned by
+the regression cases in tests/test_cli.py.
 An argv that lets an exception escape is recorded as such, and the
 script then exits 1.  Stdlib only; a full run takes about six seconds
 on a 2-core Xeon.
@@ -98,6 +98,13 @@ def golden_argvs() -> list[list[str]]:
         for k in range(1, 21):
             out.append(["eval", "--function", "derivative", "--x", x,
                         "--k", str(k), "--tol", "1e-13"])
+    # the closed-form derivative reference at large x, and at tiny x, where
+    # its sum needs the most guard digits
+    for x, ks in (("1e9", "1"), ("1e11", "1"), ("1e12", "1"), ("4e12", "1"),
+                  ("1e150", "234"), ("1e300", "234"),
+                  ("1e-300", "1234"), ("5e-324", "1234")):
+        for k in ks:
+            out.append(["eval", "--function", "derivative", "--x", x, "--k", k])
     # every term of the identity stays finite up to the largest double
     for x in ("1e307", "1e308", "1.7976931348623157e308"):
         out.append(["eval", "--function", "bernstein-identity", "--x", x])
