@@ -426,16 +426,20 @@ class TestEvalCommand:
         assert abs(float(fields["value"]) - 0.25) < 1e-9
         assert fields["reference"] == "0.25"
 
+    @staticmethod
+    def _reference(x, k, capsys):
+        code, out, _ = run_cli(
+            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
+        assert code == 0
+        return next(line.split("=")[1].strip() for line in out.splitlines()
+                    if line.startswith("reference"))
+
     @pytest.mark.parametrize("x", ["1e-300", "1e-100", "1e-20", "1e-8", "1e-3", "0.25", "0.5"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_small_x_reference_matches_the_exact_taylor_sum(self, x, k, capsys):
         """For 0 < x <= 1/2 the reference is f^(k)(x) to 1e-15 relative,
         against the exact sum of n!/(n-k)! b_n x^(n-k) over n < k + 100."""
-        code, out, _ = run_cli(
-            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
-        assert code == 0
-        reference = next(line.split("=")[1] for line in out.splitlines()
-                         if line.startswith("reference"))
+        reference = self._reference(x, k, capsys)
         b, xq = bernoulli2_series(k + 100), Fraction(float(x))
         exact = sum(math.perm(n, k) * b[n] * xq ** (n - k) for n in range(k, k + 100))
         assert abs(Fraction(float(reference)) - exact) <= Fraction(1e-15) * abs(exact)
@@ -473,14 +477,6 @@ class TestEvalCommand:
             exact = float(1 / log - x / ((1 + x) * log * log))
         assert fields["converged"] == "True"
         assert abs(float(fields["value"]) - exact) <= 1e-10
-
-    @staticmethod
-    def _reference(x, k, capsys):
-        code, out, _ = run_cli(
-            ["eval", "--function", "derivative", "--x", x, "--k", str(k)], capsys)
-        assert code == 0
-        return next(line.split("=")[1].strip() for line in out.splitlines()
-                    if line.startswith("reference"))
 
     @pytest.mark.parametrize("x", ["1e9", "1e11", "1e12", "4e12", "1e150"])
     def test_large_x_first_derivative_reference(self, x, capsys):
