@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 
 PI = math.pi
@@ -99,9 +98,10 @@ class QuadratureResult:
 # tau = j for the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER
 # node); level L >= 1 holds tau = j * 2**-L for odd j, so the union
 # through level L is the full step-2**-L grid.  Swapping the sig and sigc
-# columns mirrors a side to -tau, since y^2, and with it d, is even.  The
-# tables are immutable once built; building is guarded by a lock so
-# concurrent first calls stay safe.
+# columns mirrors a side to -tau, since y^2, and with it d, is even.  A
+# level's columns hold a prefix of its nodes and grow on demand, doubling
+# up to the level's full count; growth swaps in longer tuples under a
+# lock, so a caller keeps an immutable copy and concurrent calls stay safe.
 # ----------------------------------------------------------------------
 
 _node_lock = threading.Lock()
@@ -120,18 +120,21 @@ def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
 _CENTER = _columns([0.0])
 
 
-def _level_table(level: int) -> tuple:
-    try:
-        return _node_levels[level]
-    except KeyError:
-        pass
+def _level_table(level: int, need: int) -> tuple:
+    """The columns of a level, holding at least its first `need` nodes."""
+    cols = _node_levels.get(level)
+    if cols is not None and len(cols[0]) >= need:
+        return cols
     with _node_lock:
-        if level not in _node_levels:   # re-check under the lock
+        cols = _node_levels.get(level, ((),) * 4)
+        have = len(cols[0])
+        if have < need:   # re-check under the lock
             h = 2.0 ** -level
             step = 1 if level == 0 else 2
-            _node_levels[level] = _columns(
-                [j * h for j in range(1, int(_T_MAX / h) + 1, step)])
-        return _node_levels[level]
+            top = min(max(need, 2 * have), int(_T_MAX / h) // step)
+            grown = _columns([(step * i + 1) * h for i in range(have, top)])
+            cols = _node_levels[level] = tuple(map(tuple.__add__, cols, grown))
+        return cols
 
 
 def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
@@ -152,11 +155,12 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     1 if beta > 0; r must be positive (alpha*pi/2 > beta when beta > 0).
 
     On each level a side computes terms only for the nodes before the
-    first one where M falls to the cut 4e-3*tol: a bisection on level 0,
-    and on a finer level one test of the node halfway between the last
+    first one where M falls to the cut 4e-3*tol: a forward scan on level
+    0, and on a finer level one test of the node halfway between the last
     node kept and the first dropped.  The nodes it drops then sum to at
     most cut * (h + 1/r); a side whose envelope is still above the cut
-    at tau = 36 adds M/r taken there instead.
+    at tau = 36 adds M/r taken there instead.  A level's node columns are
+    built only as far as these tests and terms reach.
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
@@ -176,7 +180,9 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
         raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    terms: list[float] = []
+    fsum, tanh = math.fsum, math.tanh
+    hi, lo = alphas     # alpha on the s -> 1 side, on the s -> 0 side
+    terms: list[float] = list(term(*_CENTER))
     prev_total = None
     prev_diff = None
     est = math.inf
@@ -186,38 +192,41 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     cut = max(4e-3 * tol, 2e-281)
     # per side, the first node of the step-h grid whose envelope is at
     # most cut, as j in tau = j*h (36/h + 1 while none is)
-    firsts = [0, 0]
+    first_hi = first_lo = 0
     for level in range(0, max_levels + 1):
         h = 2.0 ** -level
         step = 1 if level == 0 else 2
+        full = int(_T_MAX / h) // step      # the level's node count
         if level == 0:
-            terms.extend(term(*_CENTER))
-        sig, sigc, jac, d = cols = _level_table(level)
-        trunc = 0.0
-        for s, (alpha, side) in enumerate(zip(alphas, (cols, (sigc, sig, jac, d)))):
-            def envelope(i):
-                return sigc[i] ** alpha * jac[i] ** beta
-            if level == 0:
-                stop = bisect_left(range(len(sig)), -cut, key=lambda i: -envelope(i))
-                firsts[s] = stop + 1
-            else:
-                # M decreases, so the only node of this level still open
-                # is the one between the last node kept and the first dropped
-                new = firsts[s] - 1
-                dropped = new == len(sig) or envelope(new) <= cut
-                firsts[s] = 2 * firsts[s] - dropped
-                stop = firsts[s] // 2
-            terms.extend(term(*(col[:stop] for col in side)))
-            # k is the last node kept (the first node if none is): r
-            # taken there bounds the envelope's decay past every dropped node
-            k = max(stop - 1, 0)
-            r = alpha * sig[k] * jac[k] - beta * (
-                1.0 if beta > 0 else math.tanh((step * k + 1) * h))
-            if stop < len(sig):
-                trunc += cut * (h + 1.0 / r)
-            else:
-                trunc += envelope(k) / r
-        total = h * math.fsum(terms)
+            sig, sigc, jac, d = _level_table(0, full)
+            stop_hi = stop_lo = 0
+            while stop_hi < full and sigc[stop_hi] ** hi * jac[stop_hi] ** beta > cut:
+                stop_hi += 1
+            while stop_lo < full and sigc[stop_lo] ** lo * jac[stop_lo] ** beta > cut:
+                stop_lo += 1
+            first_hi, first_lo = stop_hi + 1, stop_lo + 1
+        else:
+            # a side reads this level's nodes only below its previous first
+            need = first_hi if first_hi > first_lo else first_lo
+            sig, sigc, jac, d = _level_table(level, need if need < full else full)
+            # M decreases, so the only node of this level still open on a
+            # side is the one between its last node kept and first dropped
+            new = first_hi - 1
+            first_hi = 2 * first_hi - (new == full or sigc[new] ** hi * jac[new] ** beta <= cut)
+            new = first_lo - 1
+            first_lo = 2 * first_lo - (new == full or sigc[new] ** lo * jac[new] ** beta <= cut)
+            stop_hi, stop_lo = first_hi // 2, first_lo // 2
+        terms.extend(term(sig[:stop_hi], sigc[:stop_hi], jac[:stop_hi], d[:stop_hi]))
+        terms.extend(term(sigc[:stop_lo], sig[:stop_lo], jac[:stop_lo], d[:stop_lo]))
+        # k is a side's last node kept (its first node if none is): r
+        # taken there bounds the envelope's decay past every dropped node
+        k = stop_hi - 1 if stop_hi else 0
+        r = hi * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
+        trunc = cut * (h + 1.0 / r) if stop_hi < full else sigc[k] ** hi * jac[k] ** beta / r
+        k = stop_lo - 1 if stop_lo else 0
+        r = lo * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
+        trunc += cut * (h + 1.0 / r) if stop_lo < full else sigc[k] ** lo * jac[k] ** beta / r
+        total = h * fsum(terms)
         if prev_total is None:
             prev_total = total
             continue

@@ -399,6 +399,11 @@ class TestTruncation:
         assert result.abs_error_estimate > 1.3e-7
 
 
+def _clear_node_tables():
+    with quadrature._node_lock:
+        quadrature._node_levels.clear()
+
+
 class TestEngine:
     @pytest.mark.parametrize("name", sorted(_TERMS))
     def test_exact_values(self, name):
@@ -431,20 +436,77 @@ class TestEngine:
         assert abs(values[0] - 0.25) < 1e-12
 
     def test_threaded_first_use_of_column_tables(self):
-        """Eight threads that build every level at once agree with a serial call."""
-        serial = genfun_derivative_integral(0.25, 10, 1e-13)
-        with quadrature._node_lock:
-            quadrature._node_levels.clear()
-        start = threading.Barrier(8)
+        """Eight threads that build and grow every level at once, half of
+        them reaching tau = 36 on their levels and half stopping far short
+        of it, agree with serial calls."""
+        calls = (lambda: genfun_derivative_integral(0.25, 10, 1e-13),
+                 lambda: genfun_derivative_integral(0.06, 1, 1e-30))
+        serial = [_bits(call()) for call in calls]
+        _clear_node_tables()
+        start = threading.Barrier(8, timeout=60)
 
-        def job(_):
+        def job(i):
             start.wait()
-            return genfun_derivative_integral(0.25, 10, 1e-13)
+            return _bits(calls[i % 2]())
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(job, range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads mid-growth
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(job, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert sorted(quadrature._node_levels) == list(range(quadrature.DEFAULT_MAX_LEVELS + 1))
-        assert [_bits(r) for r in results] == [_bits(serial)] * 8
+        assert len(quadrature._node_levels[5][0]) == 576     # the full level
+        assert results == serial * 4
+
+
+def _hex_columns(cols) -> list:
+    return [[v.hex() for v in col] for col in cols]
+
+
+class TestNodeColumns:
+    @pytest.mark.parametrize("level", range(quadrature.DEFAULT_MAX_LEVELS + 1))
+    def test_columns_grown_in_pieces_equal_one_build(self, level):
+        """A level grown through need = 1, 5, 64 and its full count holds a
+        prefix of the one-shot build of all its nodes, bit for bit, and
+        ends with all of them."""
+        h = 2.0 ** -level
+        step = 1 if level == 0 else 2
+        whole = quadrature._columns([j * h for j in range(1, int(36.0 / h) + 1, step)])
+        full = len(whole[0])
+        with quadrature._node_lock:
+            quadrature._node_levels.pop(level, None)
+        for need in (1, 5, 64, full):
+            cols = quadrature._level_table(level, min(need, full))
+            have = len(cols[0])
+            assert min(need, full) <= have <= full
+            assert _hex_columns(cols) == _hex_columns(col[:have] for col in whole)
+        assert have == full
+
+    def test_calls_build_only_the_nodes_they_reach(self):
+        """The setup job of perfbench/run.py builds at most a fifth of level
+        12, and the coefficient integrals through b_300 build no level past 4."""
+        _clear_node_tables()
+        genfun_derivative_integral(0.25, 10, 1e-13)
+        assert 5 * len(quadrature._node_levels[12][0]) <= 36 << 11
+        _clear_node_tables()
+        for n in range(1, 301):
+            bernoulli2_integral(n, 1e-10)
+        assert max(quadrature._node_levels) == 4
+
+    def test_growth_order_keeps_every_result(self):
+        """A shallow call, a call that grows the levels it shares with it to
+        tau = 36, and the shallow call again each match the per-node
+        reference: no length or cap test goes stale after a level grows."""
+        shallow = (0, 2.0, 2, 1e-10, 12)
+        deep = (0, 1e3, 2, 5e-324, 12)
+        _clear_node_tables()
+        sizes = []
+        for args in (shallow, deep, shallow):
+            assert _bits(quadrature._kernel(*args)) == _bits(_reference_kernel(*args))
+            sizes.append(len(quadrature._node_levels[2][0]))
+        assert sizes[0] < sizes[1] == sizes[2] == 72
 
 
 class TestResultType:

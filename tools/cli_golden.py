@@ -20,7 +20,7 @@ with a settled output; the boundary inputs (overflowing kernel
 powers, tolerances that underflow once scaled, k > 170) are pinned by
 the regression cases in tests/test_cli.py.
 An argv that lets an exception escape is recorded as such, and the
-script then exits 1.  Stdlib only; a full run takes about six seconds
+script then exits 1.  Stdlib only; a full run takes about five seconds
 on a 2-core Xeon.
 """
 
