@@ -312,10 +312,10 @@ def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
         raise ValueError("grid points must be positive and finite")
     if K < 0:
         raise ValueError("difference order K must be >= 0")
-    if h is not None and h <= 0:
-        raise ValueError("step h must be positive")
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
+    if h is not None and not 0.0 < h < math.inf:
+        raise ValueError("step h must be positive and finite")
+    if not 0.0 <= slack < math.inf:
+        raise ValueError("slack must be >= 0 and finite")
     columns = []    # column 0 of each point's signed difference table
     for x in points:
         step = h if h is not None else min(0.1, x / (2 * max(K, 1)))
@@ -352,7 +352,7 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
                        x_grid: Sequence[float]) -> DegreeBracket:
     """Scan exponents r and bracket where x**r * f(x) stops being CM.
 
-    r_grid must be strictly ascending.  Each candidate runs
+    r_grid must be finite and strictly ascending.  Each candidate runs
     :func:`cm_grid_test` with its default order, step and slack on the
     weighted function, over the same x_grid points.
     """
@@ -360,7 +360,9 @@ def estimate_cm_degree(f: Callable[[float], float], r_grid: Sequence[float],
     points = tuple(x_grid)
     if not rs:
         raise ValueError("r_grid must be nonempty")
-    if any(rs[i] >= rs[i + 1] for i in range(len(rs) - 1)):
+    if any(not -math.inf < r < math.inf for r in rs):
+        raise ValueError("r_grid entries must be finite")
+    if any(not rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
         raise ValueError("r_grid must be strictly ascending")
     last_pass: Optional[float] = None
     first_fail: Optional[float] = None

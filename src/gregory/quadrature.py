@@ -269,36 +269,28 @@ def _kernel(a: int, x: float, p: int, tol: float,
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled.
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
-    negative for finite x >= 0.  As jac/d = 1/(pi cosh tau), sig**a <= 1,
-    sigc <= 1 and (1+x*sig)**-p <= 1, a term is at most
-    sigma(-|y|)/(pi cosh tau) on the s -> 1 side and
-    sigma(-|y|)**a/(pi cosh tau) on the s -> 0 side, for every x: the
-    engine's envelopes never cut the mass of a peaked integrand.  The
-    special cases below drop only factors that are exactly 1.0 in IEEE
-    arithmetic, so they round identically.
+    negative for finite x >= 0.  As jac/d = 1/(pi cosh tau) and the other
+    factors are at most 1, a term is at most sigma(-|y|)/(pi cosh tau) on
+    the s -> 1 side and sigma(-|y|)**a/(pi cosh tau) on the s -> 0 side,
+    for every x: the engine's envelopes never cut the mass of a peaked
+    integrand.  Each shape the public functions send has its term: x == 0
+    (b_n, mu_n, f^(k)(0), h_n(0)), p == 1 with a == 0 (1/ln(1+x),
+    x/ln(1+x), h_1(x)) and the general one (f^(k)(x), h_n(x)); the first
+    two drop only factors exactly 1.0 in IEEE arithmetic, so all round alike.
     """
-    if p == 0 or x == 0.0:
-        if a == 0:
-            def term(sig, sigc, jac, d):
-                return [j * c / e for c, j, e in zip(sigc, jac, d)]
-        else:
-            def term(sig, sigc, jac, d):
-                return [j * c * s ** a / e for s, c, j, e in zip(sig, sigc, jac, d)]
-    elif p == 1:
-        if a == 0:
-            def term(sig, sigc, jac, d):
-                return [j * c / (e * (1.0 + x * s)) for s, c, j, e in zip(sig, sigc, jac, d)]
-        else:
-            def term(sig, sigc, jac, d):
-                return [j * c * s ** a / (e * (1.0 + x * s))
-                        for s, c, j, e in zip(sig, sigc, jac, d)]
+    if x == 0.0:
+        def term(sig, sigc, jac, d):
+            return [j * c * s ** a / e for s, c, j, e in zip(sig, sigc, jac, d)]
+    elif p == 1 and a == 0:
+        def term(sig, sigc, jac, d):
+            return [j * c / (e * (1.0 + x * s)) for s, c, j, e in zip(sig, sigc, jac, d)]
     else:
         def one(s, c, j, e):
             try:
                 return j * c * s ** a / (e * (1.0 + x * s) ** p)
             except OverflowError:
-                # (1+x sig)^p > 1.8e308 puts the term below ~1e-290, under
-                # the engine's 1e-280 cutoff, so 0.0 keeps the estimate honest
+                # (1+x sig)^p > 1.8e308 puts the term below 1/(pi*1.8e308),
+                # under the engine's 2e-281 cut floor: 0.0 keeps it honest
                 return 0.0
 
         def term(sig, sigc, jac, d):

@@ -685,6 +685,16 @@ _DOMAIN_CHECKS = [
      "grid points must be positive"),
     ("degree", lambda v: estimate_cm_degree(math.exp, (0.0,), (v,)),
      "grid points must be positive"),
+    # control arguments: NaN fails no plain comparison, so each check is a range test
+    ("cm-grid-slack", lambda v: cm_grid_test(math.log1p, (1.0,), K=2, h=0.5, slack=v),
+     "slack must be >= 0 and finite"),
+    ("cm-grid-step", lambda v: cm_grid_test(math.log1p, (1.0,), K=2, h=v),
+     "step h must be positive and finite"),
+    ("bernstein-slack",
+     lambda v: check_bernstein(lambda x: -1.0, lambda x: x, (1.0,), K=2, slack=v),
+     "slack must be >= 0 and finite"),
+    ("degree-exponent", lambda v: estimate_cm_degree(math.exp, (-1.0, v, 0.0), (1.0,)),
+     "r_grid entries must be finite"),
 ]
 
 

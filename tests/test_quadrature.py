@@ -267,6 +267,11 @@ class TestColumnEngineMatchesPerNodeReference:
     @example(args=(0, 1e150, 3), tol=5e-324, max_levels=12)
     @example(args=(299, 0.0, 0), tol=1e-10, max_levels=12)
     @example(args=(9, 0.25, 11), tol=1e-13 / 3628800, max_levels=12)
+    # shapes that share another shape's term: x == 0 with p > 0, and
+    # p == 0 or p == 1 with a > 0 at x > 0 through the general term
+    @example(args=(0, 0.0, 2), tol=1e-10, max_levels=12)
+    @example(args=(3, 2.5, 0), tol=1e-10, max_levels=12)
+    @example(args=(5, 0.5, 1), tol=1e-10, max_levels=12)
     # the extremes of finite x: every term stays finite (the reference
     # asserts it), since overflowing powers and products give 0.0
     @example(args=(0, _MAX, 1), tol=1e-10, max_levels=12)
