@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -515,7 +516,10 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call of
+    main: parsing leaves it unchanged, so callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="gregory",
         description="Coefficients of x/ln(1+x): exact tables, quadrature, "

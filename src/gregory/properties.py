@@ -141,9 +141,8 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix of exact rationals (ints or Fractions).
 
     Each row becomes integer numerators q.numerator * (den // q.denominator)
-    over its denominator lcm den, then fraction-free Bareiss elimination
-    keeps every intermediate value integral; the only division, at the
-    end, is by the product of the row scales.
+    over its denominator lcm den; the integer determinant of those rows,
+    divided once by the product of the row scales, is the determinant.
     """
     m = len(rows)
     if m == 0:
@@ -156,6 +155,13 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         irow, den = _common_denominator(row)
         scale *= den
         imat.append(irow)
+    return Fraction(_integer_determinant(imat), scale)
+
+
+def _integer_determinant(imat: list[list[int]]) -> int:
+    # fraction-free Bareiss elimination, in place on a square integer
+    # matrix: every division is exact, so every intermediate stays integral
+    m = len(imat)
     sign = 1
     prev = 1
     for col in range(m - 1):
@@ -166,14 +172,14 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = imat[col][col]
         for r in range(col + 1, m):
             for c in range(col + 1, m):
                 imat[r][c] = (imat[r][c] * pivot - imat[r][col] * imat[col][c]) // prev
             imat[r][col] = 0
         prev = pivot
-    return Fraction(sign * imat[m - 1][m - 1], scale)
+    return sign * imat[m - 1][m - 1]
 
 
 def _moment_matrix(entry: Callable[[int], object], indices: Sequence[int],
@@ -211,7 +217,8 @@ def hankel_determinant(table: GregoryTable, indices,
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
     moments, den = table.factorial_moments
-    return bareiss_determinant(_moment_matrix(moments.__getitem__, idx, variant)) / den ** len(idx)
+    matrix = _moment_matrix(moments.__getitem__, idx, variant)
+    return Fraction(_integer_determinant(matrix), den ** len(idx))
 
 
 # ----------------------------------------------------------------------

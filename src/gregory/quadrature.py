@@ -54,6 +54,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 12     # dyadic refinements; about 2^12 nodes per side
 _MIN_LEVEL = 2              # first level whose estimate may claim convergence
 _T_MAX = 36.0               # |tau| cap; slowest tail is ~exp(-tau) < 3e-16 there
+_U = 2.0 ** -53             # unit roundoff: the relative error of one rounding
 
 
 class IntegrandEvaluationError(ArithmeticError):
@@ -138,7 +139,7 @@ def _level_table(level: int, need: int) -> tuple:
 
 
 def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
-                           max_levels: int) -> QuadratureResult:
+                           max_levels: int, floor: float = 1.1e-16) -> QuadratureResult:
     """Trapezoid-in-tau summation of one weighted term function.
 
     term(sig, sigc, jac, d) maps equal-length node columns to an iterable
@@ -164,7 +165,7 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
-    1.1e-16 * total to the larger of the last level-to-level difference
+    floor * total to the larger of the last level-to-level difference
     d and total * (d'/total)**3, d' being the difference before it.
     Under double-exponential convergence the relative error roughly
     squares per level, so d approximates the previous level's error,
@@ -173,8 +174,14 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     integrand (the cube, not the square, leaves room for the model's
     unknown prefactor).  Levels 0 and 1 hold a handful of nodes and have
     no difference before theirs, so convergence is claimed from level
-    _MIN_LEVEL on.  Terms are accumulated with math.fsum so the rounding
-    floor is not optimistic.  n_evals counts the terms summed.
+    _MIN_LEVEL on.  floor bounds the relative rounding error of every
+    term, so that floor * total bounds the rounding of a sum of positive
+    terms; the default, 1.1e-16, counts only the sum's own rounding, as
+    terms are accumulated with math.fsum.  A level whose difference is
+    within floor * total has settled; after two such levels in a row the
+    refinement stops if floor * total plus the truncation bounds already
+    exceeds tol, since no finer level can then converge.  n_evals counts
+    the terms summed.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -236,17 +243,17 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
         # is two coarse levels agreeing by chance, not convergence
         predicted = 0.0 if prev_diff is None else (
             total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff)
-        est = max(diff, predicted) + trunc + 1.1e-16 * total
+        est = max(diff, predicted) + trunc + floor * total
         prev_diff = diff
         value = total
         prev_total = total
         if est <= tol and level >= _MIN_LEVEL:
             converged = True
             break
-        if diff <= max(1e-16 * abs(total), 1e-300):
+        if diff <= max(floor * total, 1e-300):
             stagnant += 1
-            if stagnant >= 2:
-                break   # at machine precision; further levels cannot help
+            if stagnant >= 2 and floor * total + trunc > tol:
+                break   # settled above tol: no finer level can converge
         else:
             stagnant = 0
     return QuadratureResult(value=value, abs_error_estimate=est,
@@ -277,6 +284,18 @@ def _kernel(a: int, x: float, p: int, tol: float,
     (b_n, mu_n, f^(k)(0), h_n(0)), p == 1 with a == 0 (1/ln(1+x),
     x/ln(1+x), h_1(x)) and the general one (f^(k)(x), h_n(x)); the first
     two drop only factors exactly 1.0 in IEEE arithmetic, so all round alike.
+
+    The rounding floor is (a + p + 4) unit roundoffs u = 2**-53 per term,
+    without the p at x == 0, where no power of 1 + x*s is formed.  To first
+    order a term's relative error is the sum of its factors': s**a carries
+    a times the rounding of its base, the column value s, and (1+x*s)**p
+    carries p times that of 1 + x*s, each base being about u off, while the
+    three other column values and the operations that combine them are
+    charged 4 u.  The terms are positive, so their rounding adds up to at
+    most that relative bound times the total.  The level differences do
+    not see this error: levels 3 and 4 of f^(14)(0.0437) agree within
+    2 ulp while both are 5 and 7 ulp off.  tests/test_quadrature.py
+    checks the floor against terms taken exactly at the nodes.
     """
     if x == 0.0:
         def term(sig, sigc, jac, d):
@@ -299,7 +318,8 @@ def _kernel(a: int, x: float, p: int, tol: float,
                         for s, c, j, e in zip(sig, sigc, jac, d)]
             except OverflowError:
                 return list(map(one, sig, sigc, jac, d))
-    return _integrate_transformed(term, (1, a), -1, tol, max_levels)
+    floor = (a + (p if x != 0.0 else 0) + 4) * _U
+    return _integrate_transformed(term, (1, a), -1, tol, max_levels, floor)
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -378,7 +398,8 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> Qu
     double-precision floor, in which case the result honestly reports
     converged=False while the value is still the best the engine can do.
     Callers with a relative target should pass tol scaled by a magnitude
-    estimate of k! b_k.
+    estimate of k! b_k.  The estimate adds the rounding of the k! product,
+    and past k = 22, where float(k!) stops being exact, that of k! too.
     """
     if k < 1:
         raise ValueError("derivative order k must be >= 1")
@@ -388,8 +409,9 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> Qu
         raise ValueError("x must be >= 0 and finite")
     kfac = float(math.factorial(k))
     raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac))
-    sign = 1.0 if k % 2 == 1 else -1.0
-    return _rescaled(raw, sign * kfac * raw.value, kfac * raw.abs_error_estimate, tol)
+    value = (1.0 if k % 2 == 1 else -1.0) * kfac * raw.value
+    roundings = 1 if k <= 22 else 2
+    return _rescaled(raw, value, kfac * raw.abs_error_estimate + roundings * _U * abs(value), tol)
 
 
 def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:

@@ -655,3 +655,46 @@ class TestModuleEntry:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "2,-1/12,,series," in proc.stdout
+
+
+# back-to-back calls of one process: an eval, a usage error, a verify, a compute
+_ONE_PROCESS_RUN = (
+    ["eval", "--function", "derivative", "--x", "0.25", "--k", "3", "--tol", "1e-10"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "cm-sequence", "--n-max", "12"],
+    ["compute", "--n-max", "5", "--method", "series", "--format", "csv"],
+)
+
+
+class TestSharedParser:
+    def test_back_to_back_calls_match_fresh_processes(self, monkeypatch):
+        """main builds its parser once per process; each of several calls in
+        one process, a usage error among them, prints and exits exactly as
+        it does alone in a fresh interpreter."""
+        monkeypatch.setenv("COLUMNS", "80")     # usage lines wrap at this width
+        in_process = []
+        for argv in _ONE_PROCESS_RUN:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            in_process.append((code, out.getvalue(), err.getvalue()))
+        assert [run[0] for run in in_process] == [0, 2, 0, 0]
+        for argv, run in zip(_ONE_PROCESS_RUN, in_process):
+            proc = subprocess.run([sys.executable, "-m", "gregory", *argv],
+                                  capture_output=True, text=True, timeout=60)
+            assert run == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_build_parser_parses_every_subcommand(self):
+        """build_parser returns the one shared parser, and a parse leaves no
+        option of one subcommand in the namespace of the next."""
+        parser = cli.build_parser()
+        assert parser is cli.build_parser()
+        for argv, keys in (
+                (["compute", "--n-max", "7"], {"n_max", "method", "tol", "fmt"}),
+                (["verify", "--suite", "hankel"], {"suite", "n_max", "tol"}),
+                (["eval", "--function", "genfun", "--x", "2"], {"function", "x", "k", "tol"}),
+                (["compute"], {"n_max", "method", "tol", "fmt"})):
+            args = vars(parser.parse_args(argv))
+            assert args.pop("command") == argv[0]
+            assert set(args) == keys
+        assert parser.parse_args(["compute"]).n_max == 30

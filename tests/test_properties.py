@@ -357,14 +357,17 @@ class TestHankelDeterminants:
                                   DeterminantVariant.SIGNED) == expected
 
     def test_variants_agree_and_stay_nonnegative(self, table31):
-        """Exhaustive sweep: sizes <= 4, entries <= 5, both variants."""
+        """Exhaustive sweep: sizes <= 4, entries <= 5, both variants, each
+        equal to the rational Bareiss on the (a_i + a_j)! b_{a_i+a_j+1}."""
         tuples = [t for m in range(1, 5)
                   for t in combinations_with_replacement(range(6), m)]
         assert len(tuples) == 209
         for indices in tuples:
             plain = hankel_determinant(table31, indices, DeterminantVariant.PLAIN)
             signed = hankel_determinant(table31, indices, DeterminantVariant.SIGNED)
-            assert plain == signed
+            rows = [[math.factorial(ai + aj) * table31[ai + aj + 1] for aj in indices]
+                    for ai in indices]
+            assert plain == signed == bareiss_determinant(rows)
             assert plain >= 0
 
     def test_requires_deep_table(self):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from gregory import quadrature
+from gregory import cli, quadrature
 from gregory import (
     QuadratureResult,
     bernoulli2_integral,
@@ -146,7 +146,8 @@ def _reference_side(nodes, alpha, beta, cut: float, h: float):
     return kept, sigc ** alpha * jac ** beta / r
 
 
-def _reference_integrate(g, alphas, beta, tol: float, max_levels: int) -> QuadratureResult:
+def _reference_integrate(g, alphas, beta, tol: float, max_levels: int,
+                         floor: float = 1.1e-16) -> QuadratureResult:
     gvals = []
     prev_total = prev_diff = None
     est, value, converged, stagnant = math.inf, 0.0, False, 0
@@ -173,21 +174,26 @@ def _reference_integrate(g, alphas, beta, tol: float, max_levels: int) -> Quadra
         predicted = 0.0
         if prev_diff is not None:
             predicted = total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff
-        est = max(diff, predicted) + trunc + 1.1e-16 * total
+        est = max(diff, predicted) + trunc + floor * total
         prev_diff = diff
         value = total
         prev_total = total
         if est <= tol and level >= 2:
             converged = True
             break
-        if diff <= max(1e-16 * abs(total), 1e-300):
+        if diff <= max(floor * total, 1e-300):
             stagnant += 1
-            if stagnant >= 2:
+            if stagnant >= 2 and floor * total + trunc > tol:
                 break
         else:
             stagnant = 0
     return QuadratureResult(value=value, abs_error_estimate=est,
                             n_evals=len(gvals), converged=converged)
+
+
+def _kernel_floor(a: int, x: float, p: int) -> float:
+    # (a + p + 4) unit roundoffs per term; no (1 + x s)**p is formed at x = 0
+    return (a + (p if x > 0.0 else 0) + 4) * 2.0 ** -53
 
 
 def _reference_kernel(a: int, x: float, p: int, tol: float, max_levels: int):
@@ -197,7 +203,7 @@ def _reference_kernel(a: int, x: float, p: int, tol: float, max_levels: int):
             return jac * sigc * sig ** a / ((y * y + math.pi * math.pi) * (1.0 + x * sig) ** p)
         except OverflowError:
             return 0.0
-    return _reference_integrate(g, (1, a), -1, tol, max_levels)
+    return _reference_integrate(g, (1, a), -1, tol, max_levels, _kernel_floor(a, x, p))
 
 
 def _reference_bernstein(x: float, tol: float) -> QuadratureResult:
@@ -230,6 +236,11 @@ def _cube_term(sig, sigc, jac, d):
 def _moment_term(sig, sigc, jac, d):
     # the kernel term with a = 3: the moment mu_3 = -b_4
     return [j * c * s ** 3 / e for s, c, j, e in zip(sig, sigc, jac, d)]
+
+
+def _setup_term(sig, sigc, jac, d):
+    # the kernel term of f^(10)(0.25), the benchmark's setup job
+    return [j * c * s ** 9 / (e * (1.0 + 0.25 * s) ** 11) for s, c, j, e in zip(sig, sigc, jac, d)]
 
 
 _TERMS = {
@@ -443,8 +454,9 @@ class TestEngine:
     def test_threaded_first_use_of_column_tables(self):
         """Eight threads that build and grow every level at once, half of
         them reaching tau = 36 on their levels and half stopping far short
-        of it, agree with serial calls."""
-        calls = (lambda: genfun_derivative_integral(0.25, 10, 1e-13),
+        of it, agree with serial calls.  The first is the kernel of
+        f^(10)(0.25) with no floor, at a tol it never meets."""
+        calls = (lambda: quadrature._integrate_transformed(_setup_term, (1, 9), -1, 1e-100, 12, 0.0),
                  lambda: genfun_derivative_integral(0.06, 1, 1e-30))
         serial = [_bits(call()) for call in calls]
         _clear_node_tables()
@@ -490,10 +502,15 @@ class TestNodeColumns:
         assert have == full
 
     def test_calls_build_only_the_nodes_they_reach(self):
-        """The setup job of perfbench/run.py builds at most a fifth of level
-        12, and the coefficient integrals through b_300 build no level past 4."""
+        """The setup job of perfbench/run.py, f^(10)(0.25) at tol 1e-13,
+        settles above tol and stops at level 5; its kernel refined through
+        level 12 (no floor, tol 1e-100) builds at most a fifth of level 12;
+        and the coefficient integrals through b_300 build no level past 4."""
         _clear_node_tables()
-        genfun_derivative_integral(0.25, 10, 1e-13)
+        assert not genfun_derivative_integral(0.25, 10, 1e-13).converged
+        assert max(quadrature._node_levels) == 5
+        _clear_node_tables()
+        quadrature._integrate_transformed(_setup_term, (1, 9), -1, 1e-100, 12, 0.0)
         assert 5 * len(quadrature._node_levels[12][0]) <= 36 << 11
         _clear_node_tables()
         for n in range(1, 301):
@@ -838,6 +855,85 @@ class TestHonesty:
     def test_coefficients(self, n, tol):
         """b_n for n <= 300 against the exact series table."""
         self._assert_honest(bernoulli2_integral(n, tol), float(_exact_table()[n]), tol)
+
+
+_SMALL_X = st.one_of(st.floats(min_value=-4.0, max_value=math.log10(0.5)).map(lambda e: 10.0 ** e),
+                     st.floats(min_value=1e-4, max_value=0.5))
+
+
+class TestRoundingFloor:
+    """High-order kernels: the floor covers the terms' rounding."""
+
+    @pytest.mark.parametrize("k, x, tol", [
+        # evaluate jobs of the benchmark: seed 201 job 3559, seed 1203 job 3110
+        (13, 0.24006516815904422, 6.126489110153845e-10),
+        (14, 0.043715986743975865, 8.396741540373791e-08),
+        # false convergences of tools/derivative_scan.py over seeds 1-200
+        (13, 0.42528863100613756, 3.869992827422916e-11),
+        (13, 0.2205689753457588, 3.489653107423443e-10),
+        (15, 0.09141250193457451, 4.4286985408113813e-07),
+        (11, 0.07766986324991454, 1.7186450170115487e-11),
+        (12, 0.016573193811195985, 7.757902453342428e-10)])
+    def test_small_x_high_order_derivative_is_honest(self, k, x, tol):
+        """Each of these claimed convergence 2-8 tol from the truth under a
+        flat floor of one rounding, with levels that agreed to a few ulp."""
+        result = genfun_derivative_integral(x, k, tol)
+        TestHonesty._assert_honest(result, cli._closed_derivative(x, k), tol)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 20), x=_SMALL_X,
+           rel=st.floats(min_value=-17.0, max_value=-9.0).map(lambda e: 10.0 ** e))
+    @example(k=14, x=0.043715986743975865, rel=8.396741540373791e-08 / 205184741.95233643)
+    def test_derivative_sweep(self, k, x, rel):
+        """f^(k)(x) for k <= 20 and x in (0, 1/2] at tol from 1e-17 to 1e-9
+        of |f^(k)(x)|, the band where the floor decides convergence."""
+        truth = cli._closed_derivative(x, k)
+        tol = rel * abs(truth)
+        TestHonesty._assert_honest(genfun_derivative_integral(x, k, tol), truth, tol)
+
+    @pytest.mark.parametrize("a, x, p", [
+        (12, 0.24006516815904422, 14), (13, 0.043715986743975865, 15),
+        (19, 0.01, 21), (19, 0.0, 0), (2, 0.3, 4), (0, 0.5, 1), (0, 1e3, 1)])
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_floor_covers_the_term_errors(self, a, x, p, level):
+        """On the step-2**-level grid, the term errors against terms taken
+        exactly at the nodes, summed with their worst signs, stay below the
+        floor times the total."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        grid = [nd for lv in range(level + 1) for nd in _reference_level(lv)]
+        terms = []
+        for node in grid + [_mirror(nd) for nd in grid if nd[0] > 0.0]:
+            tau, y, sig, sigc, jac = node
+            try:
+                got = jac * sigc * sig ** a / ((y * y + math.pi * math.pi) * (1.0 + x * sig) ** p)
+            except OverflowError:
+                continue
+            terms.append((got, tau))
+        big = max(t for t, _ in terms)
+        error = 0.0
+        for got, tau in terms:
+            if got < 1e-25 * big:
+                continue
+            t = mpmath.mpf(tau)
+            y = mpmath.pi * mpmath.sinh(t)
+            s, c = 1 / (1 + mpmath.exp(-y)), 1 / (1 + mpmath.exp(y))
+            exact = mpmath.pi * mpmath.cosh(t) * c * s ** a / ((y * y + mpmath.pi ** 2) * (1 + x * s) ** p)
+            error += abs(float(got - exact))
+        total = math.fsum(t for t, _ in terms)
+        assert error <= _kernel_floor(a, x, p) * total
+
+    @pytest.mark.parametrize("k", [1, 22, 23, 40, 170])
+    def test_estimate_covers_the_factorial_scaling(self, k):
+        """The k! product adds one rounding of the value to the estimate,
+        and past k = 22, where float(k!) is inexact, a second one."""
+        kfac = float(math.factorial(k))
+        raw = quadrature._kernel(k - 1, 0.0, k + 1, quadrature._inner_tol(1e-300, kfac))
+        got = genfun_derivative_integral(0.0, k, 1e-300)
+        roundings = 1 if k <= 22 else 2
+        assert (kfac == math.factorial(k)) == (k <= 22)
+        assert got.abs_error_estimate == (kfac * raw.abs_error_estimate
+                                          + roundings * 2.0 ** -53 * abs(got.value))
 
 
 class TestKernelFunctions:

@@ -105,6 +105,13 @@ def golden_argvs() -> list[list[str]]:
                   ("1e-300", "1234"), ("5e-324", "1234")):
         for k in ks:
             out.append(["eval", "--function", "derivative", "--x", x, "--k", k])
+    # two benchmark evaluate jobs (seed 201 job 3559, seed 1203 job 3110)
+    # that claimed convergence 3 and 2.5 tol from the truth under a flat
+    # rounding floor of 1.1e-16 of the total
+    out += [["eval", "--function", "derivative", "--x", "0.24006516815904422",
+             "--tol", "6.126489110153845e-10", "--k", "13"],
+            ["eval", "--function", "derivative", "--x", "0.043715986743975865",
+             "--tol", "8.396741540373791e-08", "--k", "14"]]
     # every term of the identity stays finite up to the largest double
     for x in ("1e307", "1e308", "1.7976931348623157e308"):
         out.append(["eval", "--function", "bernstein-identity", "--x", x])
