@@ -31,6 +31,7 @@ from .quadrature import (
     IntegrandEvaluationError,
     QuadratureResult,
     bernoulli2_integral,
+    bernoulli2_integrals,
     bernstein_identity,
     genfun_derivative_integral,
     genfun_integral,
@@ -51,6 +52,8 @@ from .properties import (
     check_majorization_inequality,
     check_minimality_perturbation,
     check_shifted_kernel_determinants,
+    closed_derivative,
+    closed_derivative_decimal,
     cm_grid_test,
     estimate_cm_degree,
     hankel_determinant,
@@ -74,6 +77,7 @@ __all__ = [
     "IntegrandEvaluationError",
     "QuadratureResult",
     "bernoulli2_integral",
+    "bernoulli2_integrals",
     "bernstein_identity",
     "genfun_derivative_integral",
     "genfun_integral",
@@ -92,6 +96,8 @@ __all__ = [
     "check_majorization_inequality",
     "check_minimality_perturbation",
     "check_shifted_kernel_determinants",
+    "closed_derivative",
+    "closed_derivative_decimal",
     "cm_grid_test",
     "estimate_cm_degree",
     "hankel_determinant",

@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional
@@ -49,6 +48,7 @@ from .properties import (
     check_majorization_inequality,
     check_minimality_perturbation,
     check_shifted_kernel_determinants,
+    closed_derivative,
     cm_grid_test,
     estimate_cm_degree,
     hankel_determinant,
@@ -56,7 +56,7 @@ from .properties import (
 )
 from .quadrature import (
     IntegrandEvaluationError,
-    bernoulli2_integral,
+    bernoulli2_integrals,
     bernstein_identity,
     genfun_derivative_integral,
     genfun_integral,
@@ -102,8 +102,8 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
     integral = {}
     exit_code = 0
     if wants_integral:
-        for n in range(1, n_max + 1):   # the ray integral diverges at n = 0
-            result = bernoulli2_integral(n, tol)
+        # the ray integral diverges at n = 0
+        for n, result in enumerate(bernoulli2_integrals(n_max, tol), 1):
             integral[n] = result
             if not result.converged:
                 print(f"warning: quadrature did not converge at n={n} "
@@ -281,9 +281,9 @@ def _suite_integrals(n_max: int, tol: float, table: GregoryTable) -> _Violations
     Stage 5: moment integrals for n in {0, 1, 4} vs exact values.
     Stage 6: shifted-kernel spot values and bounds.
     """
-    for n in range(1, min(n_max, 20) + 1):
+    values = [result.value for result in bernoulli2_integrals(min(n_max, 20), tol)]
+    for n, got in enumerate(values, 1):
         exact_value = float(table[n])
-        got = bernoulli2_integral(n, tol).value
         bound = max(1e-10 * abs(exact_value), 1e-14)
         if abs(got - exact_value) > bound:
             yield 0, n, _value_string(got - exact_value)
@@ -355,7 +355,7 @@ def _suite_bernstein(n_max: int, tol: float, table: Optional[GregoryTable]) -> _
         yield 2, 0, _value_string(tiny - 1.0)
     for idx, x in enumerate((0.25, 1.0, 4.0)):
         got = genfun_derivative_integral(x, 1, 1e-10).value
-        reference = _closed_derivative(x, 1)
+        reference = closed_derivative(x, 1)
         if abs(got - reference) > 1e-9:
             yield 3, idx, _value_string(got - reference)
 
@@ -437,30 +437,6 @@ def cmd_verify(suite: str, n_max: int, tol: float) -> int:
 # eval
 # ----------------------------------------------------------------------
 
-def _closed_derivative(x: float, k: int) -> float:
-    """f^(k)(x) of x/ln(1+x) at x > 0, from its closed form, rounded once.
-
-    With h = 1/L and L = ln(1+x), f = x h gives f^(k) = x h^(k) + k h^(k-1),
-    and h^(j) = (1+x)^-j sum_m c[j][m] L^-m over the integer table
-    c[0] = [0, 1], c[j+1][m] = -j c[j][m] - (m-1) c[j][m-1].  As x -> 0,
-    h^(k) grows like x^-(k+1) while f^(k) stays O(1), so the sum runs in
-    decimal with k+1 guard digits per decade of 1/x.
-    """
-    c = [[0, 1]]
-    for j in range(k):
-        prev = c[-1] + [0]
-        c.append([0] + [-j * prev[m] - (m - 1) * prev[m - 1] for m in range(1, j + 3)])
-    with localcontext() as ctx:
-        ctx.prec = 30 + (k + 1) * max(0, math.ceil(-math.log10(x)))
-        xd = Decimal(x)
-        inv_log = 1 / (1 + xd).ln()
-
-        def h(j: int) -> Decimal:
-            return sum(c[j][m] * inv_log ** m for m in range(1, j + 2)) / (1 + xd) ** j
-
-        return float(xd * h(k) + k * h(k - 1))
-
-
 def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
     if tol <= 0.0:
         return _fail_usage("--tol must be positive")
@@ -478,7 +454,7 @@ def cmd_eval(function: str, x: float, k: int, tol: float) -> int:
         if x == 0.0:
             reference = float(math.factorial(k) * bernoulli2_series(k)[k])
         elif k <= 4:
-            reference = _closed_derivative(x, k)
+            reference = closed_derivative(x, k)
     else:
         if x <= 0.0:
             return _fail_usage(f"--x must be positive for {function}")

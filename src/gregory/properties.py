@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
@@ -195,7 +196,8 @@ def _validate_index_tuple(indices) -> tuple[int, ...]:
     if not out:
         raise ValueError("index tuple must be nonempty")
     for a in out:
-        if isinstance(a, bool) or not isinstance(a, int):
+        # plain ints, nearly every index, skip both isinstance calls
+        if type(a) is not int and (isinstance(a, bool) or not isinstance(a, int)):
             raise ValueError(f"indices must be integers, got {a!r}")
         if a < 0:
             raise ValueError(f"indices must be nonnegative, got {a}")
@@ -225,6 +227,23 @@ def hankel_determinant(table: GregoryTable, indices,
 # majorization and log-convexity
 # ----------------------------------------------------------------------
 
+def _majorized_pair(lam, mu) -> Optional[tuple[list[int], list[int]]]:
+    # lam and mu validated and sorted descending, when lam is majorized by
+    # mu: every descending partial sum of lam is at most the matching one
+    # of mu, the shorter padded with zeros, and the totals agree; else None
+    a = sorted(_validate_index_tuple(lam), reverse=True)
+    b = sorted(_validate_index_tuple(mu), reverse=True)
+    if sum(a) != sum(b):
+        return None
+    run_a = run_b = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        run_a += x
+        run_b += y
+        if run_a > run_b:
+            return None
+    return a, b
+
+
 def is_majorized(lam, mu) -> bool:
     """True when lam is majorized by mu.
 
@@ -232,17 +251,7 @@ def is_majorized(lam, mu) -> bool:
     length; lam is majorized by mu when every descending partial sum of
     lam is at most the matching partial sum of mu and the totals agree.
     """
-    a = sorted(_validate_index_tuple(lam), reverse=True)
-    b = sorted(_validate_index_tuple(mu), reverse=True)
-    if sum(a) != sum(b):
-        return False
-    run_a = run_b = 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        run_a += x
-        run_b += y
-        if run_a > run_b:
-            return False
-    return True
+    return _majorized_pair(lam, mu) is not None
 
 
 def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
@@ -254,19 +263,21 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
     lengths are first zero-padded to match, exactly as in
     :func:`is_majorized`; each padded zero contributes a factor
     0!*|b_1| = 1/2.  Raises if lam is not majorized by mu; equality
-    (e.g. identical tuples) passes.
+    (e.g. identical tuples) passes.  Each tuple is validated and sorted
+    once, and the products are taken over the sorted entries.
     """
-    lam_t, mu_t = tuple(lam), tuple(mu)
-    if not is_majorized(lam_t, mu_t):    # validates both tuples
-        raise ValueError(f"{lam_t} is not majorized by {mu_t}")
-    top = max(max(lam_t), max(mu_t))
+    pair = _majorized_pair(lam, mu)
+    if pair is None:
+        raise ValueError(f"{tuple(lam)} is not majorized by {tuple(mu)}")
+    a, b = pair
+    top = max(a[0], b[0])
     if top + 1 > table.max_index:
         raise ValueError(
             f"need coefficients through index {top + 1}, table stops at {table.max_index}")
-    width = max(len(lam_t), len(mu_t))
+    width = max(len(a), len(b))
     moments, den = table.factorial_moments    # each product is over den**width
-    lhs, rhs = (abs(math.prod(moments[a] for a in t + (0,) * (width - len(t))))
-                for t in (lam_t, mu_t))
+    lhs = abs(math.prod(map(moments.__getitem__, a)) * moments[0] ** (width - len(a)))
+    rhs = abs(math.prod(map(moments.__getitem__, b)) * moments[0] ** (width - len(b)))
     return _report("majorization", (width, top),
                    (0, 0, format_rational(Fraction(lhs - rhs, den ** width)))
                    if lhs > rhs else None)
@@ -293,6 +304,46 @@ def check_log_convexity(table: GregoryTable, n_max: Optional[int] = None) -> CmR
             return _report("log-convexity", (N, 0),
                            (0, i, format_rational(Fraction(gap, den * den))))
     return _report("log-convexity", (N, 0), None)
+
+
+# ----------------------------------------------------------------------
+# closed-form derivatives of the generating function
+# ----------------------------------------------------------------------
+
+def closed_derivative_decimal(x: float, k: int) -> Decimal:
+    """f^(k)(x) of f(x) = x/ln(1+x) at finite x > 0, k >= 1, unrounded.
+
+    With h = 1/L and L = ln(1+x), f = x h gives f^(k) = x h^(k) + k h^(k-1),
+    and h^(j) = (1+x)^-j sum_m c[j][m] L^-m over the integer table
+    c[0] = [0, 1], c[j+1][m] = -j c[j][m] - (m-1) c[j][m-1].  As x -> 0,
+    h^(k) grows like x^-(k+1) while f^(k) stays O(1), so the sum runs in
+    decimal with k+1 guard digits per decade of 1/x on top of 30.  The
+    Decimal keeps the sign and size of values far below the smallest
+    double, where :func:`closed_derivative` rounds to 0.0.
+    """
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
+    if k < 1:
+        raise ValueError("derivative order k must be >= 1")
+    c = [[0, 1]]
+    for j in range(k):
+        prev = c[-1] + [0]
+        c.append([0] + [-j * prev[m] - (m - 1) * prev[m - 1] for m in range(1, j + 3)])
+    with localcontext() as ctx:
+        ctx.prec = 30 + (k + 1) * max(0, math.ceil(-math.log10(x)))
+        xd = Decimal(x)
+        inv_log = 1 / (1 + xd).ln()
+
+        def h(j: int) -> Decimal:
+            return sum(c[j][m] * inv_log ** m for m in range(1, j + 2)) / (1 + xd) ** j
+
+        return xd * h(k) + k * h(k - 1)
+
+
+def closed_derivative(x: float, k: int) -> float:
+    """f^(k)(x) of x/ln(1+x) at finite x > 0, k >= 1, from its closed form:
+    :func:`closed_derivative_decimal` rounded once to a double."""
+    return float(closed_derivative_decimal(x, k))
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,14 @@ function whole columns of nodes, so a kernel's terms come from one list
 comprehension per side and level.  :func:`bernstein_identity`, the one
 integral without the kernel, has a column term and envelope of its own.
 
+The engine sums a list of members, kernels that share the s -> 1 side's
+alpha.  They run through the level loop one after another; the first to
+reach a level works out that side's stop, node columns and truncation
+bound for all, and each member adds only its own s -> 0 side, terms and
+estimate, so every result is bit for bit the one its member gets alone.
+:func:`bernoulli2_integrals` sums b_1..b_N as one such list, and every
+other public function is a list of one.
+
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.  Every public
 function refines through DEFAULT_MAX_LEVELS levels.
@@ -142,14 +150,28 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
                            max_levels: int, floor: float = 1.1e-16) -> QuadratureResult:
     """Trapezoid-in-tau summation of one weighted term function.
 
-    term(sig, sigc, jac, d) maps equal-length node columns to an iterable
-    of the transformed integrand's terms (Jacobian included), one per
-    node and in node order; the terms are finite and never negative.
-    Each side is bounded in advance by the envelope
+    The one-member call of :func:`_integrate_members`, which states the
+    term contract, the envelope, the stop and the error estimate; alphas
+    = (alpha on the s -> 1 side, alpha on the s -> 0 side).
+    """
+    hi, lo = alphas
+    return _integrate_members([(term, lo, floor)], hi, beta, tol, max_levels)[0]
+
+
+def _integrate_members(members: list, hi: int, beta: int, tol: float,
+                       max_levels: int) -> list[QuadratureResult]:
+    """Trapezoid-in-tau summation of term functions that share the s -> 1 side.
+
+    members is a list of (term, lo, floor), and the result holds one
+    QuadratureResult per member, in order.  term(sig, sigc, jac, d) maps
+    equal-length node columns to an iterable of the transformed
+    integrand's terms (Jacobian included), one per node and in node
+    order; the terms are finite and never negative.  Each side of a
+    member is bounded in advance by the envelope
 
         M(tau) = sigma(-pi sinh|tau|)**alpha * (pi cosh tau)**beta,
 
-    with alphas = (alpha on the s -> 1 side, alpha on the s -> 0 side):
+    with alpha = hi on the s -> 1 side and alpha = lo on the s -> 0 side:
     every term at tau is at most M(tau).  M decreases in |tau| at the
     rate alpha*sigma(|y|)*pi*cosh(tau) - beta*tanh|tau|, which is at
     least r, that rate taken at the last node kept with tanh replaced by
@@ -161,7 +183,8 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     node kept and the first dropped.  The nodes it drops then sum to at
     most cut * (h + 1/r); a side whose envelope is still above the cut
     at tau = 36 adds M/r taken there instead.  A level's node columns are
-    built only as far as these tests and terms reach.
+    built only as far as these tests and terms reach.  A side with no
+    node left computes no term.
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
@@ -176,88 +199,131 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     no difference before theirs, so convergence is claimed from level
     _MIN_LEVEL on.  floor bounds the relative rounding error of every
     term, so that floor * total bounds the rounding of a sum of positive
-    terms; the default, 1.1e-16, counts only the sum's own rounding, as
-    terms are accumulated with math.fsum.  A level whose difference is
-    within floor * total has settled; after two such levels in a row the
+    terms; 1.1e-16 counts only the sum's own rounding, as terms are
+    accumulated with math.fsum.  A level whose difference is within
+    floor * total has settled; after two such levels in a row the
     refinement stops if floor * total plus the truncation bounds already
     exceeds tol, since no finer level can then converge.  n_evals counts
     the terms summed.
+
+    The members run through the level loop one after another.  The
+    s -> 1 side depends only on hi, beta and tol, so its stop, its node
+    columns and its truncation bound on a level are worked out by the
+    first member that reaches the level, with the level's node table, and
+    read by every later one, which grows the table only if its own s -> 0
+    side reaches further.  A member keeps its own s -> 0 stop, terms and
+    estimate, and leaves the loop, its terms with it, when it converges
+    or settles.  Each result is bit for bit the one the member gets alone.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     fsum, tanh = math.fsum, math.tanh
-    hi, lo = alphas     # alpha on the s -> 1 side, on the s -> 0 side
-    terms: list[float] = list(term(*_CENTER))
-    prev_total = None
-    prev_diff = None
-    est = math.inf
-    value = 0.0
-    converged = False
-    stagnant = 0
     cut = max(4e-3 * tol, 2e-281)
-    # per side, the first node of the step-h grid whose envelope is at
-    # most cut, as j in tau = j*h (36/h + 1 while none is)
-    first_hi = first_lo = 0
-    for level in range(0, max_levels + 1):
-        h = 2.0 ** -level
-        step = 1 if level == 0 else 2
-        full = int(_T_MAX / h) // step      # the level's node count
-        if level == 0:
-            sig, sigc, jac, d = _level_table(0, full)
-            stop_hi = stop_lo = 0
-            while stop_hi < full and sigc[stop_hi] ** hi * jac[stop_hi] ** beta > cut:
-                stop_hi += 1
-            while stop_lo < full and sigc[stop_lo] ** lo * jac[stop_lo] ** beta > cut:
-                stop_lo += 1
-            first_hi, first_lo = stop_hi + 1, stop_lo + 1
-        else:
-            # a side reads this level's nodes only below its previous first
-            need = first_hi if first_hi > first_lo else first_lo
-            sig, sigc, jac, d = _level_table(level, need if need < full else full)
-            # M decreases, so the only node of this level still open on a
-            # side is the one between its last node kept and first dropped
-            new = first_hi - 1
-            first_hi = 2 * first_hi - (new == full or sigc[new] ** hi * jac[new] ** beta <= cut)
-            new = first_lo - 1
-            first_lo = 2 * first_lo - (new == full or sigc[new] ** lo * jac[new] ** beta <= cut)
-            stop_hi, stop_lo = first_hi // 2, first_lo // 2
-        terms.extend(term(sig[:stop_hi], sigc[:stop_hi], jac[:stop_hi], d[:stop_hi]))
-        terms.extend(term(sigc[:stop_lo], sig[:stop_lo], jac[:stop_lo], d[:stop_lo]))
-        # k is a side's last node kept (its first node if none is): r
-        # taken there bounds the envelope's decay past every dropped node
-        k = stop_hi - 1 if stop_hi else 0
-        r = hi * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
-        trunc = cut * (h + 1.0 / r) if stop_hi < full else sigc[k] ** hi * jac[k] ** beta / r
-        k = stop_lo - 1 if stop_lo else 0
-        r = lo * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
-        trunc += cut * (h + 1.0 / r) if stop_lo < full else sigc[k] ** lo * jac[k] ** beta / r
-        total = h * fsum(terms)
-        if prev_total is None:
+    # per level reached, what every member reads alike: the level's step,
+    # node count and node columns, and the s -> 1 side's first dropped node
+    # (see below), kept columns and truncation bound; a lone member shares
+    # nothing
+    shared: list[tuple] = []
+    share = len(members) > 1
+    results = []
+    for term, lo, floor in members:
+        known = len(shared)     # the levels an earlier member reached
+        terms: list[float] = list(term(*_CENTER))
+        prev_total = None
+        prev_diff = None
+        est = math.inf
+        value = 0.0
+        converged = False
+        stagnant = 0
+        # per side, the first node of the step-h grid whose envelope is at
+        # most cut, as j in tau = j*h (36/h + 1 while none is, as before level 0)
+        first_hi = first_lo = int(_T_MAX) + 1
+        for level in range(0, max_levels + 1):
+            if level < known:
+                (h, step, full, sig, sigc, jac, d,
+                 first_hi, s1, c1, j1, d1, trunc_hi) = shared[level]
+                # the s -> 0 side reads this level's nodes only below its
+                # previous first: below the columns' end unless it reaches
+                # further than the member that built them
+                if first_lo > len(sig) < full:
+                    sig, sigc, jac, d = _level_table(level, min(first_lo, full))
+            else:
+                h = 2.0 ** -level
+                step = 1 if level == 0 else 2
+                full = int(_T_MAX / h) // step      # the level's node count
+                # a side reads this level's nodes only below its previous first
+                need = first_hi if first_hi > first_lo else first_lo
+                if need > full:
+                    need = full
+                cols = _node_levels.get(level)      # _level_table's unlocked path
+                sig, sigc, jac, d = (cols if cols is not None and len(cols[0]) >= need
+                                     else _level_table(level, need))
+                # the first member to reach this level works out the s -> 1
+                # side for all
+                if level == 0:
+                    stop_hi = 0
+                    while stop_hi < full and sigc[stop_hi] ** hi * jac[stop_hi] ** beta > cut:
+                        stop_hi += 1
+                    first_hi = stop_hi + 1
+                else:
+                    # M decreases, so the only node of this level still open
+                    # on a side is the one between its last node kept and
+                    # first dropped
+                    new = first_hi - 1
+                    first_hi = 2 * first_hi - (new == full or sigc[new] ** hi * jac[new] ** beta <= cut)
+                    stop_hi = first_hi // 2
+                s1, c1, j1, d1 = sig[:stop_hi], sigc[:stop_hi], jac[:stop_hi], d[:stop_hi]
+                # k is a side's last node kept (its first node if none is): r
+                # taken there bounds the envelope's decay past every dropped node
+                k = stop_hi - 1 if stop_hi else 0
+                r = hi * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
+                trunc_hi = cut * (h + 1.0 / r) if stop_hi < full else sigc[k] ** hi * jac[k] ** beta / r
+                if share:
+                    shared.append((h, step, full, sig, sigc, jac, d,
+                                   first_hi, s1, c1, j1, d1, trunc_hi))
+            if level == 0:
+                stop_lo = 0
+                while stop_lo < full and sigc[stop_lo] ** lo * jac[stop_lo] ** beta > cut:
+                    stop_lo += 1
+                first_lo = stop_lo + 1
+            else:
+                new = first_lo - 1
+                first_lo = 2 * first_lo - (new == full or sigc[new] ** lo * jac[new] ** beta <= cut)
+                stop_lo = first_lo // 2
+            terms.extend(term(s1, c1, j1, d1))
+            if stop_lo:
+                terms.extend(term(sigc[:stop_lo], sig[:stop_lo], jac[:stop_lo], d[:stop_lo]))
+            k = stop_lo - 1 if stop_lo else 0
+            r = lo * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
+            trunc = trunc_hi + (cut * (h + 1.0 / r) if stop_lo < full else sigc[k] ** lo * jac[k] ** beta / r)
+            total = h * fsum(terms)
+            if prev_total is None:
+                prev_total = total
+                continue
+            diff = abs(total - prev_total)
+            # the error, relative to the total, roughly squares from one level
+            # to the next; a difference below even the cube of the one before
+            # is two coarse levels agreeing by chance, not convergence
+            predicted = 0.0 if prev_diff is None else (
+                total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff)
+            est = max(diff, predicted) + trunc + floor * total
+            prev_diff = diff
+            value = total
             prev_total = total
-            continue
-        diff = abs(total - prev_total)
-        # the error, relative to the total, roughly squares from one level
-        # to the next; a difference below even the cube of the one before
-        # is two coarse levels agreeing by chance, not convergence
-        predicted = 0.0 if prev_diff is None else (
-            total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff)
-        est = max(diff, predicted) + trunc + floor * total
-        prev_diff = diff
-        value = total
-        prev_total = total
-        if est <= tol and level >= _MIN_LEVEL:
-            converged = True
-            break
-        if diff <= max(floor * total, 1e-300):
-            stagnant += 1
-            if stagnant >= 2 and floor * total + trunc > tol:
-                break   # settled above tol: no finer level can converge
-        else:
-            stagnant = 0
-    return QuadratureResult(value=value, abs_error_estimate=est,
-                            n_evals=len(terms), converged=converged)
+            if est <= tol and level >= _MIN_LEVEL:
+                converged = True
+                break
+            if diff <= max(floor * total, 1e-300):
+                stagnant += 1
+                if stagnant >= 2 and floor * total + trunc > tol:
+                    break   # settled above tol: no finer level can converge
+            else:
+                stagnant = 0
+        results.append(QuadratureResult(value=value, abs_error_estimate=est,
+                                        n_evals=len(terms), converged=converged))
+    return results
 
 
 def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> QuadratureResult:
@@ -271,9 +337,8 @@ def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> Qu
 # public operations
 # ----------------------------------------------------------------------
 
-def _kernel(a: int, x: float, p: int, tol: float,
-            max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
-    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled.
+def _kernel_member(a: int, x: float, p: int) -> tuple:
+    """The engine member (term, alpha on the s -> 0 side, floor) of K(a, x, p).
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
     negative for finite x >= 0.  As jac/d = 1/(pi cosh tau) and the other
@@ -318,8 +383,14 @@ def _kernel(a: int, x: float, p: int, tol: float,
                         for s, c, j, e in zip(sig, sigc, jac, d)]
             except OverflowError:
                 return list(map(one, sig, sigc, jac, d))
-    floor = (a + (p if x != 0.0 else 0) + 4) * _U
-    return _integrate_transformed(term, (1, a), -1, tol, max_levels, floor)
+    return term, a, (a + (p if x != 0.0 else 0) + 4) * _U
+
+
+def _kernel(a: int, x: float, p: int, tol: float,
+            max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled,
+    with the term and floor of :func:`_kernel_member`."""
+    return _integrate_members([_kernel_member(a, x, p)], 1, -1, tol, max_levels)[0]
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -339,7 +410,28 @@ def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if n < 1:
         raise ValueError("integral representation needs n >= 1 (diverges at n = 0)")
-    raw = _kernel(n - 1, 0.0, 0, tol)
+    return _signed_coefficient(n, _kernel(n - 1, 0.0, 0, tol), tol)
+
+
+def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[QuadratureResult]:
+    """[bernoulli2_integral(n, tol) for n = 1..n_max], bit for bit, in one pass.
+
+    The coefficient integrals differ only in the power s**(n-2): they
+    share every node, and the s -> 1 side, where each kernel's envelope
+    has alpha = 1, stops, keeps its node columns and bounds its
+    truncation alike on each level.  The engine works that side out once
+    per level for the whole table, and each n adds only its own s -> 0
+    side, terms and estimate.  n_max = 0 gives [].
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    members = [_kernel_member(n - 1, 0.0, 0) for n in range(1, n_max + 1)]
+    raws = _integrate_members(members, 1, -1, tol, DEFAULT_MAX_LEVELS)
+    return [_signed_coefficient(n, raw, tol) for n, raw in enumerate(raws, 1)]
+
+
+def _signed_coefficient(n: int, raw: QuadratureResult, tol: float) -> QuadratureResult:
+    # b_n is (-1)**(n+1) times the kernel integral K(n-1, 0, 0)
     sign = 1.0 if n % 2 == 1 else -1.0
     return _rescaled(raw, sign * raw.value, raw.abs_error_estimate, tol)
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gregory import GregoryTable, IntegrandEvaluationError, bernoulli2_series, cli
-from gregory.properties import CmReport, DegreeBracket
+from gregory.properties import CmReport, DegreeBracket, closed_derivative
 
 
 def run_cli(argv, capsys):
@@ -246,6 +246,18 @@ def _const(value):
     return lambda real, *args, **kwargs: value
 
 
+def _off_at(n):
+    # a fake for the coefficient sweep: the real results with b_n's value
+    # replaced by BIG
+    def install(real):
+        def fake(*args, **kwargs):
+            results = real(*args, **kwargs)
+            results[n - 1] = dataclasses.replace(results[n - 1], value=BIG)
+            return results
+        return fake
+    return install
+
+
 def _failing(suite, violation):
     return _const(CmReport(suite, False, (2, 8), violation))
 
@@ -266,8 +278,7 @@ _STAGE_CASES = [
      _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (0, 2)),
            _failing("majorization", (0, 0, "-1/5"))),
      (14, 9, "-1/5")),
-    ("integrals", [20, 12], "bernoulli2_integral",
-     _when(lambda n, tol: n == 5, _off), (0, 5, BIG_STR)),
+    ("integrals", [20, 12], "bernoulli2_integrals", _off_at(5), (0, 5, BIG_STR)),
     ("integrals", [20, 12], "stieltjes_recip_log",
      _when(lambda x, tol: x == 2.0, _off), (1, 3, BIG_STR)),
     ("integrals", [20, 12], "genfun_integral",
@@ -373,18 +384,17 @@ class TestVerifyStageEvidence:
         assert [t.max_index for t in built] == [31]
 
     def test_first_violation_stops_the_suite(self, capsys, monkeypatch):
-        """No stage after the first violation runs, nor the rest of its own."""
+        """No stage after the first violation runs, and the report carries
+        the first of the stage's violations: every coefficient is off."""
         def later(*args, **kwargs):
             raise AssertionError("ran after the first violation")
 
-        real = cli.bernoulli2_integral
+        real = cli.bernoulli2_integrals
 
-        def first_fails(n, tol):
-            if n > 1:
-                later()
-            return dataclasses.replace(real(n, tol), value=BIG)
+        def all_fail(n_max, tol):
+            return [dataclasses.replace(result, value=BIG) for result in real(n_max, tol)]
 
-        monkeypatch.setattr(cli, "bernoulli2_integral", first_fails)
+        monkeypatch.setattr(cli, "bernoulli2_integrals", all_fail)
         for attr in ("stieltjes_recip_log", "genfun_integral", "genfun_derivative_integral",
                      "stieltjes_weight_unit", "moment_integral", "shifted_kernel_integral"):
             monkeypatch.setattr(cli, attr, later)
@@ -605,9 +615,9 @@ def _mpmath_derivative(mpmath, x, k):
                                   (1e20, 9), (1e150, 3), (1e150, 14), (1e300, 2),
                                   (1e300, 20)])
 def test_closed_derivative_matches_mpmath(x, k):
-    """cli._closed_derivative is the correctly rounded f^(k)(x)."""
+    """closed_derivative is the correctly rounded f^(k)(x)."""
     mpmath = pytest.importorskip("mpmath")
-    assert cli._closed_derivative(x, k) == _mpmath_derivative(mpmath, x, k)
+    assert closed_derivative(x, k) == _mpmath_derivative(mpmath, x, k)
 
 
 _NUMBER = st.one_of(

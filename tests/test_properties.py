@@ -27,6 +27,8 @@ from gregory import (
     check_majorization_inequality,
     check_minimality_perturbation,
     check_shifted_kernel_determinants,
+    closed_derivative,
+    closed_derivative_decimal,
     cm_grid_test,
     estimate_cm_degree,
     format_rational,
@@ -417,6 +419,27 @@ class TestMajorization:
         with pytest.raises(ValueError):
             check_majorization_inequality(table31, (2, 0), (1, 1))
 
+    def test_entry_order_does_not_matter(self, table31):
+        """Tuples are sorted before both the order test and the products."""
+        assert is_majorized((0, 1, 2), (3, 0, 0)) and is_majorized((2, 1, 0), (0, 0, 3))
+        assert (check_majorization_inequality(table31, (1, 2, 0), (0, 3, 0))
+                == check_majorization_inequality(table31, (2, 1, 0), (3, 0, 0)))
+
+    @pytest.mark.parametrize("bad", [(True,), (1.0,), (-1,), ()])
+    def test_both_functions_validate_each_tuple(self, table31, bad):
+        for lam, mu in ((bad, (1,)), ((1,), bad)):
+            with pytest.raises(ValueError):
+                is_majorized(lam, mu)
+            with pytest.raises(ValueError):
+                check_majorization_inequality(table31, lam, mu)
+
+    def test_int_subclasses_are_indices(self, table31):
+        class Index(int):
+            pass
+
+        assert is_majorized((Index(1), Index(1)), (2, 0))
+        assert check_majorization_inequality(table31, (Index(1), 1), (Index(2),)).passed
+
     def test_exhaustive_sweep(self, table31):
         """Every majorizing pair with sizes <= 3, entries <= 6 passes."""
         tuples = [t for m in range(1, 4)
@@ -430,6 +453,35 @@ class TestMajorization:
                 report = check_majorization_inequality(table31, lam, mu)
                 assert report.passed, f"violated at {lam} vs {mu}"
         assert pairs > 300
+
+
+class TestClosedDerivative:
+    """The closed form of f^(k) for f(x) = x/ln(1+x), as a Decimal and a double."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(min_value=-8.0, max_value=300.0).map(lambda e: 10.0 ** e),
+           k=st.integers(1, 20))
+    def test_double_is_the_decimal_rounded_once(self, x, k):
+        assert closed_derivative(x, k) == float(closed_derivative_decimal(x, k))
+
+    def test_bernstein_signs_hold_below_the_doubles(self):
+        """(-1)**(k+1) f^(k)(x) > 0 on x = 1e-8..1e300 in steps of 1e4 for
+        k <= 20, read from the Decimal also where the double rounds to 0.0."""
+        underflowed = 0
+        for e in range(-8, 301, 4):
+            for k in range(1, 21):
+                value = closed_derivative_decimal(10.0 ** e, k)
+                assert value != 0 and value.is_signed() == (k % 2 == 0), (e, k)
+                underflowed += float(value) == 0.0
+        assert underflowed > 1000
+
+    @pytest.mark.parametrize("x, k", [(0.0, 1), (-1.0, 1), (math.inf, 1), (math.nan, 1),
+                                      (1.0, 0), (1.0, -2)])
+    def test_rejects_bad_arguments(self, x, k):
+        with pytest.raises(ValueError):
+            closed_derivative_decimal(x, k)
+        with pytest.raises(ValueError):
+            closed_derivative(x, k)
 
 
 def _doctored_table():

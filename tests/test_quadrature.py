@@ -13,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from gregory import cli, quadrature
+from gregory import quadrature
 from gregory import (
     QuadratureResult,
     bernoulli2_integral,
     bernoulli2_series,
     bernstein_identity,
+    closed_derivative,
     genfun_derivative_integral,
     genfun_integral,
     moment_integral,
@@ -369,7 +370,7 @@ class TestColumnEngineMatchesPerNodeReference:
         def engine(*args):
             raise AssertionError("the engine was entered")
 
-        monkeypatch.setattr(quadrature, "_integrate_transformed", engine)
+        monkeypatch.setattr(quadrature, "_integrate_members", engine)
         with pytest.raises(ValueError, match="^x must be"):
             call(x)
 
@@ -578,6 +579,109 @@ class TestCoefficientIntegral:
             result = bernoulli2_integral(n, 1e-10)
             true_error = abs(result.value - float(table31[n]))
             assert true_error <= 10.0 * result.abs_error_estimate + 1e-16
+
+
+_SWEEP_TOLS = st.one_of(st.just(1e-30),
+                        st.floats(min_value=-30.0, max_value=-3.0).map(lambda e: 10.0 ** e))
+
+
+class TestCoefficientSweep:
+    """bernoulli2_integrals(N, tol) is the per-n table in one level loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_max=st.integers(0, 300), tol=_SWEEP_TOLS)
+    @example(n_max=300, tol=1e-30)
+    @example(n_max=300, tol=1e-13)
+    @example(n_max=300, tol=1e-10)
+    @example(n_max=1, tol=1e-3)
+    def test_matches_per_n_calls(self, n_max, tol):
+        """Value and estimate bits, n_evals and converged agree for every n."""
+        got = quadrature.bernoulli2_integrals(n_max, tol)
+        want = [bernoulli2_integral(n, tol) for n in range(1, n_max + 1)]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+    def test_members_leave_at_different_levels(self):
+        """At tol 1e-30 no coefficient converges and each stops where its own
+        levels settle: the term counts differ, so members leave the loop
+        at different levels and later ones read the levels earlier ones
+        worked out."""
+        results = quadrature.bernoulli2_integrals(300, 1e-30)
+        assert not any(r.converged for r in results)
+        assert len({r.n_evals for r in results}) > 10
+
+    def test_empty_table(self):
+        assert quadrature.bernoulli2_integrals(0, 1e-10) == []
+
+    def test_rejects_negative_n_max(self):
+        with pytest.raises(ValueError, match="n_max"):
+            quadrature.bernoulli2_integrals(-1, 1e-10)
+
+    @pytest.mark.parametrize("n_max", [0, 5])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_bad_tol_like_the_per_n_call(self, n_max, tol):
+        with pytest.raises(ValueError) as per_n:
+            bernoulli2_integral(1, tol)
+        with pytest.raises(ValueError, match=f"^{per_n.value}$"):
+            quadrature.bernoulli2_integrals(n_max, tol)
+
+    def test_builds_the_nodes_the_per_n_calls_build(self):
+        """The sweep reaches exactly as far into every level as the calls
+        one n at a time."""
+        sizes = []
+        for run in (lambda: [bernoulli2_integral(n, 1e-13) for n in range(1, 301)],
+                    lambda: quadrature.bernoulli2_integrals(300, 1e-13)):
+            _clear_node_tables()
+            run()
+            sizes.append({level: len(cols[0]) for level, cols in quadrature._node_levels.items()})
+        assert sizes[0] == sizes[1]
+
+
+class TestMembers:
+    """The engine's shared s -> 1 side changes no member's result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels=st.lists(_KERNEL_ARGS, min_size=1, max_size=6), tol=_TOLS,
+           max_levels=st.integers(1, 12))
+    @example(kernels=[(299, 0.0, 0), (0, 0.0, 0), (0, 1e3, 2)], tol=5e-324, max_levels=12)
+    @example(kernels=[(0, 1e3, 2), (299, 0.0, 0), (9, 0.25, 11)], tol=1e-13, max_levels=12)
+    def test_each_result_is_the_lone_call(self, kernels, tol, max_levels):
+        """Kernels of any shape, in any order, some reaching levels that no
+        member before them reached, each get the bits of their own call."""
+        got = quadrature._integrate_members(
+            [quadrature._kernel_member(*args) for args in kernels], 1, -1, tol, max_levels)
+        want = [quadrature._kernel(*args, tol, max_levels) for args in kernels]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+    def test_later_member_reaching_further_grows_the_columns(self):
+        """A member whose s -> 0 side reaches past the columns the first
+        member built on a level grows them, on fresh node tables."""
+        kernels = [(299, 0.0, 0), (0, 0.0, 0), (0, 1e3, 2)]
+        want = [_bits(quadrature._kernel(*args, 1e-13, 12)) for args in kernels]
+        _clear_node_tables()
+        got = quadrature._integrate_members(
+            [quadrature._kernel_member(*args) for args in kernels], 1, -1, 1e-13, 12)
+        assert [_bits(r) for r in got] == want
+
+    def test_s1_side_is_worked_out_once_per_level(self):
+        """Every member is handed the same s -> 1 columns on a level: the
+        column lists themselves, not copies, on each of the levels 0..2
+        that every member runs."""
+        handed = []     # (member, first column), the columns kept alive
+
+        def member(i, a):
+            term, lo, floor = quadrature._kernel_member(a, 0.0, 0)
+
+            def recording(sig, sigc, jac, d):
+                handed.append((i, sig))
+                return term(sig, sigc, jac, d)
+            return recording, lo, floor
+
+        quadrature._integrate_members([member(i, a) for i, a in enumerate((0, 5, 40))],
+                                      1, -1, 1e-10, 12)
+        members_of = {}
+        for i, col in handed:
+            members_of.setdefault(id(col), set()).add(i)
+        assert sum(seen == {0, 1, 2} for seen in members_of.values()) >= 3
 
 
 class TestMomentIntegral:
@@ -878,7 +982,7 @@ class TestRoundingFloor:
         """Each of these claimed convergence 2-8 tol from the truth under a
         flat floor of one rounding, with levels that agreed to a few ulp."""
         result = genfun_derivative_integral(x, k, tol)
-        TestHonesty._assert_honest(result, cli._closed_derivative(x, k), tol)
+        TestHonesty._assert_honest(result, closed_derivative(x, k), tol)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(k=st.integers(1, 20), x=_SMALL_X,
@@ -887,7 +991,7 @@ class TestRoundingFloor:
     def test_derivative_sweep(self, k, x, rel):
         """f^(k)(x) for k <= 20 and x in (0, 1/2] at tol from 1e-17 to 1e-9
         of |f^(k)(x)|, the band where the floor decides convergence."""
-        truth = cli._closed_derivative(x, k)
+        truth = closed_derivative(x, k)
         tol = rel * abs(truth)
         TestHonesty._assert_honest(genfun_derivative_integral(x, k, tol), truth, tol)
 

@@ -10,11 +10,12 @@ the check for a refactor that must not change output:
     cmp before.txt after.txt
 
 SRC defaults to the ``src`` directory next to this script.  The set
-covers every compute method, format and a range of --n-max (the integral
-method up to --n-max 300), every verify suite (the exact ones up to
---n-max 160, as far as the benchmark goes), and an eval grid reaching
-tol 1e-30 and x 1e300, with every derivative order 1..20 at tol 1e-13,
-derivative references for k <= 4 from x = 5e-324 to 1e300, and
+holds 594 argv.  It covers every compute method, format and a range of
+--n-max (the integral method up to --n-max 300 at tol 1e-10, 1e-13 and
+1e-30, all methods up to --n-max 160), every verify suite (the exact
+ones up to --n-max 160, as far as the benchmark goes), and an eval grid
+reaching tol 1e-30 and x 1e300, with every derivative order 1..20 at tol
+1e-13, derivative references for k <= 4 from x = 5e-324 to 1e300, and
 bernstein-identity up to the largest double.  It stays inside inputs
 with a settled output; the boundary inputs (overflowing kernel
 powers, tolerances that underflow once scaled, k > 170) are pinned by
@@ -48,10 +49,15 @@ def golden_argvs() -> list[list[str]]:
         for fmt in ("table", "csv", "json"):
             out.append(["compute", "--method", "integral", "--format", fmt,
                         "--n-max", "20", "--tol", tol])
-    # the benchmark's largest integral table
+    # the benchmark's largest integral table, also at tolerances where the
+    # coefficients leave the shared level loop at different levels (at
+    # 1e-30 some by the settled stop), and the largest all-method table
+    for extra in ([], ["--tol", "1e-13"], ["--tol", "1e-30"]):
+        for fmt in ("table", "csv", "json"):
+            out.append(["compute", "--method", "integral", "--format", fmt,
+                        "--n-max", "300"] + extra)
     for fmt in ("table", "csv", "json"):
-        out.append(["compute", "--method", "integral", "--format", fmt,
-                    "--n-max", "300"])
+        out.append(["compute", "--method", "all", "--format", fmt, "--n-max", "160"])
     out += [["compute", "--n-max", "-1"],
             ["compute", "--method", "integral", "--tol", "0"],
             ["compute", "--method", "all", "--tol", "-1e-10"],
