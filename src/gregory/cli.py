@@ -29,6 +29,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
 from .exact import (
@@ -99,30 +100,27 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
 
     series = bernoulli2_series(n_max) if method in ("series", "all") else None
     explicit = bernoulli2_explicit_table(n_max) if method in ("explicit", "all") else None
-    integral = {}
+    # the ray integral diverges at n = 0: integral[n - 1] is b_n
+    integral = bernoulli2_integrals(n_max, tol) if wants_integral else []
     exit_code = 0
-    if wants_integral:
-        # the ray integral diverges at n = 0
-        for n, result in enumerate(bernoulli2_integrals(n_max, tol), 1):
-            integral[n] = result
-            if not result.converged:
-                print(f"warning: quadrature did not converge at n={n} "
-                      f"(estimate {result.abs_error_estimate:.3e} > tol {tol:.3e})",
-                      file=sys.stderr)
-                exit_code = 1
+    for n, result in enumerate(integral, 1):
+        if not result.converged:
+            print(f"warning: quadrature did not converge at n={n} "
+                  f"(estimate {result.abs_error_estimate:.3e} > tol {tol:.3e})",
+                  file=sys.stderr)
+            exit_code = 1
 
-    # one dict per value, keyed by _RECORD_FIELDS; exact and numeric are
+    # one tuple per value, in _RECORD_FIELDS order; exact and numeric are
     # alternatives, and the loop emits them sorted by n, then by method
-    records: list[dict] = []
+    exact_tables = [(name, table) for name, table in (("series", series), ("explicit", explicit))
+                    if table is not None]
+    rows: list[tuple] = []
     for n in range(0, n_max + 1):
-        for name, table in (("series", series), ("explicit", explicit)):
-            if table is not None:
-                records.append({"n": n, "exact": format_rational(table[n]), "numeric": None,
-                                "method": name, "error_estimate": None})
-        if n in integral:
-            records.append({"n": n, "exact": None, "numeric": integral[n].value,
-                            "method": "integral",
-                            "error_estimate": integral[n].abs_error_estimate})
+        for name, table in exact_tables:
+            rows.append((n, format_rational(table[n]), None, name, None))
+        if n and integral:
+            result = integral[n - 1]
+            rows.append((n, None, result.value, "integral", result.abs_error_estimate))
 
     footer = None
     if method == "all":
@@ -130,52 +128,82 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
         for n in range(0, n_max + 1):
             exact_value = float(series[n])
             deviation = max(deviation, abs(float(explicit[n]) - exact_value))
-            if n in integral:
-                deviation = max(deviation, abs(integral[n].value - exact_value))
+            if n:
+                deviation = max(deviation, abs(integral[n - 1].value - exact_value))
         footer = f"max cross-method deviation: {deviation:.3e}"
 
     if fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, _RECORD_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)     # None as "", floats as repr
+        _write_csv(rows, sys.stdout)
     elif fmt == "json":
-        print(json.dumps(records, indent=2))
+        _write_json(rows, sys.stdout)
     elif method == "all":
         _emit_table_all(n_max, series, explicit, integral)
     else:
-        _emit_table(records)
+        _emit_table(rows)
     if footer:
         print(footer, file=sys.stdout if fmt == "table" else sys.stderr)
     return exit_code
 
 
-def _emit_table(records: list[dict]) -> None:
-    rows = [["n", "value", "method", "error_estimate"]]
-    for r in records:
-        value = r["exact"] if r["exact"] is not None else repr(r["numeric"])
-        est = r["error_estimate"]
-        rows.append([str(r["n"]), value, r["method"], "n/a" if est is None else f"{est:.3e}"])
-    _print_aligned(rows)
+def _write_csv(rows: list[tuple], out) -> None:
+    """csv.DictWriter's output for the records: a header, then None as ""
+    and floats as repr."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_RECORD_FIELDS)
+    writer.writerows(rows)
+
+
+# one record of json.dumps(records, indent=2), its values left open
+_JSON_RECORD = "  {\n" + ",\n".join(f'    "{field}": %s' for field in _RECORD_FIELDS) + "\n  }"
+
+
+def _json_scalar(value) -> str:
+    # json's spelling of a record value: None, str, int or float
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and not math.isfinite(value):
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    return repr(value)
+
+
+def _write_json(rows: list[tuple], out) -> None:
+    """print(json.dumps(records, indent=2)), byte for byte, in one write.
+
+    json.dumps runs its pure-Python encoder once indent is set; the
+    records here are flat, so one template per record does its work.
+    """
+    body = ",\n".join(_JSON_RECORD % tuple(map(_json_scalar, row)) for row in rows)
+    out.write(f"[\n{body}\n]\n" if rows else "[]\n")
+
+
+def _emit_table(rows: list[tuple]) -> None:
+    cells = [("n", "value", "method", "error_estimate")]
+    for n, exact, numeric, method, est in rows:
+        cells.append((str(n), exact if exact is not None else repr(numeric), method,
+                      "n/a" if est is None else f"{est:.3e}"))
+    _print_aligned(cells)
 
 
 def _emit_table_all(n_max, series, explicit, integral) -> None:
-    rows = [["n", "series", "explicit", "integral", "error_estimate"]]
+    cells = [("n", "series", "explicit", "integral", "error_estimate")]
     for n in range(0, n_max + 1):
-        if n in integral:
-            numeric = repr(integral[n].value)
-            est = f"{integral[n].abs_error_estimate:.3e}"
+        if n:
+            numeric = repr(integral[n - 1].value)
+            est = f"{integral[n - 1].abs_error_estimate:.3e}"
         else:
             numeric = "n/a"    # ray integral needs n >= 1
             est = "n/a"
-        rows.append([str(n), format_rational(series[n]),
-                     format_rational(explicit[n]), numeric, est])
-    _print_aligned(rows)
+        cells.append((str(n), format_rational(series[n]),
+                      format_rational(explicit[n]), numeric, est))
+    _print_aligned(cells)
 
 
-def _print_aligned(rows: list[list[str]]) -> None:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _print_aligned(rows: list[tuple]) -> None:
+    # every cell left-justified to its column's width, in one write
+    line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
+    sys.stdout.write("".join(line.format(*row).rstrip() + "\n" for row in rows))
 
 
 # ----------------------------------------------------------------------
@@ -252,10 +280,14 @@ def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> _Violati
     """
     tuples = [t for m in range(1, 4)
               for t in combinations_with_replacement(range(7), m)]
-    sums = [sum(t) for t in tuples]
+    # (position, tuple) by sum, positions ascending: the pairs walked are
+    # the equal-sum ones, in canonical (i, j) order
+    of_sum: dict[int, list] = {}
+    for j, mu in enumerate(tuples):
+        of_sum.setdefault(sum(mu), []).append((j, mu))
     for i, lam in enumerate(tuples):
-        for j, mu in enumerate(tuples):
-            if sums[i] != sums[j] or not is_majorized(lam, mu):
+        for j, mu in of_sum[sum(lam)]:
+            if not is_majorized(lam, mu):
                 continue
             probe = check_majorization_inequality(table, lam, mu)
             if not probe.passed:

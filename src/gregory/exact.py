@@ -185,19 +185,22 @@ def a_coefficient(n: int, i: int) -> Fraction:
     return Fraction(math.factorial(i - 1) * _stirling_row(n)[i - 1])
 
 
-def _explicit_from_rows(n: int, prev: Sequence[int], row: Sequence[int], lcm: int) -> Fraction:
-    """b_n from the rows |s(n-1, .)| and |s(n, .)|, with lcm = lcm(1..n+1).
+def _explicit_from_rows(n: int, prev: Sequence[int], weights: Sequence[int]) -> Fraction:
+    """b_n from the row |s(n-1, .)|, with weights[k] = lcm/k for a common
+    multiple lcm = weights[1] of 1..n+1.
 
     With a(n, k) = (k-1)! |s(n, k-1)| each summand of the explicit formula
-    is the integer |s(n, k-1)| - n |s(n-1, k-1)| divided by k.  That
-    quotient splits as q + r/k with 0 <= r < k, and the bracket becomes
-    (lcm sum q + lcm/(n+1) + sum r lcm/k) / lcm.
+    is the integer |s(n, k-1)| - n |s(n-1, k-1)| divided by k.  By the
+    Stirling recurrence |s(n, k-1)| = |s(n-1, k-2)| + (n-1) |s(n-1, k-1)|,
+    that integer is |s(n-1, k-2)| - |s(n-1, k-1)|, read off the one row.
+    The quotient by k splits as q + r/k with 0 <= r < k, and the bracket
+    becomes (lcm sum q + lcm/(n+1) + sum r lcm/k) / lcm.
     """
+    lcm = weights[1]
     divisors = range(2, n + 1)
-    quotients, remainders = zip(*map(divmod, (row[k - 1] - n * prev[k - 1] for k in divisors),
-                                     divisors))
-    bracket = (lcm * sum(quotients) + lcm // (n + 1)
-               + sum(r * (lcm // k) for r, k in zip(remainders, divisors)))
+    quotients, remainders = zip(*map(divmod, map(int.__sub__, prev, prev[1:n]), divisors))
+    bracket = (lcm * sum(quotients) + weights[n + 1]
+               + sum(map(int.__mul__, remainders, weights[2:n + 1])))
     return Fraction(bracket if n % 2 == 0 else -bracket, math.factorial(n) * lcm)
 
 
@@ -221,17 +224,18 @@ def bernoulli2_explicit_table(n_max: int) -> GregoryTable:
 
     The closed formula starts at n = 2; b_0 = 1 and b_1 = 1/2 are series
     constants and are filled in directly so both methods cover the same
-    index range.  Only the two Stirling rows the formula needs are kept.
+    index range.  Only the Stirling row the formula needs is kept, and
+    every n shares the denominator lcm(1..n_max+1) and its weights.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = [ONE, ONE_HALF][: n_max + 1]
-    row = [0, 1]                    # |s(1, .)|
-    lcm = 2                         # lcm(1..n+1) at n = 1
+    lcm = math.lcm(*range(1, n_max + 2))
+    weights = [0] + [lcm // k for k in range(1, n_max + 2)]    # weights[k] = lcm/k
+    row = [1]                       # |s(0, .)|
     for n in range(2, n_max + 1):
-        prev, row = row, _next_stirling_row(row, n - 1)
-        lcm = math.lcm(lcm, n + 1)
-        values.append(_explicit_from_rows(n, prev, row, lcm))
+        row = _next_stirling_row(row, n - 2)                    # |s(n-1, .)|
+        values.append(_explicit_from_rows(n, row, weights))
     return GregoryTable(values=tuple(values), method=TableMethod.EXPLICIT_FORMULA)
 
 
@@ -241,4 +245,4 @@ def signed_moment_sequence(table: GregoryTable) -> tuple[Fraction, ...]:
     This is the nonnegative moment sequence whose structural properties
     the checks in :mod:`gregory.properties` verify.
     """
-    return tuple((-ONE) ** n * table.values[n + 1] for n in range(table.max_index))
+    return tuple(b if n % 2 == 0 else -b for n, b in enumerate(table.values[1:]))

@@ -219,7 +219,10 @@ def hankel_determinant(table: GregoryTable, indices,
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
     moments, den = table.factorial_moments
-    matrix = _moment_matrix(moments.__getitem__, idx, variant)
+    if variant is DeterminantVariant.PLAIN:
+        matrix = [[moments[ai + aj] for aj in idx] for ai in idx]
+    else:
+        matrix = _moment_matrix(moments.__getitem__, idx, variant)
     return Fraction(_integer_determinant(matrix), den ** len(idx))
 
 

@@ -155,15 +155,18 @@ def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
     = (alpha on the s -> 1 side, alpha on the s -> 0 side).
     """
     hi, lo = alphas
-    return _integrate_members([(term, lo, floor)], hi, beta, tol, max_levels)[0]
+    raw = _integrate_members([(term, lo, floor)], hi, beta, tol, max_levels)
+    return QuadratureResult(*raw[0])
 
 
 def _integrate_members(members: list, hi: int, beta: int, tol: float,
-                       max_levels: int) -> list[QuadratureResult]:
+                       max_levels: int) -> list[tuple]:
     """Trapezoid-in-tau summation of term functions that share the s -> 1 side.
 
     members is a list of (term, lo, floor), and the result holds one
-    QuadratureResult per member, in order.  term(sig, sigc, jac, d) maps
+    (value, abs_error_estimate, n_evals, converged) tuple per member, in
+    order: the fields of its QuadratureResult, which the caller builds
+    once, after any scaling.  term(sig, sigc, jac, d) maps
     equal-length node columns to an iterable of the transformed
     integrand's terms (Jacobian included), one per node and in node
     order; the terms are finite and never negative.  Each side of a
@@ -321,8 +324,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                     break   # settled above tol: no finer level can converge
             else:
                 stagnant = 0
-        results.append(QuadratureResult(value=value, abs_error_estimate=est,
-                                        n_evals=len(terms), converged=converged))
+        results.append((value, est, len(terms), converged))
     return results
 
 
@@ -390,7 +392,8 @@ def _kernel(a: int, x: float, p: int, tol: float,
             max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled,
     with the term and floor of :func:`_kernel_member`."""
-    return _integrate_members([_kernel_member(a, x, p)], 1, -1, tol, max_levels)[0]
+    raw = _integrate_members([_kernel_member(a, x, p)], 1, -1, tol, max_levels)
+    return QuadratureResult(*raw[0])
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -410,7 +413,8 @@ def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if n < 1:
         raise ValueError("integral representation needs n >= 1 (diverges at n = 0)")
-    return _signed_coefficient(n, _kernel(n - 1, 0.0, 0, tol), tol)
+    raw = _integrate_members([_kernel_member(n - 1, 0.0, 0)], 1, -1, tol, DEFAULT_MAX_LEVELS)
+    return _signed_coefficient(n, *raw[0])
 
 
 def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[QuadratureResult]:
@@ -427,13 +431,14 @@ def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[Quadratur
         raise ValueError("n_max must be >= 0")
     members = [_kernel_member(n - 1, 0.0, 0) for n in range(1, n_max + 1)]
     raws = _integrate_members(members, 1, -1, tol, DEFAULT_MAX_LEVELS)
-    return [_signed_coefficient(n, raw, tol) for n, raw in enumerate(raws, 1)]
+    return [_signed_coefficient(n, *raw) for n, raw in enumerate(raws, 1)]
 
 
-def _signed_coefficient(n: int, raw: QuadratureResult, tol: float) -> QuadratureResult:
-    # b_n is (-1)**(n+1) times the kernel integral K(n-1, 0, 0)
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return _rescaled(raw, sign * raw.value, raw.abs_error_estimate, tol)
+def _signed_coefficient(n: int, value: float, est: float, n_evals: int,
+                        converged: bool) -> QuadratureResult:
+    # b_n is (-1)**(n+1) times the kernel integral K(n-1, 0, 0); the sign
+    # leaves the estimate, and with it converged, as the engine gave them
+    return QuadratureResult(value if n % 2 == 1 else -value, est, n_evals, converged)
 
 
 def moment_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:

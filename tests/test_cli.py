@@ -11,9 +11,10 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gregory import GregoryTable, IntegrandEvaluationError, bernoulli2_series, cli
@@ -129,6 +130,61 @@ class TestComputeCommand:
              "--format", "csv"], capsys)
         assert code == 0
         assert "2,-1/12,,series," in out
+
+
+_SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                   math.nan, math.inf, -math.inf)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_EXACT_ROWS = st.tuples(
+    st.integers(0, 10**4),
+    st.builds("{}/{}".format, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.none(), st.sampled_from(["series", "explicit"]), st.none())
+_INTEGRAL_ROWS = st.tuples(st.integers(1, 10**4), st.none(), _FLOATS, st.just("integral"),
+                           st.one_of(st.none(), _FLOATS))
+
+
+def _dicts(rows):
+    return [dict(zip(cli._RECORD_FIELDS, row)) for row in rows]
+
+
+class TestRecordWriters:
+    """The compute emitters write what json.dumps and csv.DictWriter write
+    for the same records, as dicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.one_of(_EXACT_ROWS, _INTEGRAL_ROWS), max_size=8))
+    @example(rows=[])
+    @example(rows=[(0, "-1/12", None, "series", None)])
+    @example(rows=[(n, None, x, "integral", e) for n, (x, e) in enumerate(
+        zip(_SPECIAL_FLOATS, reversed(_SPECIAL_FLOATS)), 1)])
+    def test_json_and_csv(self, rows):
+        out = io.StringIO()
+        cli._write_json(rows, out)
+        assert out.getvalue() == json.dumps(_dicts(rows), indent=2) + "\n"
+
+        out, want = io.StringIO(), io.StringIO()
+        cli._write_csv(rows, out)
+        writer = csv.DictWriter(want, cli._RECORD_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_dicts(rows))
+        assert out.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("method, lines", [("series", 11), ("integral", 10), ("all", 11)])
+    def test_table_is_one_write(self, method, lines, monkeypatch):
+        """The header and every row reach stdout in one write; only the
+        footer of --method all follows."""
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert cli.main(["compute", "--n-max", "9", "--method", method]) == 0
+        assert writes[0].count("\n") == lines
+        rest = "".join(writes[1:])
+        assert rest.startswith("max cross-method deviation: ") if method == "all" else rest == ""
 
 
 class TestVerifyCommand:
@@ -351,6 +407,30 @@ class TestVerifyStageEvidence:
         order, point, value = screens[0].first_violation
         assert (order, point) == (1, 0)
         assert (code, out, err) == (1, _report_line("bernstein", [2, 7], (0, 3, value)), "")
+
+    def test_majorization_walks_the_equal_sum_pairs_in_order(self, capsys, monkeypatch):
+        """Of the 119 * 119 ordered tuple pairs, the 973 of equal sum are
+        tested for majorization and the 568 majorizing ones checked, each
+        in canonical (i, j) order."""
+        tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
+        equal_sum = [(lam, mu) for lam in tuples for mu in tuples if sum(lam) == sum(mu)]
+        tested, checked = [], []
+        real_test, real_check = cli.is_majorized, cli.check_majorization_inequality
+
+        def testing(lam, mu):
+            tested.append((lam, mu))
+            return real_test(lam, mu)
+
+        def checking(table, lam, mu):
+            checked.append((lam, mu))
+            return real_check(table, lam, mu)
+
+        monkeypatch.setattr(cli, "is_majorized", testing)
+        monkeypatch.setattr(cli, "check_majorization_inequality", checking)
+        code, _, _ = run_cli(["verify", "--suite", "majorization"], capsys)
+        assert code == 0
+        assert len(tested) == 973 and tested == equal_sum
+        assert len(checked) == 568 and checked == [p for p in equal_sum if real_test(*p)]
 
     def test_hankel_takes_one_determinant_per_matrix(self, capsys, monkeypatch):
         """3 goldens and 209 sweep tuples: 212 determinants, none twice."""

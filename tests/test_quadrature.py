@@ -2,6 +2,7 @@
 
 import math
 import concurrent.futures
+import dataclasses
 import functools
 import sys
 import threading
@@ -600,6 +601,15 @@ class TestCoefficientSweep:
         want = [bernoulli2_integral(n, tol) for n in range(1, n_max + 1)]
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    def test_signs_the_kernel_integrals(self, tol):
+        """Entry n - 1 is K(n-1, 0, 0) with its value negated at even n and
+        its estimate, n_evals and converged as the kernel gives them."""
+        for n, got in enumerate(quadrature.bernoulli2_integrals(40, tol), 1):
+            kernel = quadrature._kernel(n - 1, 0.0, 0, tol)
+            sign = 1.0 if n % 2 else -1.0
+            assert _bits(got) == _bits(dataclasses.replace(kernel, value=sign * kernel.value))
+
     def test_members_leave_at_different_levels(self):
         """At tol 1e-30 no coefficient converges and each stops where its own
         levels settle: the term counts differ, so members leave the loop
@@ -650,7 +660,7 @@ class TestMembers:
         got = quadrature._integrate_members(
             [quadrature._kernel_member(*args) for args in kernels], 1, -1, tol, max_levels)
         want = [quadrature._kernel(*args, tol, max_levels) for args in kernels]
-        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        assert [_bits(QuadratureResult(*r)) for r in got] == [_bits(r) for r in want]
 
     def test_later_member_reaching_further_grows_the_columns(self):
         """A member whose s -> 0 side reaches past the columns the first
@@ -660,7 +670,7 @@ class TestMembers:
         _clear_node_tables()
         got = quadrature._integrate_members(
             [quadrature._kernel_member(*args) for args in kernels], 1, -1, 1e-13, 12)
-        assert [_bits(r) for r in got] == want
+        assert [_bits(QuadratureResult(*r)) for r in got] == want
 
     def test_s1_side_is_worked_out_once_per_level(self):
         """Every member is handed the same s -> 1 columns on a level: the

@@ -10,9 +10,10 @@ the check for a refactor that must not change output:
     cmp before.txt after.txt
 
 SRC defaults to the ``src`` directory next to this script.  The set
-holds 594 argv.  It covers every compute method, format and a range of
+holds 600 argv.  It covers every compute method, format and a range of
 --n-max (the integral method up to --n-max 300 at tol 1e-10, 1e-13 and
-1e-30, all methods up to --n-max 160), every verify suite (the exact
+1e-30, the series and explicit methods up to --n-max 256, all methods
+up to --n-max 160), every verify suite (the exact
 ones up to --n-max 160, as far as the benchmark goes), and an eval grid
 reaching tol 1e-30 and x 1e300, with every derivative order 1..20 at tol
 1e-13, derivative references for k <= 4 from x = 5e-324 to 1e300, and
@@ -58,6 +59,10 @@ def golden_argvs() -> list[list[str]]:
                         "--n-max", "300"] + extra)
     for fmt in ("table", "csv", "json"):
         out.append(["compute", "--method", "all", "--format", fmt, "--n-max", "160"])
+    # the benchmark's largest exact tables
+    for method in ("series", "explicit"):
+        for fmt in ("table", "csv", "json"):
+            out.append(["compute", "--method", method, "--format", fmt, "--n-max", "256"])
     out += [["compute", "--n-max", "-1"],
             ["compute", "--method", "integral", "--tol", "0"],
             ["compute", "--method", "all", "--tol", "-1e-10"],
