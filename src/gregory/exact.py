@@ -10,8 +10,9 @@ Two algebraically independent exact algorithms are provided:
 * ``bernoulli2_series``   -- the series-division recurrence, run on
   integer numerators over one common denominator.
 * ``bernoulli2_explicit`` -- the closed nested-sum formula over the chain
-  sums S(m, d), evaluated on integer rows of unsigned Stirling numbers of
-  the first kind.
+  sums S(m, d), whose bracket n! b_n = sum_k s(n, k)/(k+1) is the moment
+  int_0^1 x(x-1)...(x-n+1) dx, evaluated by a walk over integer moments
+  that only multiplies by small ints, where the recurrence divides.
 
 Both run on Python ints and build a single ``Fraction`` per coefficient
 at the end; an N = 1000 table takes seconds.  Floats never enter this
@@ -21,10 +22,12 @@ module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -185,23 +188,21 @@ def a_coefficient(n: int, i: int) -> Fraction:
     return Fraction(math.factorial(i - 1) * _stirling_row(n)[i - 1])
 
 
-def _explicit_from_rows(n: int, prev: Sequence[int], weights: Sequence[int]) -> Fraction:
-    """b_n from the row |s(n-1, .)|, with weights[k] = lcm/k for a common
-    multiple lcm = weights[1] of 1..n+1.
+def _explicit_brackets(n_max: int) -> tuple[list[int], int]:
+    """[K_0(0), ..., K_{n_max}(0)] and L = lcm(1..n_max+1); K_n(0) = n! L b_n.
 
-    With a(n, k) = (k-1)! |s(n, k-1)| each summand of the explicit formula
-    is the integer |s(n, k-1)| - n |s(n-1, k-1)| divided by k.  By the
-    Stirling recurrence |s(n, k-1)| = |s(n-1, k-2)| + (n-1) |s(n-1, k-1)|,
-    that integer is |s(n-1, k-2)| - |s(n-1, k-1)|, read off the one row.
-    The quotient by k splits as q + r/k with 0 <= r < k, and the bracket
-    becomes (lcm sum q + lcm/(n+1) + sum r lcm/k) / lcm.
+    K_m(j) = L int_0^1 x**j (x)_m dx for the falling factorial (x)_m, and
+    (x)_{m+1} = (x)_m (x - m) gives K_{m+1}(j) = K_m(j+1) - m K_m(j) from
+    K_0(j) = L/(j+1): the Stirling row recurrence moved onto the weights
+    (transposed), so no row is formed and no big int is divided.
     """
-    lcm = weights[1]
-    divisors = range(2, n + 1)
-    quotients, remainders = zip(*map(divmod, map(int.__sub__, prev, prev[1:n]), divisors))
-    bracket = (lcm * sum(quotients) + weights[n + 1]
-               + sum(map(int.__mul__, remainders, weights[2:n + 1])))
-    return Fraction(bracket if n % 2 == 0 else -bracket, math.factorial(n) * lcm)
+    lcm = math.lcm(*range(1, n_max + 2))
+    moments = [lcm // (j + 1) for j in range(n_max + 1)]        # K_0(0..n_max)
+    brackets = [lcm]
+    for m in range(n_max):
+        moments = list(map(int.__sub__, moments[1:], map(m.__mul__, moments)))
+        brackets.append(moments[0])
+    return brackets, lcm
 
 
 def bernoulli2_explicit(n: int) -> Fraction:
@@ -210,33 +211,31 @@ def bernoulli2_explicit(n: int) -> Fraction:
         b_n = (-1)**n / n! * [ 1/(n+1)
               + sum_{k=2}^{n} (a(n, k) - n a(n-1, k)) / k! ]
 
-    Every a(., .) in the sum is defined (2 <= k <= n).  The value is
-    entry n of :func:`bernoulli2_explicit_table`, whose walk over the
-    integer Stirling rows is the one evaluation of the formula.
+    Every a(., .) in the sum is defined (2 <= k <= n).  The bracket is
+    (-1)**n n! b_n = (-1)**n int_0^1 (x)_n dx, read off the moment walk of
+    :func:`bernoulli2_explicit_table`; one ``Fraction`` is built.
     """
     if n < 2:
         raise ValueError("explicit formula applies for n >= 2 only")
-    return bernoulli2_explicit_table(n)[n]
+    brackets, lcm = _explicit_brackets(n)
+    return Fraction(brackets[n], math.factorial(n) * lcm)
 
 
 def bernoulli2_explicit_table(n_max: int) -> GregoryTable:
     """GregoryTable built from the explicit formula.
 
-    The closed formula starts at n = 2; b_0 = 1 and b_1 = 1/2 are series
-    constants and are filled in directly so both methods cover the same
-    index range.  Only the Stirling row the formula needs is kept, and
-    every n shares the denominator lcm(1..n_max+1) and its weights.
+    The formula's bracket is the falling-factorial moment
+    n! b_n = int_0^1 x(x-1)...(x-n+1) dx = sum_k s(n, k)/(k+1), an integer
+    over L = lcm(1..n_max+1).  One walk of about n_max**2/2 small-int
+    multiplications gives every moment, b_0 = 1 and b_1 = 1/2 included;
+    the series recurrence divides instead, so the two stay independent.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [ONE, ONE_HALF][: n_max + 1]
-    lcm = math.lcm(*range(1, n_max + 2))
-    weights = [0] + [lcm // k for k in range(1, n_max + 2)]    # weights[k] = lcm/k
-    row = [1]                       # |s(0, .)|
-    for n in range(2, n_max + 1):
-        row = _next_stirling_row(row, n - 2)                    # |s(n-1, .)|
-        values.append(_explicit_from_rows(n, row, weights))
-    return GregoryTable(values=tuple(values), method=TableMethod.EXPLICIT_FORMULA)
+    brackets, lcm = _explicit_brackets(n_max)
+    scales = accumulate(range(1, n_max + 1), operator.mul, initial=lcm)    # n! L
+    return GregoryTable(values=tuple(map(Fraction, brackets, scales)),
+                        method=TableMethod.EXPLICIT_FORMULA)
 
 
 def signed_moment_sequence(table: GregoryTable) -> tuple[Fraction, ...]:

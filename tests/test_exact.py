@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gregory import exact
 from gregory import (
     GregoryTable,
     TableMethod,
@@ -19,6 +20,7 @@ from gregory import (
     nested_sum,
     signed_moment_sequence,
 )
+from gregory.exact import _explicit_brackets, _stirling_row
 
 
 class TestSeriesRecurrence:
@@ -222,6 +224,41 @@ class TestExplicitFormula:
     def test_tables_equal_at_300(self):
         """The two integer-only table builders agree index by index at N = 300."""
         assert bernoulli2_series(300).values == bernoulli2_explicit_table(300).values
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=200))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(200)
+    def test_tables_equal_up_to_200(self, n_max):
+        """Division-free walk and dividing recurrence agree at every N <= 200."""
+        assert bernoulli2_explicit_table(n_max).values == bernoulli2_series(n_max).values
+
+    def test_single_coefficient_builds_one_fraction(self, monkeypatch):
+        """bernoulli2_explicit(n) builds b_n alone, not the table's n+1 Fractions."""
+        expected = bernoulli2_series(40)[40]
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exact, "Fraction", counting_fraction)
+        assert bernoulli2_explicit(40) == expected
+        assert len(built) == 1
+
+
+class TestMomentWalk:
+    def test_matches_the_stirling_difference_bracket(self):
+        """The walk's K_n(0) is the explicit formula's integer bracket,
+        (-1)**n sum_{k=2}^{n+1} (|s(n-1,k-2)| - |s(n-1,k-1)|) L/k, for 2 <= n <= 80."""
+        brackets, lcm = _explicit_brackets(80)
+        assert len(brackets) == 81 and lcm == math.lcm(*range(1, 82))
+        for n in range(2, 81):
+            row = _stirling_row(n - 1) + [0]            # |s(n-1, 0..n)|
+            bracket = sum((row[k - 2] - row[k - 1]) * (lcm // k) for k in range(2, n + 2))
+            assert brackets[n] == (-1) ** n * bracket, n
 
 
 class TestSignedMoments:

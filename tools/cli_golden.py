@@ -10,10 +10,10 @@ the check for a refactor that must not change output:
     cmp before.txt after.txt
 
 SRC defaults to the ``src`` directory next to this script.  The set
-holds 600 argv.  It covers every compute method, format and a range of
+holds 603 argv.  It covers every compute method, format and a range of
 --n-max (the integral method up to --n-max 300 at tol 1e-10, 1e-13 and
-1e-30, the series and explicit methods up to --n-max 256, all methods
-up to --n-max 160), every verify suite (the exact
+1e-30, the series, explicit and all methods up to --n-max 256, the top of
+the benchmark's range), every verify suite (the exact
 ones up to --n-max 160, as far as the benchmark goes), and an eval grid
 reaching tol 1e-30 and x 1e300, with every derivative order 1..20 at tol
 1e-13, derivative references for k <= 4 from x = 5e-324 to 1e300, and
@@ -52,15 +52,15 @@ def golden_argvs() -> list[list[str]]:
                         "--n-max", "20", "--tol", tol])
     # the benchmark's largest integral table, also at tolerances where the
     # coefficients leave the shared level loop at different levels (at
-    # 1e-30 some by the settled stop), and the largest all-method table
+    # 1e-30 some by the settled stop), and an all-method table between
     for extra in ([], ["--tol", "1e-13"], ["--tol", "1e-30"]):
         for fmt in ("table", "csv", "json"):
             out.append(["compute", "--method", "integral", "--format", fmt,
                         "--n-max", "300"] + extra)
     for fmt in ("table", "csv", "json"):
         out.append(["compute", "--method", "all", "--format", fmt, "--n-max", "160"])
-    # the benchmark's largest exact tables
-    for method in ("series", "explicit"):
+    # the benchmark's largest exact and all-method tables
+    for method in ("series", "explicit", "all"):
         for fmt in ("table", "csv", "json"):
             out.append(["compute", "--method", method, "--format", fmt, "--n-max", "256"])
     out += [["compute", "--n-max", "-1"],
