@@ -137,7 +137,7 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
     elif fmt == "json":
         _write_json(rows, sys.stdout)
     elif method == "all":
-        _emit_table_all(n_max, series, explicit, integral)
+        _emit_table_all(rows)
     else:
         _emit_table(rows)
     if footer:
@@ -186,17 +186,14 @@ def _emit_table(rows: list[tuple]) -> None:
     _print_aligned(cells)
 
 
-def _emit_table_all(n_max, series, explicit, integral) -> None:
-    cells = [("n", "series", "explicit", "integral", "error_estimate")]
-    for n in range(0, n_max + 1):
-        if n:
-            numeric = repr(integral[n - 1].value)
-            est = f"{integral[n - 1].abs_error_estimate:.3e}"
-        else:
-            numeric = "n/a"    # ray integral needs n >= 1
-            est = "n/a"
-        cells.append((str(n), format_rational(series[n]),
-                      format_rational(explicit[n]), numeric, est))
+def _emit_table_all(rows: list[tuple]) -> None:
+    # rows run series, explicit, then integral for each n, with no integral
+    # at n = 0: the ray integral needs n >= 1
+    cells = [("n", "series", "explicit", "integral", "error_estimate"),
+             ("0", rows[0][1], rows[1][1], "n/a", "n/a")]
+    for i in range(2, len(rows), 3):
+        (n, series, *_), (_, explicit, *_), (_, _, numeric, _, est) = rows[i:i + 3]
+        cells.append((str(n), series, explicit, repr(numeric), f"{est:.3e}"))
     _print_aligned(cells)
 
 
@@ -429,7 +426,7 @@ _SUITES: dict[str, tuple[int, Optional[Callable[[int], int]],
     "hankel": (11, lambda n: 11, _suite_hankel),    # sweep entries reach index 2*5+1
     "majorization": (7, lambda n: 7, _suite_majorization),  # products reach index 6+1
     "log-convexity": (3, lambda n: n, _suite_log_convexity),
-    "integrals": (1, lambda n: max(min(n, 20), 13), _suite_integrals),
+    "integrals": (1, lambda n: max(min(n, 20), 12), _suite_integrals),  # stage 3 reads b_12
     "bernstein": (0, None, _suite_bernstein),
     "degree": (0, None, _suite_degree),
 }

@@ -36,17 +36,18 @@ function whole columns of nodes, so a kernel's terms come from one list
 comprehension per side and level.  :func:`bernstein_identity`, the one
 integral without the kernel, has a column term and envelope of its own.
 
-The engine sums a list of members, kernels that share the s -> 1 side's
-alpha.  They run through the level loop one after another; the first to
-reach a level works out that side's stop, node columns and truncation
-bound for all, and each member adds only its own s -> 0 side, terms and
-estimate, so every result is bit for bit the one its member gets alone.
-:func:`bernoulli2_integrals` sums b_1..b_N as one such list, and every
-other public function is a list of one.
+:func:`_integrate_members`, the engine's one entry, sums a list of
+members, kernels that share the s -> 1 side's alpha.  They run through
+the level loop one after another; the first to reach a level works out
+that side's stop, node columns and truncation bound for all, and each
+member adds only its own s -> 0 side, terms and estimate, so every result
+is bit for bit the one its member gets alone.  :func:`bernoulli2_integrals`
+sums b_1..b_N as one such list, and every other public function is a list
+of one; each scales its raw tuples and builds one QuadratureResult apiece.
 
 Tolerances are absolute error targets throughout; callers wanting a
-relative target scale tol by a magnitude estimate first.  Every public
-function refines through DEFAULT_MAX_LEVELS levels.
+relative target scale tol by a magnitude estimate first.  Every call
+refines through at most DEFAULT_MAX_LEVELS levels, the module constant.
 """
 
 from __future__ import annotations
@@ -88,14 +89,6 @@ class QuadratureResult:
     abs_error_estimate: float
     n_evals: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "abs_error": self.abs_error_estimate,
-            "n_evals": self.n_evals,
-            "converged": self.converged,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -146,28 +139,16 @@ def _level_table(level: int, need: int) -> tuple:
         return cols
 
 
-def _integrate_transformed(term, alphas: tuple, beta: int, tol: float,
-                           max_levels: int, floor: float = 1.1e-16) -> QuadratureResult:
-    """Trapezoid-in-tau summation of one weighted term function.
-
-    The one-member call of :func:`_integrate_members`, which states the
-    term contract, the envelope, the stop and the error estimate; alphas
-    = (alpha on the s -> 1 side, alpha on the s -> 0 side).
-    """
-    hi, lo = alphas
-    raw = _integrate_members([(term, lo, floor)], hi, beta, tol, max_levels)
-    return QuadratureResult(*raw[0])
-
-
-def _integrate_members(members: list, hi: int, beta: int, tol: float,
-                       max_levels: int) -> list[tuple]:
+def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tuple]:
     """Trapezoid-in-tau summation of term functions that share the s -> 1 side.
 
-    members is a list of (term, lo, floor), and the result holds one
-    (value, abs_error_estimate, n_evals, converged) tuple per member, in
-    order: the fields of its QuadratureResult, which the caller builds
-    once, after any scaling.  term(sig, sigc, jac, d) maps
-    equal-length node columns to an iterable of the transformed
+    The engine's only entry, for one member or many, refining through at
+    most the module's DEFAULT_MAX_LEVELS levels.  members is a list of
+    (term, lo, floor), and the result holds one raw (value,
+    abs_error_estimate, n_evals, converged) tuple per member, in order:
+    the fields of the one QuadratureResult that the public function
+    builds with :func:`_result`, after any scaling.  term(sig, sigc, jac,
+    d) maps equal-length node columns to an iterable of the transformed
     integrand's terms (Jacobian included), one per node and in node
     order; the terms are finite and never negative.  Each side of a
     member is bounded in advance by the envelope
@@ -220,16 +201,12 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
     fsum, tanh = math.fsum, math.tanh
     cut = max(4e-3 * tol, 2e-281)
     # per level reached, what every member reads alike: the level's step,
     # node count and node columns, and the s -> 1 side's first dropped node
-    # (see below), kept columns and truncation bound; a lone member shares
-    # nothing
+    # (see below), kept columns and truncation bound
     shared: list[tuple] = []
-    share = len(members) > 1
     results = []
     for term, lo, floor in members:
         known = len(shared)     # the levels an earlier member reached
@@ -243,7 +220,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
         # per side, the first node of the step-h grid whose envelope is at
         # most cut, as j in tau = j*h (36/h + 1 while none is, as before level 0)
         first_hi = first_lo = int(_T_MAX) + 1
-        for level in range(0, max_levels + 1):
+        for level in range(0, DEFAULT_MAX_LEVELS + 1):
             if level < known:
                 (h, step, full, sig, sigc, jac, d,
                  first_hi, s1, c1, j1, d1, trunc_hi) = shared[level]
@@ -283,9 +260,8 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                 k = stop_hi - 1 if stop_hi else 0
                 r = hi * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
                 trunc_hi = cut * (h + 1.0 / r) if stop_hi < full else sigc[k] ** hi * jac[k] ** beta / r
-                if share:
-                    shared.append((h, step, full, sig, sigc, jac, d,
-                                   first_hi, s1, c1, j1, d1, trunc_hi))
+                shared.append((h, step, full, sig, sigc, jac, d,
+                               first_hi, s1, c1, j1, d1, trunc_hi))
             if level == 0:
                 stop_lo = 0
                 while stop_lo < full and sigc[stop_lo] ** lo * jac[stop_lo] ** beta > cut:
@@ -328,11 +304,11 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     return results
 
 
-def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> QuadratureResult:
-    # converged must keep implying est <= tol after post-scaling
-    return QuadratureResult(value=value, abs_error_estimate=est,
-                            n_evals=raw.n_evals,
-                            converged=raw.converged and est <= tol)
+def _result(value: float, est: float, n_evals: int, converged: bool,
+            tol: float) -> QuadratureResult:
+    # a public function's one result, after any scaling of the engine's
+    # value and estimate: converged must keep implying est <= tol
+    return QuadratureResult(value, est, n_evals, converged and est <= tol)
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +317,9 @@ def _rescaled(raw: QuadratureResult, value: float, est: float, tol: float) -> Qu
 
 def _kernel_member(a: int, x: float, p: int) -> tuple:
     """The engine member (term, alpha on the s -> 0 side, floor) of K(a, x, p).
+
+    :func:`_kernel` sends it alone and :func:`bernoulli2_integrals` one per
+    coefficient; either caller builds one result per member.
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
     negative for finite x >= 0.  As jac/d = 1/(pi cosh tau) and the other
@@ -388,12 +367,10 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     return term, a, (a + (p if x != 0.0 else 0) + 4) * _U
 
 
-def _kernel(a: int, x: float, p: int, tol: float,
-            max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
-    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled,
-    with the term and floor of :func:`_kernel_member`."""
-    raw = _integrate_members([_kernel_member(a, x, p)], 1, -1, tol, max_levels)
-    return QuadratureResult(*raw[0])
+def _kernel(a: int, x: float, p: int, tol: float) -> tuple:
+    """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled, as the
+    engine's raw tuple, with the term and floor of :func:`_kernel_member`."""
+    return _integrate_members([_kernel_member(a, x, p)], 1, -1, tol)[0]
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -413,8 +390,8 @@ def bernoulli2_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if n < 1:
         raise ValueError("integral representation needs n >= 1 (diverges at n = 0)")
-    raw = _integrate_members([_kernel_member(n - 1, 0.0, 0)], 1, -1, tol, DEFAULT_MAX_LEVELS)
-    return _signed_coefficient(n, *raw[0])
+    value, est, n_evals, converged = _kernel(n - 1, 0.0, 0, tol)
+    return _result(value if n % 2 == 1 else -value, est, n_evals, converged, tol)
 
 
 def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[QuadratureResult]:
@@ -430,15 +407,9 @@ def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[Quadratur
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     members = [_kernel_member(n - 1, 0.0, 0) for n in range(1, n_max + 1)]
-    raws = _integrate_members(members, 1, -1, tol, DEFAULT_MAX_LEVELS)
-    return [_signed_coefficient(n, *raw) for n, raw in enumerate(raws, 1)]
-
-
-def _signed_coefficient(n: int, value: float, est: float, n_evals: int,
-                        converged: bool) -> QuadratureResult:
-    # b_n is (-1)**(n+1) times the kernel integral K(n-1, 0, 0); the sign
-    # leaves the estimate, and with it converged, as the engine gave them
-    return QuadratureResult(value if n % 2 == 1 else -value, est, n_evals, converged)
+    raws = _integrate_members(members, 1, -1, tol)
+    return [_result(value if n % 2 == 1 else -value, est, n_evals, converged, tol)
+            for n, (value, est, n_evals, converged) in enumerate(raws, 1)]
 
 
 def moment_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -449,7 +420,7 @@ def moment_integral(n: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    return _kernel(n, 0.0, 0, tol)
+    return _result(*_kernel(n, 0.0, 0, tol), tol)
 
 
 def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -462,10 +433,8 @@ def stieltjes_recip_log(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    tail = _kernel(0, x, 1, tol)
-    value = 1.0 / x + tail.value
-    est = tail.abs_error_estimate + 2.3e-16 * abs(1.0 / x)
-    return _rescaled(tail, value, est, tol)
+    tail, est, n_evals, converged = _kernel(0, x, 1, tol)
+    return _result(1.0 / x + tail, est + 2.3e-16 * abs(1.0 / x), n_evals, converged, tol)
 
 
 def genfun_integral(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -476,10 +445,9 @@ def genfun_integral(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    tail = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)))
-    value = 1.0 + x * tail.value
-    est = x * tail.abs_error_estimate + 2.3e-16 * abs(value)
-    return _rescaled(tail, value, est, tol)
+    tail, est, n_evals, converged = _kernel(0, x, 1, _inner_tol(tol, max(x, 1.0)))
+    value = 1.0 + x * tail
+    return _result(value, x * est + 2.3e-16 * abs(value), n_evals, converged, tol)
 
 
 def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -505,10 +473,10 @@ def genfun_derivative_integral(x: float, k: int, tol: float = DEFAULT_TOL) -> Qu
     if not 0.0 <= x < math.inf:
         raise ValueError("x must be >= 0 and finite")
     kfac = float(math.factorial(k))
-    raw = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac))
-    value = (1.0 if k % 2 == 1 else -1.0) * kfac * raw.value
+    raw, est, n_evals, converged = _kernel(k - 1, x, k + 1, _inner_tol(tol, kfac))
+    value = (1.0 if k % 2 == 1 else -1.0) * kfac * raw
     roundings = 1 if k <= 22 else 2
-    return _rescaled(raw, value, kfac * raw.abs_error_estimate + roundings * _U * abs(value), tol)
+    return _result(value, kfac * est + roundings * _U * abs(value), n_evals, converged, tol)
 
 
 def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -522,7 +490,7 @@ def shifted_kernel_integral(n: int, x: float, tol: float = DEFAULT_TOL) -> Quadr
         raise ValueError("n must be >= 1")
     if not 0.0 <= x < math.inf:
         raise ValueError("x must be >= 0 and finite")
-    return _kernel(n - 1, x, n, tol)
+    return _result(*_kernel(n - 1, x, n, tol), tol)
 
 
 def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -541,8 +509,9 @@ def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     def term(sig, sigc, jac, d):
         return [j * s * c * base ** -c for s, c, j in zip(sig, sigc, jac)]
-    raw = _integrate_transformed(term, (1, 1), 1, _inner_tol(tol, base), DEFAULT_MAX_LEVELS)
-    return _rescaled(raw, base * raw.value, base * raw.abs_error_estimate, tol)
+    value, est, n_evals, converged = _integrate_members([(term, 1, 1.1e-16)], 1, 1,
+                                                        _inner_tol(tol, base))[0]
+    return _result(base * value, base * est, n_evals, converged, tol)
 
 
 def stieltjes_weight(t: float) -> float:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +56,22 @@ class TestComputeCommand:
         assert last["exact"] is None
         assert abs(last["numeric"] - 1.0 / 24.0) < 1e-9
         assert last["error_estimate"] <= 1e-10
+
+    def test_all_table_formats_each_exact_value_once(self, capsys, monkeypatch):
+        """--method all --format table reads the exact strings from the rows
+        that csv and json write: one format_rational per series and
+        explicit value."""
+        formatted = []
+        real = cli.format_rational
+
+        def counting(value):
+            formatted.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "format_rational", counting)
+        code, _, _ = run_cli(["compute", "--n-max", "9", "--method", "all"], capsys)
+        assert code == 0
+        assert len(formatted) == 2 * 10
 
     def test_csv_and_json_agree(self, capsys):
         """The two machine formats serialize the same records."""
@@ -235,6 +253,22 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
         assert tols == [1e-11, 1e-11, 1e-11, 1e-6]
+
+    def test_integrals_table_reaches_b12(self, capsys, monkeypatch):
+        """The integrals suite reads at most b_12 (stage 3, k <= 12) below
+        --n-max 12, so the run builds its exact table through b_12."""
+        built = []
+        real = cli.bernoulli2_series
+
+        def recording(n_max):
+            built.append(n_max)
+            return real(n_max)
+
+        monkeypatch.setattr(cli, "bernoulli2_series", recording)
+        code, out, _ = run_cli(["verify", "--suite", "integrals", "--n-max", "5"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert built == [12]
 
     def test_undersized_horizon_is_usage_error(self, capsys):
         """log-convexity needs four coefficients, so n_max 2 cannot run."""
@@ -788,3 +822,32 @@ class TestSharedParser:
             assert args.pop("command") == argv[0]
             assert set(args) == keys
         assert parser.parse_args(["compute"]).n_max == 30
+
+
+def _golden_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_golden.py"
+    spec = importlib.util.spec_from_file_location("cli_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenTool:
+    def test_usage_error_block_ignores_terminal_width(self, monkeypatch):
+        """argparse wraps usage text at the terminal width; the tool records
+        every argv at 80 columns, so a usage error gives one block at any
+        width."""
+        tool = _golden_tool()
+        blocks = []
+        for columns in ("200", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            blocks.append(tool.run_one(cli.main, ["compute", "--method", "nope"])[0])
+        assert blocks[0] == blocks[1]
+        assert "\nusage: gregory compute [-h] [--n-max N_MAX]\n" in blocks[0]
+
+    def test_digest_file_lists_the_argv_set(self):
+        """tools/golden.sha256 holds one digest per argv of the set, in order."""
+        tool = _golden_tool()
+        lines = tool.DIGESTS.read_text(encoding="utf-8").splitlines()
+        assert [line.split("  ", 1)[1] for line in lines] == [
+            " ".join(argv) for argv in tool.golden_argvs()]

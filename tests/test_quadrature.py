@@ -2,12 +2,14 @@
 
 import math
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import sys
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,6 +228,34 @@ def _bits(result: QuadratureResult) -> tuple:
             result.n_evals, result.converged)
 
 
+# The engine always refines through the module's DEFAULT_MAX_LEVELS; these
+# helpers lower that cap around one engine call (None keeps it), and build a
+# QuadratureResult from each raw (value, estimate, n_evals, converged) tuple.
+
+def _capped(levels):
+    if levels is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(quadrature, "DEFAULT_MAX_LEVELS", levels)
+
+
+def _members(members: list, hi: int, beta: int, tol: float, levels=None) -> list:
+    with _capped(levels):
+        raws = quadrature._integrate_members(members, hi, beta, tol)
+    return [QuadratureResult(*raw) for raw in raws]
+
+
+def _integrate(term, alphas, beta, tol: float, levels=None,
+               floor: float = 1.1e-16) -> QuadratureResult:
+    # one term function, alphas = (alpha on the s -> 1 side, on the s -> 0 side)
+    hi, lo = alphas
+    return _members([(term, lo, floor)], hi, beta, tol, levels)[0]
+
+
+def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> QuadratureResult:
+    with _capped(levels):
+        return QuadratureResult(*quadrature._kernel(a, x, p, tol))
+
+
 # test-local term functions of the engine: (term, alphas, beta, exact value)
 def _unit_term(sig, sigc, jac, d):
     return [j * s * c for s, c, j in zip(sig, sigc, jac)]
@@ -300,7 +330,7 @@ class TestColumnEngineMatchesPerNodeReference:
     def test_kernel_bits(self, args, tol, max_levels):
         """Value, estimate, n_evals and converged agree bit for bit."""
         a, x, p = args
-        got = quadrature._kernel(a, x, p, tol, max_levels)
+        got = _kernel_result(a, x, p, tol, max_levels)
         assert _bits(got) == _bits(_reference_kernel(a, x, p, tol, max_levels))
 
     @settings(max_examples=60, deadline=None)
@@ -326,7 +356,7 @@ class TestColumnEngineMatchesPerNodeReference:
             seen.extend(zip(sig, sigc, jac, d))
             return term(sig, sigc, jac, d)
 
-        got = quadrature._integrate_transformed(recording, alphas, beta, tol, max_levels)
+        got = _integrate(recording, alphas, beta, tol, max_levels)
         visited = []
 
         def g(nd):
@@ -427,26 +457,26 @@ class TestEngine:
     def test_exact_values(self, name):
         """Each test-local term function integrates to its exact value."""
         term, alphas, beta, exact = _TERMS[name]
-        result = quadrature._integrate_transformed(term, alphas, beta, 1e-12, 12)
+        result = _integrate(term, alphas, beta, 1e-12)
         assert result.converged
         assert abs(result.value - exact) <= 1e-12
 
     def test_unreachable_tol_reports_not_converged(self):
         """An impossible tolerance is reported honestly, not raised."""
-        result = quadrature._integrate_transformed(_unit_term, (1, 1), 1, 1e-30, 12)
+        result = _integrate(_unit_term, (1, 1), 1, 1e-30)
         assert not result.converged
         assert result.n_evals > 0
         assert abs(result.value - 1.0) < 1e-13
 
     def test_rejects_bad_controls(self):
-        for tol, max_levels in ((0.0, 12), (math.nan, 12), (math.inf, 12), (1e-8, 0)):
+        for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                quadrature._integrate_transformed(_unit_term, (1, 1), 1, tol, max_levels)
+                _integrate(_unit_term, (1, 1), 1, tol)
 
     def test_threaded_calls_agree(self):
         """Concurrent calls give identical results."""
         def job(_):
-            return quadrature._integrate_transformed(_cube_term, (1, 4), 1, 1e-10, 12).value
+            return _integrate(_cube_term, (1, 4), 1, 1e-10).value
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(job, range(8)))
@@ -458,7 +488,7 @@ class TestEngine:
         them reaching tau = 36 on their levels and half stopping far short
         of it, agree with serial calls.  The first is the kernel of
         f^(10)(0.25) with no floor, at a tol it never meets."""
-        calls = (lambda: quadrature._integrate_transformed(_setup_term, (1, 9), -1, 1e-100, 12, 0.0),
+        calls = (lambda: _integrate(_setup_term, (1, 9), -1, 1e-100, floor=0.0),
                  lambda: genfun_derivative_integral(0.06, 1, 1e-30))
         serial = [_bits(call()) for call in calls]
         _clear_node_tables()
@@ -512,7 +542,7 @@ class TestNodeColumns:
         assert not genfun_derivative_integral(0.25, 10, 1e-13).converged
         assert max(quadrature._node_levels) == 5
         _clear_node_tables()
-        quadrature._integrate_transformed(_setup_term, (1, 9), -1, 1e-100, 12, 0.0)
+        _integrate(_setup_term, (1, 9), -1, 1e-100, floor=0.0)
         assert 5 * len(quadrature._node_levels[12][0]) <= 36 << 11
         _clear_node_tables()
         for n in range(1, 301):
@@ -528,18 +558,12 @@ class TestNodeColumns:
         _clear_node_tables()
         sizes = []
         for args in (shallow, deep, shallow):
-            assert _bits(quadrature._kernel(*args)) == _bits(_reference_kernel(*args))
+            assert _bits(_kernel_result(*args)) == _bits(_reference_kernel(*args))
             sizes.append(len(quadrature._node_levels[2][0]))
         assert sizes[0] < sizes[1] == sizes[2] == 72
 
 
 class TestResultType:
-    def test_json_shape(self):
-        result = QuadratureResult(value=0.5, abs_error_estimate=1e-12,
-                                  n_evals=33, converged=True)
-        assert result.to_json_dict() == {
-            "value": 0.5, "abs_error": 1e-12, "n_evals": 33, "converged": True}
-
     def test_converged_implies_estimate_within_tol(self):
         for tol in (1e-6, 1e-8, 1e-10):
             result = bernoulli2_integral(3, tol)
@@ -606,7 +630,7 @@ class TestCoefficientSweep:
         """Entry n - 1 is K(n-1, 0, 0) with its value negated at even n and
         its estimate, n_evals and converged as the kernel gives them."""
         for n, got in enumerate(quadrature.bernoulli2_integrals(40, tol), 1):
-            kernel = quadrature._kernel(n - 1, 0.0, 0, tol)
+            kernel = _kernel_result(n - 1, 0.0, 0, tol)
             sign = 1.0 if n % 2 else -1.0
             assert _bits(got) == _bits(dataclasses.replace(kernel, value=sign * kernel.value))
 
@@ -657,20 +681,19 @@ class TestMembers:
     def test_each_result_is_the_lone_call(self, kernels, tol, max_levels):
         """Kernels of any shape, in any order, some reaching levels that no
         member before them reached, each get the bits of their own call."""
-        got = quadrature._integrate_members(
-            [quadrature._kernel_member(*args) for args in kernels], 1, -1, tol, max_levels)
-        want = [quadrature._kernel(*args, tol, max_levels) for args in kernels]
-        assert [_bits(QuadratureResult(*r)) for r in got] == [_bits(r) for r in want]
+        got = _members([quadrature._kernel_member(*args) for args in kernels],
+                       1, -1, tol, max_levels)
+        want = [_kernel_result(*args, tol, max_levels) for args in kernels]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
     def test_later_member_reaching_further_grows_the_columns(self):
         """A member whose s -> 0 side reaches past the columns the first
         member built on a level grows them, on fresh node tables."""
         kernels = [(299, 0.0, 0), (0, 0.0, 0), (0, 1e3, 2)]
-        want = [_bits(quadrature._kernel(*args, 1e-13, 12)) for args in kernels]
+        want = [_bits(_kernel_result(*args, 1e-13)) for args in kernels]
         _clear_node_tables()
-        got = quadrature._integrate_members(
-            [quadrature._kernel_member(*args) for args in kernels], 1, -1, 1e-13, 12)
-        assert [_bits(QuadratureResult(*r)) for r in got] == want
+        got = _members([quadrature._kernel_member(*args) for args in kernels], 1, -1, 1e-13)
+        assert [_bits(r) for r in got] == want
 
     def test_s1_side_is_worked_out_once_per_level(self):
         """Every member is handed the same s -> 1 columns on a level: the
@@ -687,7 +710,7 @@ class TestMembers:
             return recording, lo, floor
 
         quadrature._integrate_members([member(i, a) for i, a in enumerate((0, 5, 40))],
-                                      1, -1, 1e-10, 12)
+                                      1, -1, 1e-10)
         members_of = {}
         for i, col in handed:
             members_of.setdefault(id(col), set()).add(i)
@@ -1042,7 +1065,7 @@ class TestRoundingFloor:
         """The k! product adds one rounding of the value to the estimate,
         and past k = 22, where float(k!) is inexact, a second one."""
         kfac = float(math.factorial(k))
-        raw = quadrature._kernel(k - 1, 0.0, k + 1, quadrature._inner_tol(1e-300, kfac))
+        raw = _kernel_result(k - 1, 0.0, k + 1, quadrature._inner_tol(1e-300, kfac))
         got = genfun_derivative_integral(0.0, k, 1e-300)
         roundings = 1 if k <= 22 else 2
         assert (kfac == math.factorial(k)) == (k <= 22)

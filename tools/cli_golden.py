@@ -9,6 +9,18 @@ the check for a refactor that must not change output:
     python tools/cli_golden.py after.txt
     cmp before.txt after.txt
 
+``--check`` compares the SHA-256 digest of every block with the committed
+``tools/golden.sha256`` (one line per argv: the digest, two spaces, the
+argv) and names every argv whose block differs; ``--update`` rewrites that
+file, for a change that alters output on purpose:
+
+    python tools/cli_golden.py --check
+    python tools/cli_golden.py --update
+
+Every argv runs with COLUMNS=80, so argparse wraps its usage text alike
+in any terminal.  The digests were recorded on Python 3.11; argparse text
+may differ on other versions.
+
 SRC defaults to the ``src`` directory next to this script.  The set
 holds 603 argv.  It covers every compute method, format and a range of
 --n-max (the integral method up to --n-max 300 at tol 1e-10, 1e-13 and
@@ -29,9 +41,14 @@ on a 2-core Xeon.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
+
+DIGESTS = Path(__file__).with_name("golden.sha256")
 
 SUITES = ("cm-sequence", "minimality", "hankel", "majorization",
           "log-convexity", "integrals", "bernstein", "degree", "all")
@@ -143,7 +160,8 @@ def run_one(main, argv: list[str]) -> tuple[str, bool]:
     """One record block for argv, and whether an exception escaped."""
     stdout, stderr = io.StringIO(), io.StringIO()
     raised = False
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         try:
             status = f"exit {main(argv)}"
         except Exception as exc:   # recorded, not hidden: the script exits 1
@@ -156,7 +174,7 @@ def run_one(main, argv: list[str]) -> tuple[str, bool]:
 
 def main(args: list[str]) -> int:
     if len(args) not in (2, 3):
-        print("usage: cli_golden.py OUT [SRC]", file=sys.stderr)
+        print("usage: cli_golden.py OUT|--check|--update [SRC]", file=sys.stderr)
         return 2
     src = Path(args[2]) if len(args) == 3 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
@@ -164,12 +182,27 @@ def main(args: list[str]) -> int:
     print(f"gregory from {Path(cli.__file__).parent}", file=sys.stderr)
     argvs = golden_argvs()
     raised = 0
-    with open(args[1], "w", encoding="utf-8") as fh:
-        for argv in argvs:
-            block, escaped = run_one(cli.main, argv)
-            fh.write(block)
-            raised += escaped
+    blocks, digests = [], {}    # digests: argv as one string -> block digest
+    for argv in argvs:
+        block, escaped = run_one(cli.main, argv)
+        blocks.append(block)
+        digests[" ".join(argv)] = hashlib.sha256(block.encode()).hexdigest()
+        raised += escaped
     print(f"{len(argvs)} argv recorded, {raised} raised", file=sys.stderr)
+    if args[1] == "--check":
+        lines = DIGESTS.read_text(encoding="utf-8").splitlines()
+        committed = dict(line.split("  ", 1)[::-1] for line in lines)
+        differ = [argv for argv in {**digests, **committed}
+                  if digests.get(argv) != committed.get(argv)]
+        for argv in differ:
+            print(f"golden digest differs: {argv}", file=sys.stderr)
+        print(f"{len(differ)} argv differ from {DIGESTS.name}", file=sys.stderr)
+        return 1 if raised or differ else 0
+    if args[1] == "--update":
+        DIGESTS.write_text("".join(f"{digest}  {argv}\n" for argv, digest in digests.items()),
+                           encoding="utf-8")
+    else:
+        Path(args[1]).write_text("".join(blocks), encoding="utf-8")
     return 1 if raised else 0
 
 
