@@ -28,22 +28,24 @@ turns K into a trapezoid sum over tau with the one term
 where 1/(y^2 + pi^2) IS v(s), since ln((1-s)/s) = -y.  The logarithm in
 the kernel is therefore available exactly even where s or 1 - s
 underflows.  As y^2 + pi^2 = (pi cosh tau)^2, every term is bounded in
-advance by sigma(-|y|)^alpha / (pi cosh tau), with alpha = 1 on the
-s -> 1 side and alpha = a on the s -> 0 side; the engine stops each
-side where that bound falls below a fixed fraction of tol and adds the
-bound on what it dropped to the error estimate.  It hands a term
-function whole columns of nodes, so a kernel's terms come from one list
-comprehension per side and level.  :func:`bernstein_identity`, the one
-integral without the kernel, has a column term and envelope of its own.
+advance by the envelope sigma(-|y|)^alpha * (pi cosh tau)^beta with
+beta = -1, alpha = 1 on the s -> 1 side and alpha = a on the s -> 0
+side; one side routine stops either side where the envelope falls below
+a fixed fraction of tol and bounds what it dropped, for the error
+estimate.  The engine hands a term function whole columns of nodes, so a
+kernel's terms come from one list comprehension per side and level.
+:func:`bernstein_identity`, the one integral without the kernel, has a
+column term of its own under the same envelope at beta = +1.
 
 :func:`_integrate_members`, the engine's one entry, sums a list of
 members, kernels that share the s -> 1 side's alpha.  They run through
-the level loop one after another; the first to reach a level works out
-that side's stop, node columns and truncation bound for all, and each
-member adds only its own s -> 0 side, terms and estimate, so every result
-is bit for bit the one its member gets alone.  :func:`bernoulli2_integrals`
-sums b_1..b_N as one such list, and every other public function is a list
-of one; each scales its raw tuples and builds one QuadratureResult apiece.
+the level loop one after another; the first to reach a level runs the
+side routine for the s -> 1 side on behalf of all, and each member runs
+it for its own s -> 0 side and adds its own terms and estimate, so every
+result is bit for bit the one its member gets alone.  The engine and the
+node table read one level layout.  :func:`bernoulli2_integrals` sums
+b_1..b_N as one such list, and every other public function is a list of
+one; each scales its raw tuples and builds one QuadratureResult apiece.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.  Every call
@@ -99,13 +101,18 @@ class QuadratureResult:
 # pi*cosh(tau) and d = y^2 + pi^2, with y = pi*sinh(tau).  Level 0 holds
 # tau = j for the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER
 # node); level L >= 1 holds tau = j * 2**-L for odd j, so the union
-# through level L is the full step-2**-L grid.  Swapping the sig and sigc
-# columns mirrors a side to -tau, since y^2, and with it d, is even.  A
-# level's columns hold a prefix of its nodes and grow on demand, doubling
-# up to the level's full count; growth swaps in longer tuples under a
-# lock, so a caller keeps an immutable copy and concurrent calls stay safe.
+# through level L is the full step-2**-L grid.  _LAYOUTS holds the layout
+# (h, step, node count) of each level through DEFAULT_MAX_LEVELS, its nodes
+# being tau = (step*i + 1)*h for i below the count, for the engine and the
+# table alike.  Swapping the sig and sigc columns mirrors a side to -tau,
+# since y^2, and with it d, is even.  A level's columns hold a prefix of
+# its nodes and grow on demand, doubling up to the level's full count;
+# growth swaps in longer tuples under a lock, so a caller keeps an
+# immutable copy and concurrent calls stay safe.
 # ----------------------------------------------------------------------
 
+_LAYOUTS = [(2.0 ** -level, step, int(_T_MAX * 2 ** level) // step)
+            for level, step in enumerate([1] + [2] * DEFAULT_MAX_LEVELS)]
 _node_lock = threading.Lock()
 _node_levels: dict[int, tuple] = {}
 
@@ -131,9 +138,8 @@ def _level_table(level: int, need: int) -> tuple:
         cols = _node_levels.get(level, ((),) * 4)
         have = len(cols[0])
         if have < need:   # re-check under the lock
-            h = 2.0 ** -level
-            step = 1 if level == 0 else 2
-            top = min(max(need, 2 * have), int(_T_MAX / h) // step)
+            h, step, full = _LAYOUTS[level]
+            top = min(max(need, 2 * have), full)
             grown = _columns([(step * i + 1) * h for i in range(have, top)])
             cols = _node_levels[level] = tuple(map(tuple.__add__, cols, grown))
         return cols
@@ -161,14 +167,15 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tu
     least r, that rate taken at the last node kept with tanh replaced by
     1 if beta > 0; r must be positive (alpha*pi/2 > beta when beta > 0).
 
-    On each level a side computes terms only for the nodes before the
-    first one where M falls to the cut 4e-3*tol: a forward scan on level
-    0, and on a finer level one test of the node halfway between the last
-    node kept and the first dropped.  The nodes it drops then sum to at
-    most cut * (h + 1/r); a side whose envelope is still above the cut
-    at tau = 36 adds M/r taken there instead.  A level's node columns are
-    built only as far as these tests and terms reach.  A side with no
-    node left computes no term.
+    One side routine applies this rule to either side.  On each level a
+    side computes terms only for the nodes before the first one where M
+    falls to the cut 4e-3*tol: a forward scan on level 0, and on a finer
+    level one test of the node halfway between the last node kept and the
+    first dropped.  The nodes it drops then sum to at most cut * (h + 1/r);
+    a side whose envelope is still above the cut at tau = 36 adds M/r
+    taken there instead.  A level's node columns, laid out as _LAYOUTS
+    says, are built only as far as these tests and terms reach.  A side
+    with no node left computes no term.
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
@@ -191,115 +198,97 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tu
     the terms summed.
 
     The members run through the level loop one after another.  The
-    s -> 1 side depends only on hi, beta and tol, so its stop, its node
-    columns and its truncation bound on a level are worked out by the
-    first member that reaches the level, with the level's node table, and
-    read by every later one, which grows the table only if its own s -> 0
-    side reaches further.  A member keeps its own s -> 0 stop, terms and
-    estimate, and leaves the loop, its terms with it, when it converges
-    or settles.  Each result is bit for bit the one the member gets alone.
+    s -> 1 side depends only on hi, beta and tol, so the first member
+    that reaches a level runs the side routine for it, and every later
+    one reads the side's stop, kept node columns and truncation bound on
+    that level from one record per level.  Each member takes the level's
+    node table as far as its two sides reach, which grows it only if its
+    own s -> 0 side reaches further, runs the side routine for that side,
+    keeps its own terms and estimate, and leaves the loop, its terms with
+    it, when it converges or settles.  Each result is bit for bit the one
+    the member gets alone.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     fsum, tanh = math.fsum, math.tanh
     cut = max(4e-3 * tol, 2e-281)
-    # per level reached, what every member reads alike: the level's step,
-    # node count and node columns, and the s -> 1 side's first dropped node
-    # (see below), kept columns and truncation bound
+
+    def side(level, first, alpha, layout, cols):
+        # a side's first dropped node as j in tau = j*h (36/h + 1 while none
+        # is, as before level 0), its number of nodes kept and its truncation bound
+        h, step, full = layout
+        sig, sigc, jac, d = cols
+        if level == 0:
+            stop = 0
+            while stop < full and sigc[stop] ** alpha * jac[stop] ** beta > cut:
+                stop += 1
+            first = stop + 1
+        else:
+            # M decreases, so the only node of this level still open is the
+            # one between the last node kept and the first dropped
+            new = first - 1
+            first = 2 * first - (new == full or sigc[new] ** alpha * jac[new] ** beta <= cut)
+            stop = first // 2
+        # k is the last node kept (the first node if none is): r taken there
+        # bounds the envelope's decay past every dropped node
+        k = stop - 1 if stop else 0
+        r = alpha * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
+        return first, stop, (cut * (h + 1.0 / r) if stop < full
+                             else sigc[k] ** alpha * jac[k] ** beta / r)
+
+    # per level reached, what every member reads alike: the s -> 1 side's
+    # first dropped node, kept columns and truncation bound
     shared: list[tuple] = []
     results = []
     for term, lo, floor in members:
-        known = len(shared)     # the levels an earlier member reached
         terms: list[float] = list(term(*_CENTER))
-        prev_total = None
-        prev_diff = None
+        prev_diff = 0.0     # level 1 has none before its own: a cube term of 0
         est = math.inf
         value = 0.0
         converged = False
         stagnant = 0
-        # per side, the first node of the step-h grid whose envelope is at
-        # most cut, as j in tau = j*h (36/h + 1 while none is, as before level 0)
         first_hi = first_lo = int(_T_MAX) + 1
         for level in range(0, DEFAULT_MAX_LEVELS + 1):
-            if level < known:
-                (h, step, full, sig, sigc, jac, d,
-                 first_hi, s1, c1, j1, d1, trunc_hi) = shared[level]
-                # the s -> 0 side reads this level's nodes only below its
-                # previous first: below the columns' end unless it reaches
-                # further than the member that built them
-                if first_lo > len(sig) < full:
-                    sig, sigc, jac, d = _level_table(level, min(first_lo, full))
-            else:
-                h = 2.0 ** -level
-                step = 1 if level == 0 else 2
-                full = int(_T_MAX / h) // step      # the level's node count
-                # a side reads this level's nodes only below its previous first
-                need = first_hi if first_hi > first_lo else first_lo
-                if need > full:
-                    need = full
-                cols = _node_levels.get(level)      # _level_table's unlocked path
-                sig, sigc, jac, d = (cols if cols is not None and len(cols[0]) >= need
-                                     else _level_table(level, need))
+            layout = _LAYOUTS[level]
+            # a side reads this level's nodes only below its previous first
+            need = first_hi if first_hi > first_lo else first_lo
+            if need > layout[2]:
+                need = layout[2]
+            cols = _node_levels.get(level)      # _level_table's unlocked path
+            if cols is None or len(cols[0]) < need:
+                cols = _level_table(level, need)
+            sig, sigc, jac, d = cols
+            if level == len(shared):
                 # the first member to reach this level works out the s -> 1
                 # side for all
-                if level == 0:
-                    stop_hi = 0
-                    while stop_hi < full and sigc[stop_hi] ** hi * jac[stop_hi] ** beta > cut:
-                        stop_hi += 1
-                    first_hi = stop_hi + 1
-                else:
-                    # M decreases, so the only node of this level still open
-                    # on a side is the one between its last node kept and
-                    # first dropped
-                    new = first_hi - 1
-                    first_hi = 2 * first_hi - (new == full or sigc[new] ** hi * jac[new] ** beta <= cut)
-                    stop_hi = first_hi // 2
-                s1, c1, j1, d1 = sig[:stop_hi], sigc[:stop_hi], jac[:stop_hi], d[:stop_hi]
-                # k is a side's last node kept (its first node if none is): r
-                # taken there bounds the envelope's decay past every dropped node
-                k = stop_hi - 1 if stop_hi else 0
-                r = hi * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
-                trunc_hi = cut * (h + 1.0 / r) if stop_hi < full else sigc[k] ** hi * jac[k] ** beta / r
-                shared.append((h, step, full, sig, sigc, jac, d,
-                               first_hi, s1, c1, j1, d1, trunc_hi))
+                first_hi, stop, trunc_hi = side(level, first_hi, hi, layout, cols)
+                shared.append((first_hi, (sig[:stop], sigc[:stop], jac[:stop], d[:stop]),
+                               trunc_hi))
+            first_hi, kept, trunc_hi = shared[level]
+            first_lo, stop, trunc = side(level, first_lo, lo, layout, cols)
+            terms.extend(term(*kept))
+            if stop:
+                terms.extend(term(sigc[:stop], sig[:stop], jac[:stop], d[:stop]))
+            trunc += trunc_hi
+            total = layout[0] * fsum(terms)
             if level == 0:
-                stop_lo = 0
-                while stop_lo < full and sigc[stop_lo] ** lo * jac[stop_lo] ** beta > cut:
-                    stop_lo += 1
-                first_lo = stop_lo + 1
-            else:
-                new = first_lo - 1
-                first_lo = 2 * first_lo - (new == full or sigc[new] ** lo * jac[new] ** beta <= cut)
-                stop_lo = first_lo // 2
-            terms.extend(term(s1, c1, j1, d1))
-            if stop_lo:
-                terms.extend(term(sigc[:stop_lo], sig[:stop_lo], jac[:stop_lo], d[:stop_lo]))
-            k = stop_lo - 1 if stop_lo else 0
-            r = lo * sig[k] * jac[k] - beta * (1.0 if beta > 0 else tanh((step * k + 1) * h))
-            trunc = trunc_hi + (cut * (h + 1.0 / r) if stop_lo < full else sigc[k] ** lo * jac[k] ** beta / r)
-            total = h * fsum(terms)
-            if prev_total is None:
-                prev_total = total
+                value = total
                 continue
-            diff = abs(total - prev_total)
+            diff = abs(total - value)
             # the error, relative to the total, roughly squares from one level
             # to the next; a difference below even the cube of the one before
             # is two coarse levels agreeing by chance, not convergence
-            predicted = 0.0 if prev_diff is None else (
-                total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff)
-            est = max(diff, predicted) + trunc + floor * total
+            predicted = total * (prev_diff / total) ** 3 if total > prev_diff else prev_diff
+            rounding = floor * total
+            est = (diff if diff > predicted else predicted) + trunc + rounding
             prev_diff = diff
             value = total
-            prev_total = total
             if est <= tol and level >= _MIN_LEVEL:
                 converged = True
                 break
-            if diff <= max(floor * total, 1e-300):
-                stagnant += 1
-                if stagnant >= 2 and floor * total + trunc > tol:
-                    break   # settled above tol: no finer level can converge
-            else:
-                stagnant = 0
+            stagnant = stagnant + 1 if diff <= rounding or diff <= 1e-300 else 0
+            if stagnant >= 2 and rounding + trunc > tol:
+                break   # settled above tol: no finer level can converge
         results.append((value, est, len(terms), converged))
     return results
 

@@ -275,10 +275,17 @@ def _setup_term(sig, sigc, jac, d):
     return [j * c * s ** 9 / (e * (1.0 + 0.25 * s) ** 11) for s, c, j, e in zip(sig, sigc, jac, d)]
 
 
+def _weighted_term(sig, sigc, jac, d):
+    # (1-s)^2 v(s)/s, the one term checked bit for bit with alpha != 1 on
+    # the s -> 1 side (here 3); mu_0 - 2 mu_1 + mu_2 = 3/8
+    return [j * c ** 3 / e for c, j, e in zip(sigc, jac, d)]
+
+
 _TERMS = {
     "one": (_unit_term, (1, 1), 1, 1.0),
     "s^3": (_cube_term, (1, 4), 1, 0.25),
     "v(s) s^2": (_moment_term, (1, 3), -1, 19.0 / 720.0),
+    "(1-s)^2 v(s)/s": (_weighted_term, (3, 0), -1, 3.0 / 8.0),
 }
 
 
