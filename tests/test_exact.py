@@ -20,7 +20,8 @@ from gregory import (
     nested_sum,
     signed_moment_sequence,
 )
-from gregory.exact import _explicit_brackets, _stirling_row
+from gregory.exact import (_division_plan, _explicit_brackets, _series_numerators,
+                           _stirling_row)
 
 
 class TestSeriesRecurrence:
@@ -55,6 +56,65 @@ class TestSeriesRecurrence:
 
     def test_method_label(self):
         assert bernoulli2_series(3).method is TableMethod.SERIES_RECURRENCE
+
+
+def _fraction_series(n_max):
+    """b_0..b_{n_max} from b_n = -sum_{k=1}^{n} (-1)**k b_{n-k}/(k+1) in plain Fractions."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        b.append(-sum(Fraction((-1) ** k, k + 1) * b[n - k] for k in range(1, n + 1)))
+    return tuple(b)
+
+
+class TestDivisionPlan:
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 255, 256, 1000])
+    def test_runs_cover_the_divisors_once_in_order(self, n_max):
+        """The runs, read in order, are exactly 2..N+1 with no gap or repeat."""
+        runs = [run for run, _ in _division_plan(n_max)]
+        assert all(len(run) > 0 and run.step == 1 for run in runs)
+        assert [d for run in runs for d in run] == list(range(2, n_max + 2))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 255, 256, 1000])
+    def test_modulus_is_the_runs_lcm_below_one_digit(self, n_max):
+        for run, modulus in _division_plan(n_max):
+            assert modulus == math.lcm(*run) and modulus < 2**30, run
+
+    def test_runs_are_greedy(self):
+        """Each run stops only where its next divisor would push the lcm to 2**30."""
+        plan = _division_plan(1000)
+        for (run, modulus), (after, _) in zip(plan, plan[1:]):
+            assert math.lcm(modulus, after.start) >= 2**30, run
+
+    def test_no_runs_without_divisors(self):
+        assert _division_plan(0) == []
+
+    @pytest.mark.parametrize("head", [1, 2, 7, 720, 10**12 + 39])
+    def test_grouped_division_takes_the_exact_floor(self, head):
+        """x_n = -floor(sum_k x_{n-k}/(k+1)) for N = 60 (eight runs, the last cut short).
+
+        A head far below n_max! lcm(1..n_max+1) leaves the terms fractional,
+        so the runs' remainders and their L/M weights decide the floor;
+        at the series' own head every term divides exactly."""
+        x = [head]
+        for n in range(1, 61):
+            x.append(-math.floor(sum(Fraction(x[n - k], k + 1) for k in range(1, n + 1))))
+        assert _series_numerators(head, _division_plan(60)) == x
+
+    def test_series_at_every_run_boundary(self):
+        """At each N <= 300 where a run begins or ends, the last run of N's
+        plan is a single divisor or a whole run; the series matches the
+        explicit table there."""
+        reference = bernoulli2_explicit_table(300).values
+        boundaries = {n for run, _ in _division_plan(300) for n in (run.start - 1, run.stop - 2)}
+        assert len(boundaries) > 100
+        for n_max in sorted(boundaries):
+            assert bernoulli2_series(n_max).values == reference[:n_max + 1], n_max
+
+    def test_matches_plain_fraction_recurrence(self):
+        """Every table up to N = 60 equals the recurrence run on Fractions."""
+        reference = _fraction_series(60)
+        for n_max in range(61):
+            assert bernoulli2_series(n_max).values == reference[:n_max + 1], n_max
 
 
 class TestGregoryTable:

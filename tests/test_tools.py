@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,3 +97,41 @@ class TestEngineAB:
         errors = {name for name, args in calls
                   if ab.outcome(head, name, args)[:1] == ("ValueError",)}
         assert len(errors) == 8
+
+    def test_rotation_gives_every_load_every_place(self):
+        """Over each three rounds, each of the three loads is timed first,
+        second and last exactly once."""
+        ab = _tool("engine_ab")
+        loads = ("head", "other", "control")
+        orders = [ab.rotation(loads, i) for i in range(6)]
+        assert all(sorted(order) == sorted(loads) for order in orders)
+        for place in range(3):
+            for load in loads:
+                assert [order[place] for order in orders].count(load) == 2
+        assert orders[:3] == orders[3:]
+
+    def test_timing_times_in_the_rotated_order(self, monkeypatch, capsys):
+        """timing() warms each load up once, then times the rounds in the
+        rotation's order, for both workloads."""
+        ab = _tool("engine_ab")
+        functions = dict.fromkeys(("genfun_integral", "stieltjes_recip_log",
+                                   "genfun_derivative_integral", "bernstein_identity",
+                                   "bernoulli2_integrals"))
+        loads = tuple(SimpleNamespace(label=label, **functions)
+                      for label in ("head", "other", "control"))
+        owner, timed = {}, []
+        for name in ("lone_workload", "sweep_workload"):
+            build = getattr(ab, name)
+            monkeypatch.setattr(ab, name, lambda module, rng, build=build: _owned(
+                owner, module, build(module, rng)))
+        monkeypatch.setattr(ab, "_timed", lambda calls: timed.append(owner[id(calls)]) or 1.0)
+        ab.timing(*loads, rounds=6)
+        labels = ("head", "other", "control")
+        expected = list(labels) + [label for i in range(6) for label in ab.rotation(labels, i)]
+        assert timed == expected * 2
+        assert capsys.readouterr().out.count("A/A") == 3
+
+
+def _owned(owner: dict, module, calls: list) -> list:
+    owner[id(calls)] = module.label
+    return calls

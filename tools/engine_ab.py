@@ -14,14 +14,16 @@ for bit:
   1e-13 and 1e-30.
 
 It names every call that differs and exits 1 if any does.  Then, unless
-``--rounds 0``, it times two workloads over N alternating rounds (default
+``--rounds 0``, it times two workloads over N rotating rounds (default
 40): lone calls (genfun, 1/ln(1+x), f^(k) with k <= 20 and the Bernstein
 identity, x in 1e-3..1e3 and tol in 1e-13..1e-6) and coefficient sweeps
 (``bernoulli2_integrals`` with N in 20..300 at tol 1e-10 and 1e-13).  It
 prints the median and quartiles of the per-round time ratio of this tree
 to OTHER_SRC, next to an A/A control: this tree against a second load of
-itself, whose spread is what a ratio of two equal engines shows.  Every
-module fills its own node table in a warm-up pass before the timed rounds.
+itself, whose spread is what a ratio of two equal engines shows.  The
+three loads take turns at each place in the timing order, one cyclic shift
+per round.  Every module fills its own node table in a warm-up pass before
+the timed rounds.
 Stdlib only; 40 rounds take about half a minute on a 2-core Xeon.
 """
 
@@ -168,9 +170,16 @@ def _summary(ratios: list[float]) -> str:
     return f"{median:.3f}   {q1:.3f}-{q3:.3f}"
 
 
+def rotation(loads: tuple, i: int) -> tuple:
+    """The timing order of round i: a cyclic shift of `loads`, so that in
+    every three rounds each load is timed first, second and last once."""
+    shift = i % len(loads)
+    return loads[shift:] + loads[:shift]
+
+
 def timing(head, other, control, rounds: int) -> None:
-    """Print head/other and head/control time ratios over alternating rounds."""
-    print(f"time ratio, this tree / other, over {rounds} alternating rounds "
+    """Print head/other and head/control time ratios over rotating rounds."""
+    print(f"time ratio, this tree / other, over {rounds} rotating rounds "
           "(A/A: this tree / a second load of it)")
     print("workload         median  quartiles")
     for label, build in (("lone calls", lone_workload), ("sweeps", sweep_workload)):
@@ -179,8 +188,7 @@ def timing(head, other, control, rounds: int) -> None:
             _timed(work[id(module)])     # warm-up: fills the module's node table
         ab, aa = [], []
         for i in range(rounds):
-            order = (head, other, control) if i % 2 == 0 else (control, other, head)
-            spent = {id(m): _timed(work[id(m)]) for m in order}
+            spent = {id(m): _timed(work[id(m)]) for m in rotation((head, other, control), i)}
             ab.append(spent[id(head)] / spent[id(other)])
             aa.append(spent[id(head)] / spent[id(control)])
         print(f"{label + ' A/B':<16} {_summary(ab)}")
