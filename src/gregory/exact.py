@@ -8,8 +8,8 @@ coefficients of x/ln(1+x):
 Two algebraically independent exact algorithms are provided:
 
 * ``bernoulli2_series``   -- the series-division recurrence, run on
-  integer numerators over one common denominator, with one division per
-  run of consecutive divisors whose lcm fits in one 30-bit digit.
+  integer numerators at a denominator that makes every term exact, with
+  one division per run of consecutive divisors whose lcm fits in 30 bits.
 * ``bernoulli2_explicit`` -- the closed nested-sum formula over the chain
   sums S(m, d), whose bracket n! b_n = sum_k s(n, k)/(k+1) is the moment
   int_0^1 x(x-1)...(x-n+1) dx, evaluated by a walk over integer moments
@@ -114,7 +114,7 @@ def _division_plan(n_max: int) -> list[tuple[range, int]]:
     """The divisors 2..n_max+1 of the series recurrence, in runs that share one division.
 
     Greedy from 2: a run of consecutive divisors grows while its lcm M
-    stays below 2**30, so one ``divmod`` by M is a single pass over the
+    stays below 2**30, so one division by M is a single pass over the
     limbs.  Returns (run, M) pairs that cover 2..n_max+1 in order.  A run
     holds at most 22 divisors, since k consecutive integers have an lcm
     divisible by lcm(1..k) and lcm(1..23) > 2**30.
@@ -131,33 +131,35 @@ def _division_plan(n_max: int) -> list[tuple[range, int]]:
     return runs
 
 
-def _series_numerators(head: int, plan: list[tuple[range, int]]) -> list[int]:
-    """x_0 = head and x_n = -floor(sum_{k=1}^{n} x_{n-k}/(k+1)), exactly.
+def _series_numerators(n_max: int) -> tuple[list[int], int]:
+    """(x, H): x_0 = H and x_n = -sum_{k=1}^{n} x_{n-k}/(k+1), each term exact.
 
-    The divisors k + 1 come in the runs of ``plan``.  For a run with lcm
-    M, the terms x_{n-k} M/(k+1) are summed with small-int
-    multiplications and split by one ``divmod`` as q + r/M, where the
-    plain recurrence divides once per term.  Step n reads a prefix of the
-    runs, the last one cut short, and M still divides out each of its
-    members.  The remainders are summed over L = lcm(moduli) with
-    weights L/M, so the floor is exact for any integer head.
+    H = (n_max+1)! L with L = lcm(1..n_max+1), so x_j = (-1)**j b_j H,
+    and every term x_{n-k}/(k+1) of a step n <= n_max is an integer:
+
+    * A_j = j! lcm(1..j+1) b_j is an integer, as j! b_j = sum_i s(j, i)/(i+1);
+    * x_j = +-A_j [(j+1)(j+2)...(n_max+1)] [L / lcm(1..j+1)];
+    * (n_max+1-j)! divides the middle factor, n_max+1-j consecutive ints;
+    * and k + 1 = n-j+1 <= n_max+1-j.
+
+    Each run of :func:`_division_plan`, with lcm M, sums its terms as
+    x_{n-k} M/(k+1) by small-int multiplications and divides the sum, a
+    multiple of M, once.  Step n reads a prefix of the runs, the last one
+    cut short, and M still divides out each of its members.
     """
-    moduli = [modulus for _, modulus in plan]
-    lcm = math.lcm(*moduli)
-    weights = [lcm // modulus for modulus in moduli]
+    head = math.factorial(n_max + 1) * math.lcm(*range(1, n_max + 2))
     newest_first = [head]
-    multipliers, slices = [], []
-    for run, modulus in plan:
+    multipliers, slices, moduli = [], [], []
+    for run, modulus in _division_plan(n_max):
         multipliers += map(modulus.__floordiv__, run)
         slices.append(slice(run.start - 2, run.stop - 2))
+        moduli.append(modulus)
         for _ in run:
             products = [*map(operator.mul, newest_first, multipliers)]
             sums = map(sum, map(products.__getitem__, slices))
-            quotients, remainders = zip(*map(divmod, sums, moduli))
-            newest_first.insert(
-                0, -(sum(quotients) + sum(map(operator.mul, remainders, weights)) // lcm))
+            newest_first.insert(0, -sum(map(operator.floordiv, sums, moduli)))
     newest_first.reverse()
-    return newest_first
+    return newest_first, head
 
 
 def bernoulli2_series(n_max: int) -> GregoryTable:
@@ -169,20 +171,16 @@ def bernoulli2_series(n_max: int) -> GregoryTable:
         b_0 = 1,  b_n = -sum_{k=1}^{n} (-1)**k b_{n-k} / (k+1).
 
     The recurrence runs on the integers c_j = (-1)**j b_j D over the one
-    denominator D = n_max! L, L = lcm(1..n_max+1), where it reads
-    c_n = -sum_k c_{n-k}/(k+1): :func:`_series_numerators` with head D
-    takes one ``divmod`` per run of divisors of :func:`_division_plan`
-    and sums the runs' remainders over L with weights L/M.  Every c_n is
-    an integer, because n! b_n = sum_k s(n, k)/(k+1) has a denominator
-    dividing lcm(1..n+1), so the floor that the integer recurrence takes
-    is exact.
+    denominator D = (n_max+1)! lcm(1..n_max+1), where it reads
+    c_n = -sum_k c_{n-k}/(k+1) with every term an integer (proof at
+    :func:`_series_numerators`): one exact floor division per run of
+    divisors of :func:`_division_plan`.
 
     Total function for n_max >= 0; memory is the only practical limit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    scale = math.factorial(n_max) * math.lcm(*range(1, n_max + 2))
-    scaled = _series_numerators(scale, _division_plan(n_max))
+    scaled, scale = _series_numerators(n_max)
     values = tuple(Fraction(c if j % 2 == 0 else -c, scale) for j, c in enumerate(scaled))
     return GregoryTable(values=values, method=TableMethod.SERIES_RECURRENCE)
 

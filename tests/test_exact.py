@@ -88,17 +88,14 @@ class TestDivisionPlan:
     def test_no_runs_without_divisors(self):
         assert _division_plan(0) == []
 
-    @pytest.mark.parametrize("head", [1, 2, 7, 720, 10**12 + 39])
-    def test_grouped_division_takes_the_exact_floor(self, head):
-        """x_n = -floor(sum_k x_{n-k}/(k+1)) for N = 60 (eight runs, the last cut short).
-
-        A head far below n_max! lcm(1..n_max+1) leaves the terms fractional,
-        so the runs' remainders and their L/M weights decide the floor;
-        at the series' own head every term divides exactly."""
-        x = [head]
-        for n in range(1, 61):
-            x.append(-math.floor(sum(Fraction(x[n - k], k + 1) for k in range(1, n + 1))))
-        assert _series_numerators(head, _division_plan(60)) == x
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 20, 60, 255, 256, 400])
+    def test_every_term_divides_at_the_head(self, n_max):
+        """The head is (N+1)! lcm(1..N+1), and there k + 1 divides x_j for every j + k <= N,
+        so each run's sum is a multiple of its lcm and the floor division is exact."""
+        x, head = _series_numerators(n_max)
+        assert head == math.factorial(n_max + 1) * math.lcm(*range(1, n_max + 2))
+        for j in range(n_max + 1):
+            assert all(x[j] % (k + 1) == 0 for k in range(1, n_max - j + 1)), j
 
     def test_series_at_every_run_boundary(self):
         """At each N <= 300 where a run begins or ends, the last run of N's
@@ -109,6 +106,10 @@ class TestDivisionPlan:
         assert len(boundaries) > 100
         for n_max in sorted(boundaries):
             assert bernoulli2_series(n_max).values == reference[:n_max + 1], n_max
+
+    def test_series_at_n_1000(self):
+        """The N = 1000 table (307 runs, of 2 or 3 divisors near its end) is the explicit one."""
+        assert bernoulli2_series(1000).values == bernoulli2_explicit_table(1000).values
 
     def test_matches_plain_fraction_recurrence(self):
         """Every table up to N = 60 equals the recurrence run on Fractions."""
