@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -20,7 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gregory import GregoryTable, IntegrandEvaluationError, bernoulli2_series, cli
-from gregory.properties import CmReport, DegreeBracket, closed_derivative
+from gregory.exact import format_rational
+from gregory.properties import (CmReport, DegreeBracket, _integer_determinant, _report,
+                                check_majorization_inequality, closed_derivative,
+                                is_majorized)
 
 
 def run_cli(argv, capsys):
@@ -365,9 +369,9 @@ _STAGE_CASES = [
      _when(lambda x, tol: x == 1.0, _failing("kernel-determinants", (0, 4, "-1/3"))),
      (2, 1, "-1/3")),
     ("majorization", [3, 6], "check_majorization_inequality",
-     _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (0, 2)),
+     _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (2,)),
            _failing("majorization", (0, 0, "-1/5"))),
-     (14, 9, "-1/5")),
+     (14, 2, "-1/5")),
     ("integrals", [20, 12], "bernoulli2_integrals", _off_at(5), (0, 5, BIG_STR)),
     ("integrals", [20, 12], "stieltjes_recip_log",
      _when(lambda x, tol: x == 2.0, _off), (1, 3, BIG_STR)),
@@ -443,11 +447,19 @@ class TestVerifyStageEvidence:
         assert (code, out, err) == (1, _report_line("bernstein", [2, 7], (0, 3, value)), "")
 
     def test_majorization_walks_the_equal_sum_pairs_in_order(self, capsys, monkeypatch):
-        """Of the 119 * 119 ordered tuple pairs, the 973 of equal sum are
-        tested for majorization and the 568 majorizing ones checked, each
-        in canonical (i, j) order."""
+        """Of the 973 equal-sum pairs among the 119 tuples, the 416 whose
+        padded forms differ and did not occur at an earlier pair are tested
+        for majorization, and the 196 majorizing ones checked, each in
+        canonical (i, j) order."""
         tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
+        padded = {t: t[::-1] + (0,) * (3 - len(t)) for t in tuples}
         equal_sum = [(lam, mu) for lam in tuples for mu in tuples if sum(lam) == sum(mu)]
+        first, seen = [], set()
+        for lam, mu in equal_sum:
+            forms = padded[lam], padded[mu]
+            if forms[0] != forms[1] and forms not in seen:
+                seen.add(forms)
+                first.append((lam, mu))
         tested, checked = [], []
         real_test, real_check = cli.is_majorized, cli.check_majorization_inequality
 
@@ -463,11 +475,14 @@ class TestVerifyStageEvidence:
         monkeypatch.setattr(cli, "check_majorization_inequality", checking)
         code, _, _ = run_cli(["verify", "--suite", "majorization"], capsys)
         assert code == 0
-        assert len(tested) == 973 and tested == equal_sum
-        assert len(checked) == 568 and checked == [p for p in equal_sum if real_test(*p)]
+        assert len(equal_sum) == 973
+        assert len(tested) == 416 and tested == first
+        assert len(checked) == 196 and checked == [p for p in first if real_test(*p)]
 
     def test_hankel_takes_one_determinant_per_matrix(self, capsys, monkeypatch):
-        """3 goldens and 209 sweep tuples: 212 determinants, none twice."""
+        """3 goldens and the 56 of the 209 sweep tuples with distinct
+        entries: 59 determinants, none twice; the 153 tuples skipped are
+        exactly those with a repeated entry."""
         real, calls = cli.hankel_determinant, []
 
         def counting(*args, **kwargs):
@@ -476,9 +491,13 @@ class TestVerifyStageEvidence:
 
         monkeypatch.setattr(cli, "hankel_determinant", counting)
         code, _, _ = run_cli(["verify", "--suite", "hankel", "--n-max", "30"], capsys)
+        sweep = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
         assert code == 0
-        assert len(calls) == 212
-        assert len(set(calls[3:])) == 209
+        assert len(calls) == 59
+        assert calls[:3] == [(0,), (0, 1), (0, 1, 2)]
+        assert calls[3:] == [t for t in sweep if len(set(t)) == len(t)]
+        skipped = [t for t in sweep if t not in calls[3:]]
+        assert len(skipped) == 153 and all(len(set(t)) < len(t) for t in skipped)
 
     def test_factorial_moment_row_built_once_per_table(self, capsys, monkeypatch):
         """Hankel, majorization and log-convexity share the run's table and
@@ -523,6 +542,92 @@ class TestVerifyStageEvidence:
         code, out, err = run_cli(["verify", "--suite", "integrals"], capsys)
         assert (code, out) == (1, "")
         assert err == "suite integrals aborted: integrand evaluated to inf at s=0.1\n"
+
+
+# The two sweeps as they were before they skipped the checks that hold by
+# construction: every one of the 209 Hankel determinants, and every one of
+# the 973 equal-sum majorization pairs.  The differential tests below run
+# them beside the suites on perturbed tables.
+_HANKEL_GOLDENS = [((0,), Fraction(1, 2)), ((0, 1), Fraction(5, 144)),
+                   ((0, 1, 2), Fraction(407, 86400))]
+_HANKEL_SWEEP = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
+_MAJORIZATION_TUPLES = [t for m in range(1, 4)
+                        for t in combinations_with_replacement(range(7), m)]
+# the 568 majorizing pairs among the 973 of equal sum, in canonical (i, j) order
+_MAJORIZING = [(i, j, lam, mu) for i, lam in enumerate(_MAJORIZATION_TUPLES)
+               for j, mu in enumerate(_MAJORIZATION_TUPLES)
+               if sum(lam) == sum(mu) and is_majorized(lam, mu)]
+
+
+def _hankel_full_walk(table, tol):
+    for idx, (indices, expected) in enumerate(_HANKEL_GOLDENS):
+        got = cli.hankel_determinant(table, indices)
+        if got != expected:
+            yield 0, idx, format_rational(got - expected)
+    for idx, indices in enumerate(_HANKEL_SWEEP):
+        det = cli.hankel_determinant(table, indices)
+        if det < 0:
+            yield 1, idx, format_rational(det)
+    for idx, x in enumerate((0.5, 1.0)):
+        probe = cli.check_shifted_kernel_determinants(x, tol=tol)
+        if not probe.passed:
+            yield 2, idx, probe.first_violation[2]
+
+
+def _majorization_full_walk(table, tol):
+    for i, j, lam, mu in _MAJORIZING:
+        probe = check_majorization_inequality(table, lam, mu)
+        if not probe.passed:
+            yield i, j, probe.first_violation[2]
+
+
+def _perturbed_tables(seed, first, last, count):
+    """count copies of the exact b_0..b_11, each with 1 to 3 of b_first..b_last
+    scaled by a seeded positive rational (the sign pattern stays valid)."""
+    rng, exact = random.Random(seed), bernoulli2_series(11)
+    for _ in range(count):
+        values = list(exact.values)
+        for n in rng.sample(range(first, last + 1), rng.randint(1, 3)):
+            values[n] *= Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        yield GregoryTable(tuple(values), exact.method)
+
+
+class TestSweepsSkipOnlyChecksThatCannotFail:
+    """The Hankel sweep skips the determinants of matrices with two equal
+    rows, and the majorization sweep tests each pair of padded forms once;
+    on any table the report equals that of the full walk."""
+
+    # b_2..b_7 is what the majorization suite reads; b_6..b_11 leaves the
+    # Hankel goldens (b_1..b_5) intact, so that its sweep decides
+    @pytest.mark.parametrize("suite, walk, horizon, first, last", [
+        ("majorization", _majorization_full_walk, (3, 6), 2, 7),
+        ("hankel", _hankel_full_walk, (11, 3), 2, 7),
+        ("hankel", _hankel_full_walk, (11, 3), 6, 11),
+    ], ids=["majorization-b2-b7", "hankel-b2-b7", "hankel-b6-b11"])
+    def test_report_equals_the_full_walk(self, suite, walk, horizon, first, last,
+                                         monkeypatch):
+        # the stage-2 screens read no table: take each once
+        monkeypatch.setattr(cli, "check_shifted_kernel_determinants",
+                            functools.cache(cli.check_shifted_kernel_determinants))
+        run = cli._SUITES[suite][2]
+        firsts = set()
+        for table in _perturbed_tables(25, first, last, 1000):
+            violation = next(walk(table, 1e-10), None)
+            assert run(11, 1e-10, table) == _report(suite, horizon, violation)
+            firsts.add(violation and violation[:2])
+        # passing tables and many distinct first violations among the 1,000
+        assert None in firsts and len(firsts) > 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=11, max_size=11))
+    def test_repeated_index_determinant_is_zero(self, moments):
+        """On any integer moment row, every sweep tuple with a repeated entry
+        gives a matrix with two equal rows, whose determinant is 0."""
+        repeated = [t for t in _HANKEL_SWEEP if len(set(t)) < len(t)]
+        assert len(repeated) == 153
+        for indices in repeated:
+            matrix = [[moments[ai + aj] for aj in indices] for ai in indices]
+            assert _integer_determinant(matrix) == 0
 
 
 class TestEvalCommand:
@@ -851,3 +956,20 @@ class TestGoldenTool:
         lines = tool.DIGESTS.read_text(encoding="utf-8").splitlines()
         assert [line.split("  ", 1)[1] for line in lines] == [
             " ".join(argv) for argv in tool.golden_argvs()]
+
+    def test_version_files_hold_only_their_own_argv(self):
+        """A per-version digest file names argv of the set, each with a digest
+        other than the recorded one; on 3.13 it holds the three argv that
+        print the eval usage line, read in place of the recorded lines."""
+        tool = _golden_tool()
+        argvs = {" ".join(argv) for argv in tool.golden_argvs()}
+        recorded = tool.read_digests(tool.DIGESTS)
+        for path in tool.DIGESTS.parent.glob("golden-*.sha256"):
+            own = tool.read_digests(path)
+            assert own and set(own) <= argvs
+            assert all(recorded[argv] != digest for argv, digest in own.items())
+        own = tool.read_digests(tool.version_file((3, 13)))
+        assert set(own) == {"eval --function genfun --x inf", "eval --function nope --x 1",
+                            "eval --x 1"}
+        assert tool.committed_digests((3, 13)) == {**recorded, **own}
+        assert tool.committed_digests(tool.RECORDED_ON) == recorded

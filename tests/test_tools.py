@@ -1,4 +1,4 @@
-"""The repository tools: the Tier-1 gate and the engine A/B comparison."""
+"""The repository tools: the Tier-1 gate and the engine and exact-builder A/B comparisons."""
 
 import importlib.util
 from pathlib import Path
@@ -135,3 +135,44 @@ class TestEngineAB:
 def _owned(owner: dict, module, calls: list) -> list:
     owner[id(calls)] = module.label
     return calls
+
+
+class TestExactAB:
+    """tools/exact_ab.py compares both exact builders' N = 256 tables by
+    digest and times them through engine_ab.py's rotation."""
+
+    def test_this_tree_against_itself_differs_nowhere(self, capsys):
+        ab = _tool("exact_ab")
+        assert ab.main([str(ab.engine_ab.HERE), "--rounds", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" sha256 ") == 4
+        assert out.endswith("2 tables at N = 256, 0 differ\n")
+
+    def test_a_changed_builder_differs(self, tmp_path, capsys):
+        """A copy whose explicit table doubles its last value is named."""
+        ab = _tool("exact_ab")
+        source = (ab.engine_ab.HERE / "gregory" / "exact.py").read_text(encoding="utf-8")
+        (tmp_path / "gregory").mkdir()
+        (tmp_path / "gregory" / "exact.py").write_text(source + (
+            "\n_table = bernoulli2_explicit_table\n\n\n"
+            "def bernoulli2_explicit_table(n_max):\n"
+            "    table = _table(n_max)\n"
+            "    return GregoryTable(table.values[:-1] + (2 * table.values[-1],), table.method)\n"),
+            encoding="utf-8")
+        assert ab.main([str(tmp_path), "--rounds", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        series = [line.split()[-1] for line in lines if line.startswith("bernoulli2_series(")]
+        explicit = [line.split()[-1] for line in lines if line.startswith("bernoulli2_explicit")]
+        assert series[0] == series[1] and explicit[0] != explicit[1]
+        assert lines[-1] == "2 tables at N = 256, 1 differ"
+
+    def test_workloads_time_both_builders_over_the_range(self):
+        ab = _tool("exact_ab")
+        module = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
+        calls = {label: build(module, None) for label, build in ab.workloads()}
+        assert len(calls) == 4
+        for label, work in calls.items():
+            assert {fn for fn, _ in work} == {"series" if "series" in label else "explicit"}
+            sizes = sorted({args for _, args in work})
+            assert sizes == ([(1,), (8,)] if "N=1,8" in label else [(64,), (128,), (256,)])
+            assert len(work) == (2000 if "N=1,8" in label else 3)

@@ -18,8 +18,16 @@ file, for a change that alters output on purpose:
     python tools/cli_golden.py --update
 
 Every argv runs with COLUMNS=80, so argparse wraps its usage text alike
-in any terminal.  The digests were recorded on Python 3.11; argparse text
-may differ on other versions.
+in any terminal.  The digests were recorded on Python 3.11, and 3.10 and
+3.12 give the same blocks.  Where a version's argparse words its usage text
+differently, its own file ``tools/golden-<major>.<minor>.sha256`` holds the
+digest lines of just those argv, and ``--check`` on that version reads them
+in place of the ones in ``golden.sha256``: on 3.13 these are the three argv
+whose usage error prints the ``eval`` usage line, which 3.13 wraps
+differently.  ``--update`` on 3.11 rewrites ``golden.sha256``; on any other
+version it rewrites only that version's file, with the argv whose block
+differs from ``golden.sha256`` (none: the file goes), so update on 3.11
+first.
 
 SRC defaults to the ``src`` directory next to this script.  The set
 holds 603 argv.  It covers every compute method, format and a range of
@@ -49,6 +57,7 @@ from pathlib import Path
 from unittest import mock
 
 DIGESTS = Path(__file__).with_name("golden.sha256")
+RECORDED_ON = (3, 11)
 
 SUITES = ("cm-sequence", "minimality", "hankel", "majorization",
           "log-convexity", "integrals", "bernstein", "degree", "all")
@@ -156,6 +165,26 @@ def golden_argvs() -> list[list[str]]:
     return out
 
 
+def version_file(version: tuple[int, int]) -> Path:
+    """The digest lines that differ on Python `version` from DIGESTS."""
+    return DIGESTS.with_name(f"golden-{version[0]}.{version[1]}.sha256")
+
+
+def read_digests(path: Path) -> dict[str, str]:
+    """argv as one string -> digest, from a file of 'digest  argv' lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("  ", 1)[::-1] for line in lines)
+
+
+def committed_digests(version: tuple[int, int]) -> dict[str, str]:
+    """The digest of every argv on Python `version`: DIGESTS, with the
+    version's own lines in place of those of the same argv."""
+    committed = read_digests(DIGESTS)
+    if version_file(version).exists():
+        committed.update(read_digests(version_file(version)))
+    return committed
+
+
 def run_one(main, argv: list[str]) -> tuple[str, bool]:
     """One record block for argv, and whether an exception escaped."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -189,18 +218,28 @@ def main(args: list[str]) -> int:
         digests[" ".join(argv)] = hashlib.sha256(block.encode()).hexdigest()
         raised += escaped
     print(f"{len(argvs)} argv recorded, {raised} raised", file=sys.stderr)
+    version = sys.version_info[:2]
     if args[1] == "--check":
-        lines = DIGESTS.read_text(encoding="utf-8").splitlines()
-        committed = dict(line.split("  ", 1)[::-1] for line in lines)
+        committed = committed_digests(version)
         differ = [argv for argv in {**digests, **committed}
                   if digests.get(argv) != committed.get(argv)]
         for argv in differ:
             print(f"golden digest differs: {argv}", file=sys.stderr)
-        print(f"{len(differ)} argv differ from {DIGESTS.name}", file=sys.stderr)
+        names = DIGESTS.name + (f" and {version_file(version).name}"
+                                if version_file(version).exists() else "")
+        print(f"{len(differ)} argv differ from {names}", file=sys.stderr)
         return 1 if raised or differ else 0
     if args[1] == "--update":
-        DIGESTS.write_text("".join(f"{digest}  {argv}\n" for argv, digest in digests.items()),
-                           encoding="utf-8")
+        path = DIGESTS if version == RECORDED_ON else version_file(version)
+        if path != DIGESTS:
+            recorded = read_digests(DIGESTS)
+            digests = {argv: digest for argv, digest in digests.items()
+                       if recorded.get(argv) != digest}
+        if digests:
+            path.write_text("".join(f"{digest}  {argv}\n" for argv, digest in digests.items()),
+                            encoding="utf-8")
+        else:
+            path.unlink(missing_ok=True)     # this version needs no lines of its own
     else:
         Path(args[1]).write_text("".join(blocks), encoding="utf-8")
     return 1 if raised else 0

@@ -23,7 +23,8 @@ to OTHER_SRC, next to an A/A control: this tree against a second load of
 itself, whose spread is what a ratio of two equal engines shows.  The
 three loads take turns at each place in the timing order, one cyclic shift
 per round.  Every module fills its own node table in a warm-up pass before
-the timed rounds.
+the timed rounds.  tools/exact_ab.py times the exact table builders with
+the same loader, rotation and timing.
 Stdlib only; 40 rounds take about half a minute on a 2-core Xeon.
 """
 
@@ -47,9 +48,10 @@ BAD_TOLS = (0.0, -1e-10, math.nan, math.inf)
 BAD_X = (0.0, -1.0, math.nan, math.inf)
 
 
-def load(src: Path, name: str):
-    """src/gregory/quadrature.py as a module of its own under `name`."""
-    spec = importlib.util.spec_from_file_location(name, Path(src) / "gregory" / "quadrature.py")
+def load(src: Path, name: str, stem: str = "quadrature"):
+    """src/gregory/<stem>.py as a module of its own under `name`; the file
+    must import nothing but the standard library."""
+    spec = importlib.util.spec_from_file_location(name, Path(src) / "gregory" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module      # dataclasses look their module up by name
     spec.loader.exec_module(module)
@@ -177,12 +179,20 @@ def rotation(loads: tuple, i: int) -> tuple:
     return loads[shift:] + loads[:shift]
 
 
-def timing(head, other, control, rounds: int) -> None:
-    """Print head/other and head/control time ratios over rotating rounds."""
+def timing(head, other, control, rounds: int, workloads=None) -> None:
+    """Print head/other and head/control time ratios over rotating rounds.
+
+    `workloads` holds (label, build) pairs, where build(module, rng) gives
+    the (function, args) calls to time; by default the engine's lone calls
+    and sweeps.
+    """
+    if workloads is None:
+        workloads = (("lone calls", lone_workload), ("sweeps", sweep_workload))
     print(f"time ratio, this tree / other, over {rounds} rotating rounds "
           "(A/A: this tree / a second load of it)")
-    print("workload         median  quartiles")
-    for label, build in (("lone calls", lone_workload), ("sweeps", sweep_workload)):
+    width = max(len(label) for label, _ in workloads) + 6
+    print(f"{'workload':<{width}} median  quartiles")
+    for label, build in workloads:
         work = {id(m): build(m, random.Random(SEED)) for m in (head, other, control)}
         for module in (head, other, control):
             _timed(work[id(module)])     # warm-up: fills the module's node table
@@ -191,8 +201,8 @@ def timing(head, other, control, rounds: int) -> None:
             spent = {id(m): _timed(work[id(m)]) for m in rotation((head, other, control), i)}
             ab.append(spent[id(head)] / spent[id(other)])
             aa.append(spent[id(head)] / spent[id(control)])
-        print(f"{label + ' A/B':<16} {_summary(ab)}")
-        print(f"{label + ' A/A':<16} {_summary(aa)}")
+        print(f"{label + ' A/B':<{width}} {_summary(ab)}")
+        print(f"{label + ' A/A':<{width}} {_summary(aa)}")
 
 
 def main(argv: list[str]) -> int:
