@@ -23,6 +23,7 @@ never enter this module.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -37,13 +38,22 @@ ONE = Fraction(1)
 ONE_HALF = Fraction(1, 2)
 
 
+def _digits(n: int) -> str:
+    # str() refuses an int past sys.get_int_max_str_digits() (4,300 digits
+    # by default), a process-wide limit; Decimal converts any int exactly
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def format_rational(q: Fraction) -> str:
-    """Serialize ``q`` as ``"num/den"`` in lowest terms.
+    """Serialize ``q`` as ``"num/den"`` in lowest terms, every digit of both.
 
     Integers keep an explicit denominator: ``Fraction(3)`` renders as
     ``"3/1"``.  This is the wire format used by the CSV/JSON emitters.
     """
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def _common_denominator(values: Sequence) -> tuple[list[int], int]:
@@ -82,10 +92,10 @@ class GregoryTable:
             raise ValueError("b_0 must be 1")
         if len(self.values) > 1 and self.values[1] != ONE_HALF:
             raise ValueError("b_1 must be 1/2")
-        for n in range(1, len(self.values)):
-            expected = 1 if n % 2 == 1 else -1
-            v = self.values[n]
-            if v == 0 or (1 if v > 0 else -1) != expected:
+        # a Fraction's sign is its numerator's: one int test per value
+        for n, v in enumerate(self.values[1:], 1):
+            num = v.numerator
+            if num == 0 or (num > 0) != (n % 2 == 1):
                 raise ValueError(f"sign of b_{n} violates (-1)**(n+1) alternation")
 
     @property

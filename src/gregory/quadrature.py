@@ -32,20 +32,25 @@ advance by the envelope sigma(-|y|)^alpha * (pi cosh tau)^beta with
 beta = -1, alpha = 1 on the s -> 1 side and alpha = a on the s -> 0
 side; one side routine stops either side where the envelope falls below
 a fixed fraction of tol and bounds what it dropped, for the error
-estimate.  The engine hands a term function whole columns of nodes, so a
-kernel's terms come from one list comprehension per side and level.
-:func:`bernstein_identity`, the one integral without the kernel, has a
-column term of its own under the same envelope at beta = +1.
+estimate.  The engine hands a term function a side's nodes as rows of
+the node columns it reads, so a kernel's terms come from one list
+comprehension per side and level over rows (s, j*(1-s), d), the product
+being a column of the node table.  :func:`bernstein_identity`, the one
+integral without the kernel, reads rows (1-s, j*s) under the same
+envelope at beta = +1.
 
 :func:`_integrate_members`, the engine's one entry, sums a list of
 members, kernels that share the s -> 1 side's alpha.  They run through
-the level loop one after another; the first to reach a level runs the
-side routine for the s -> 1 side on behalf of all, and each member runs
-it for its own s -> 0 side and adds its own terms and estimate, so every
-result is bit for bit the one its member gets alone.  The engine and the
-node table read one level layout.  :func:`bernoulli2_integrals` sums
-b_1..b_N as one such list, and every other public function is a list of
-one; each scales its raw tuples and builds one QuadratureResult apiece.
+the level loop one after another.  The first to reach a level works out
+what all of them read alike there, once: the node table, the s -> 1
+side's stop, truncation bound and kept rows, and the constants of the
+one node-0 test that an s -> 0 side with nothing kept makes.  A member
+then pays only for its own terms, its sum and its estimate, and for its
+s -> 0 side where that keeps nodes, so every result is bit for bit the
+one its member gets alone.  The engine and the node table read one level
+layout.  :func:`bernoulli2_integrals` sums b_1..b_N as one such list,
+and every other public function is a list of one; each scales its raw
+tuples and builds one QuadratureResult apiece.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.  Every call
@@ -55,8 +60,10 @@ refines through at most DEFAULT_MAX_LEVELS levels, the module constant.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
+from itertools import islice
 
 PI = math.pi
 _PI_SQ = PI * PI
@@ -96,23 +103,28 @@ class QuadratureResult:
 # ----------------------------------------------------------------------
 # node table
 #
-# Nodes sit at tau >= 0 and are stored as four columns: sig = sigma(y),
+# Nodes sit at tau >= 0 and are stored as six columns: sig = sigma(y),
 # sigc = sigma(-y) (both computed without cancellation), jac =
-# pi*cosh(tau) and d = y^2 + pi^2, with y = pi*sinh(tau).  Level 0 holds
-# tau = j for the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER
-# node); level L >= 1 holds tau = j * 2**-L for odd j, so the union
-# through level L is the full step-2**-L grid.  _LAYOUTS holds the layout
-# (h, step, node count) of each level through DEFAULT_MAX_LEVELS, its nodes
-# being tau = (step*i + 1)*h for i below the count, for the engine and the
-# table alike.  Swapping the sig and sigc columns mirrors a side to -tau,
-# since y^2, and with it d, is even.  A level's columns hold a prefix of
-# its nodes and grow on demand, doubling up to the level's full count;
-# growth swaps in longer tuples under a lock, so a caller keeps an
-# immutable copy and concurrent calls stay safe.
+# pi*cosh(tau), d = y^2 + pi^2 and the products jac*sigc and jac*sig, with
+# y = pi*sinh(tau).  Level 0 holds tau = j for the integers 1 <= j <= 36
+# (tau = 0 is the separate _CENTER node); level L >= 1 holds tau = j * 2**-L
+# for odd j, so the union through level L is the full step-2**-L grid.
+# _LAYOUTS holds the layout (h, step, node count) of each level through
+# DEFAULT_MAX_LEVELS, its nodes being tau = (step*i + 1)*h for i below the
+# count, for the engine and the table alike.  Read in this order, the
+# columns are the s -> 1 side's s, 1 - s, j, d, j*(1-s) and j*s, the names
+# _S, _C, _J, _E, _JC and _JS; swapping s with 1 - s and j*(1-s) with j*s,
+# as _MIRROR does, gives the s -> 0 side's, since y^2, and with it d, is
+# even.  A level's columns hold a prefix of its nodes and grow on demand,
+# doubling up to the level's full count; growth swaps in longer tuples
+# under a lock, so a caller keeps an immutable copy and concurrent calls
+# stay safe.
 # ----------------------------------------------------------------------
 
 _LAYOUTS = [(2.0 ** -level, step, int(_T_MAX * 2 ** level) // step)
             for level, step in enumerate([1] + [2] * DEFAULT_MAX_LEVELS)]
+_S, _C, _J, _E, _JC, _JS = range(6)
+_MIRROR = (_C, _S, _J, _E, _JS, _JC)
 _node_lock = threading.Lock()
 _node_levels: dict[int, tuple] = {}
 
@@ -120,10 +132,11 @@ _node_levels: dict[int, tuple] = {}
 def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
     ys = [PI * math.sinh(tau) for tau in taus]
     es = [math.exp(-y) for y in ys]            # y >= 0 for tau >= 0
-    return (tuple([1.0 / (1.0 + e) for e in es]),
-            tuple([e / (1.0 + e) for e in es]),
-            tuple([PI * math.cosh(tau) for tau in taus]),
-            tuple([y * y + _PI_SQ for y in ys]))
+    sig = tuple([1.0 / (1.0 + e) for e in es])
+    sigc = tuple([e / (1.0 + e) for e in es])
+    jac = tuple([PI * math.cosh(tau) for tau in taus])
+    return (sig, sigc, jac, tuple([y * y + _PI_SQ for y in ys]),
+            tuple(map(operator.mul, jac, sigc)), tuple(map(operator.mul, jac, sig)))
 
 
 _CENTER = _columns([0.0])
@@ -135,7 +148,7 @@ def _level_table(level: int, need: int) -> tuple:
     if cols is not None and len(cols[0]) >= need:
         return cols
     with _node_lock:
-        cols = _node_levels.get(level, ((),) * 4)
+        cols = _node_levels.get(level, ((),) * 6)
         have = len(cols[0])
         if have < need:   # re-check under the lock
             h, step, full = _LAYOUTS[level]
@@ -145,7 +158,12 @@ def _level_table(level: int, need: int) -> tuple:
         return cols
 
 
-def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tuple]:
+# the columns a kernel term reads: s, j*(1-s) and d
+_KERNEL_ROWS = (_S, _JC, _E)
+
+
+def _integrate_members(members: list, hi: int, beta: int, tol: float,
+                       shape: tuple = _KERNEL_ROWS) -> list[tuple]:
     """Trapezoid-in-tau summation of term functions that share the s -> 1 side.
 
     The engine's only entry, for one member or many, refining through at
@@ -153,11 +171,13 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tu
     (term, lo, floor), and the result holds one raw (value,
     abs_error_estimate, n_evals, converged) tuple per member, in order:
     the fields of the one QuadratureResult that the public function
-    builds with :func:`_result`, after any scaling.  term(sig, sigc, jac,
-    d) maps equal-length node columns to an iterable of the transformed
-    integrand's terms (Jacobian included), one per node and in node
-    order; the terms are finite and never negative.  Each side of a
-    member is bounded in advance by the envelope
+    builds with :func:`_result`, after any scaling.  shape names the side
+    columns a term reads (_S, _C, _J, _E, _JC, _JS: s, 1 - s, the
+    Jacobian pi*cosh(tau), d = y^2 + pi^2, j*(1-s) and j*s), and term(rows)
+    maps an iterable of rows, one tuple of those columns per node and in
+    node order, to an iterable of the transformed integrand's terms
+    (Jacobian included); the terms are finite and never negative.  Each
+    side of a member is bounded in advance by the envelope
 
         M(tau) = sigma(-pi sinh|tau|)**alpha * (pi cosh tau)**beta,
 
@@ -197,27 +217,37 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tu
     exceeds tol, since no finer level can then converge.  n_evals counts
     the terms summed.
 
-    The members run through the level loop one after another.  The
-    s -> 1 side depends only on hi, beta and tol, so the first member
-    that reaches a level runs the side routine for it, and every later
-    one reads the side's stop, kept node columns and truncation bound on
-    that level from one record per level.  Each member takes the level's
-    node table as far as its two sides reach, which grows it only if its
-    own s -> 0 side reaches further, runs the side routine for that side,
-    keeps its own terms and estimate, and leaves the loop, its terms with
-    it, when it converges or settles.  Each result is bit for bit the one
-    the member gets alone.
+    Whatever members read alike on a level is worked out once, by the
+    first member to reach it, into one record per level: the layout, the
+    node table fetched as far as that member's two sides reach, the
+    s -> 1 side's stop, truncation bound and kept rows (the s -> 1 side
+    depends only on hi, beta and tol), and the constants of the node-0
+    test.  An s -> 0 side that kept no node tests only node 0 on the next
+    level, and one whose node 0 falls to the cut keeps nothing and adds
+    the bound that r at node 0 gives, so such a member reads both from
+    the record and runs no side routine.  Rows that more than one member
+    reads, the kept ones and the centre node's, are built once as a list
+    of tuples; a lone member streams them, as every member streams its
+    own s -> 0 side's rows.  A member runs through the level loop alone:
+    it grows the level's node table only if its own s -> 0 side reaches
+    further, so tables grow exactly as far as member by member, adds its
+    own terms and estimate, and leaves the loop, never to be visited
+    again, when it converges or settles.  Each result is bit for bit the
+    one the member gets alone.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     fsum, tanh = math.fsum, math.tanh
     cut = max(4e-3 * tol, 2e-281)
+    pick_hi = operator.itemgetter(*shape)
+    pick_lo = operator.itemgetter(*[_MIRROR[i] for i in shape])
+    share = list if len(members) > 1 else iter
 
     def side(level, first, alpha, layout, cols):
         # a side's first dropped node as j in tau = j*h (36/h + 1 while none
         # is, as before level 0), its number of nodes kept and its truncation bound
         h, step, full = layout
-        sig, sigc, jac, d = cols
+        sig, sigc, jac = cols[_S], cols[_C], cols[_J]
         if level == 0:
             stop = 0
             while stop < full and sigc[stop] ** alpha * jac[stop] ** beta > cut:
@@ -236,41 +266,49 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float) -> list[tu
         return first, stop, (cut * (h + 1.0 / r) if stop < full
                              else sigc[k] ** alpha * jac[k] ** beta / r)
 
-    # per level reached, what every member reads alike: the s -> 1 side's
-    # first dropped node, kept columns and truncation bound
-    shared: list[tuple] = []
+    center = share(zip(*pick_hi(_CENTER)))
+    levels: list[tuple] = []    # one record per level reached
+    first_hi = int(_T_MAX) + 1  # the s -> 1 side's first dropped node on the last level
     results = []
     for term, lo, floor in members:
-        terms: list[float] = list(term(*_CENTER))
+        terms: list[float] = list(term(center))
         prev_diff = 0.0     # level 1 has none before its own: a cube term of 0
         est = math.inf
         value = 0.0
         converged = False
         stagnant = 0
-        first_hi = first_lo = int(_T_MAX) + 1
+        first_lo = int(_T_MAX) + 1
         for level in range(0, DEFAULT_MAX_LEVELS + 1):
-            layout = _LAYOUTS[level]
-            # a side reads this level's nodes only below its previous first
-            need = first_hi if first_hi > first_lo else first_lo
-            if need > layout[2]:
-                need = layout[2]
-            cols = _node_levels.get(level)      # _level_table's unlocked path
-            if cols is None or len(cols[0]) < need:
-                cols = _level_table(level, need)
-            sig, sigc, jac, d = cols
-            if level == len(shared):
-                # the first member to reach this level works out the s -> 1
-                # side for all
+            if level == len(levels):
+                # the first member to reach this level works out what every
+                # member reads alike there; a side reads this level's nodes
+                # only below its previous first
+                layout = _LAYOUTS[level]
+                h = layout[0]
+                need = first_hi if first_hi > first_lo else first_lo
+                cols = _level_table(level, need if need < layout[2] else layout[2])
                 first_hi, stop, trunc_hi = side(level, first_hi, hi, layout, cols)
-                shared.append((first_hi, (sig[:stop], sigc[:stop], jac[:stop], d[:stop]),
-                               trunc_hi))
-            first_hi, kept, trunc_hi = shared[level]
-            first_lo, stop, trunc = side(level, first_lo, lo, layout, cols)
-            terms.extend(term(*kept))
-            if stop:
-                terms.extend(term(sigc[:stop], sig[:stop], jac[:stop], d[:stop]))
-            trunc += trunc_hi
-            total = layout[0] * fsum(terms)
+                # node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if beta > 0)
+                # are the constants of its test and of r taken there
+                levels.append((h, layout, cols, trunc_hi,
+                               share(islice(zip(*pick_hi(cols)), stop)),
+                               cols[_C][0], cols[_J][0] ** beta, cols[_S][0], cols[_J][0],
+                               beta * (1.0 if beta > 0 else tanh(h))))
+            h, layout, cols, trunc, kept, c0, jb0, s0, j0, bt = levels[level]
+            terms.extend(term(kept))
+            if (first_lo == 1 or level == 0) and c0 ** lo * jb0 <= cut:
+                # node 0 is the side's one test, or its scan's first, and falls
+                # to the cut: the side keeps nothing, and r is taken at node 0
+                first_lo = 1
+                trunc += cut * (h + 1.0 / (lo * s0 * j0 - bt))
+            else:
+                if first_lo > len(cols[0]):     # past what the first member fetched
+                    cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
+                first_lo, stop, trunc_lo = side(level, first_lo, lo, layout, cols)
+                trunc += trunc_lo
+                if stop:
+                    terms.extend(term(islice(zip(*pick_lo(cols)), stop)))
+            total = h * fsum(terms)
             if level == 0:
                 value = total
                 continue
@@ -310,8 +348,9 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     :func:`_kernel` sends it alone and :func:`bernoulli2_integrals` one per
     coefficient; either caller builds one result per member.
 
-    Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), finite and never
-    negative for finite x >= 0.  As jac/d = 1/(pi cosh tau) and the other
+    Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), read from the rows
+    (s, j*(1-s), d) that _KERNEL_ROWS names, finite and never negative for
+    finite x >= 0.  As jac/d = 1/(pi cosh tau) and the other
     factors are at most 1, a term is at most sigma(-|y|)/(pi cosh tau) on
     the s -> 1 side and sigma(-|y|)**a/(pi cosh tau) on the s -> 0 side,
     for every x: the engine's envelopes never cut the mass of a peaked
@@ -333,26 +372,22 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     checks the floor against terms taken exactly at the nodes.
     """
     if x == 0.0:
-        def term(sig, sigc, jac, d):
-            return [j * c * s ** a / e for s, c, j, e in zip(sig, sigc, jac, d)]
+        def term(rows):
+            return [jc * s ** a / e for s, jc, e in rows]
     elif p == 1 and a == 0:
-        def term(sig, sigc, jac, d):
-            return [j * c / (e * (1.0 + x * s)) for s, c, j, e in zip(sig, sigc, jac, d)]
+        def term(rows):
+            return [jc / (e * (1.0 + x * s)) for s, jc, e in rows]
     else:
-        def one(s, c, j, e):
-            try:
-                return j * c * s ** a / (e * (1.0 + x * s) ** p)
-            except OverflowError:
-                # (1+x sig)^p > 1.8e308 puts the term below 1/(pi*1.8e308),
-                # under the engine's 2e-281 cut floor: 0.0 keeps it honest
-                return 0.0
-
-        def term(sig, sigc, jac, d):
-            try:
-                return [j * c * s ** a / (e * (1.0 + x * s) ** p)
-                        for s, c, j, e in zip(sig, sigc, jac, d)]
-            except OverflowError:
-                return list(map(one, sig, sigc, jac, d))
+        def term(rows):
+            terms = []
+            for s, jc, e in rows:
+                try:
+                    terms.append(jc * s ** a / (e * (1.0 + x * s) ** p))
+                except OverflowError:
+                    # (1+x sig)^p > 1.8e308 puts the term below 1/(pi*1.8e308),
+                    # under the engine's 2e-281 cut floor: 0.0 keeps it honest
+                    terms.append(0.0)
+            return terms
     return term, a, (a + (p if x != 0.0 else 0) + 4) * _U
 
 
@@ -496,10 +531,10 @@ def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
         raise ValueError("x must be positive and finite")
     base = 1.0 + x
 
-    def term(sig, sigc, jac, d):
-        return [j * s * c * base ** -c for s, c, j in zip(sig, sigc, jac)]
-    value, est, n_evals, converged = _integrate_members([(term, 1, 1.1e-16)], 1, 1,
-                                                        _inner_tol(tol, base))[0]
+    def term(rows):
+        return [js * c * base ** -c for c, js in rows]
+    value, est, n_evals, converged = _integrate_members(
+        [(term, 1, 1.1e-16)], 1, 1, _inner_tol(tol, base), (_C, _JS))[0]
     return _result(base * value, base * est, n_evals, converged, tol)
 
 

@@ -1,6 +1,7 @@
 """Exact layer: recurrence, chain sums, explicit formula, table type."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -143,6 +144,15 @@ class TestGregoryTable:
             GregoryTable(values=(Fraction(1), Fraction(1, 2), Fraction(1, 12)),
                          method=TableMethod.SERIES_RECURRENCE)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("change", ["negate", "zero"])
+    def test_rejects_each_wrong_sign_by_index(self, golden_values, n, change):
+        """A flipped or zero b_n is named by its index, on odd and even n."""
+        values = list(golden_values[:9])
+        values[n] = -values[n] if change == "negate" else Fraction(0)
+        with pytest.raises(ValueError, match=rf"^sign of b_{n} violates"):
+            GregoryTable(values=tuple(values), method=TableMethod.SERIES_RECURRENCE)
+
 
 class TestFactorialMoments:
     @pytest.mark.parametrize("build", [bernoulli2_series, bernoulli2_explicit_table])
@@ -178,6 +188,15 @@ class TestRationalSerialization:
     def test_round_trip(self, q):
         """Fraction parses what format_rational writes back to the same rational."""
         assert Fraction(format_rational(q)) == q
+
+    def test_parts_past_the_int_string_limit(self):
+        """Parts of more than 4,300 digits, where str() of an int raises,
+        are written with every digit (b_1552 is the first coefficient there)."""
+        q = Fraction(-(10 ** 5000 + 3), 10 ** 4400 - 1)
+        assert (q.numerator, q.denominator) == (-(10 ** 5000 + 3), 10 ** 4400 - 1)
+        assert format_rational(q) == "-1" + "0" * 4999 + "3/" + "9" * 4400
+        num, den = format_rational(q).split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == q
 
 
 def _brute_chain_sum(m, d):

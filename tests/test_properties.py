@@ -41,7 +41,7 @@ from gregory import (
     stieltjes_recip_log,
     stieltjes_weight,
 )
-from gregory.quadrature import _integrate_members
+from gregory.quadrature import _C, _E, _J, _integrate_members
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=50)
 
@@ -255,17 +255,17 @@ class TestIntegerPath:
         """(-1)**k Delta**k mu_0 = integral_0^1 (1-s)**k v(s)/s ds for k <= 30.
 
         The term jac * sigc**(k+1) / (y**2 + pi**2) is that integrand in
-        the tanh-sinh variables, with d = y**2 + pi**2 a node column;
-        summed by the engine itself, it keeps the 1/(s ln(s)**2) tail
+        the tanh-sinh variables, read from rows (1 - s, jac, d) of the
+        node columns, d = y**2 + pi**2 among them; summed by the engine itself, it keeps the 1/(s ln(s)**2) tail
         below the smallest normal s.  Its envelope is sigma(-|y|)**(k+1)
         / (pi cosh tau) on the s -> 1 side and 1/(pi cosh tau) on the
         s -> 0 side.
         """
         table = difference_table(signed_moment_sequence(table31), 30)
         for k in range(31):
-            def term(sig, sigc, jac, d):
-                return [j * c ** (k + 1) / e for c, j, e in zip(sigc, jac, d)]
-            value = _integrate_members([(term, 0, 1.1e-16)], k + 1, -1, 1e-15)[0][0]
+            def term(rows):
+                return [j * c ** (k + 1) / e for c, j, e in rows]
+            value = _integrate_members([(term, 0, 1.1e-16)], k + 1, -1, 1e-15, (_C, _J, _E))[0][0]
             assert abs(value - float(table.alternating(k, 0))) <= 1e-14, k
 
 

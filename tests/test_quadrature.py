@@ -238,17 +238,24 @@ def _capped(levels):
     return mock.patch.object(quadrature, "DEFAULT_MAX_LEVELS", levels)
 
 
-def _members(members: list, hi: int, beta: int, tol: float, levels=None) -> list:
+def _members(members: list, hi: int, beta: int, tol: float, levels=None,
+             shape: tuple = quadrature._KERNEL_ROWS) -> list:
     with _capped(levels):
-        raws = quadrature._integrate_members(members, hi, beta, tol)
+        raws = quadrature._integrate_members(members, hi, beta, tol, shape)
     return [QuadratureResult(*raw) for raw in raws]
 
 
-def _integrate(term, alphas, beta, tol: float, levels=None,
-               floor: float = 1.1e-16) -> QuadratureResult:
+def _integrate(term, alphas, beta, tol: float, levels=None, floor: float = 1.1e-16,
+               shape: tuple = quadrature._KERNEL_ROWS) -> QuadratureResult:
     # one term function, alphas = (alpha on the s -> 1 side, on the s -> 0 side)
     hi, lo = alphas
-    return _members([(term, lo, floor)], hi, beta, tol, levels)[0]
+    return _members([(term, lo, floor)], hi, beta, tol, levels, shape)[0]
+
+
+def _side_columns(node: tuple) -> tuple:
+    # a reference node's side columns, in the order _S, _C, _J, _E, _JC, _JS
+    _, y, sig, sigc, jac = node
+    return (sig, sigc, jac, y * y + math.pi * math.pi, jac * sigc, jac * sig)
 
 
 def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> QuadratureResult:
@@ -256,36 +263,42 @@ def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> Quadrat
         return QuadratureResult(*quadrature._kernel(a, x, p, tol))
 
 
-# test-local term functions of the engine: (term, alphas, beta, exact value)
-def _unit_term(sig, sigc, jac, d):
-    return [j * s * c for s, c, j in zip(sig, sigc, jac)]
+# test-local term functions of the engine, with the side columns each
+# reads: (term, shape, alphas, beta, exact value)
+_UNIT_ROWS = (quadrature._C, quadrature._JS)
+_CUBE_ROWS = (quadrature._S, quadrature._C, quadrature._J)
+_WEIGHTED_ROWS = (quadrature._C, quadrature._J, quadrature._E)
 
 
-def _cube_term(sig, sigc, jac, d):
-    return [j * s ** 4 * c for s, c, j in zip(sig, sigc, jac)]
+def _unit_term(rows):
+    return [js * c for c, js in rows]
 
 
-def _moment_term(sig, sigc, jac, d):
+def _cube_term(rows):
+    return [j * s ** 4 * c for s, c, j in rows]
+
+
+def _moment_term(rows):
     # the kernel term with a = 3: the moment mu_3 = -b_4
-    return [j * c * s ** 3 / e for s, c, j, e in zip(sig, sigc, jac, d)]
+    return [jc * s ** 3 / e for s, jc, e in rows]
 
 
-def _setup_term(sig, sigc, jac, d):
+def _setup_term(rows):
     # the kernel term of f^(10)(0.25), the benchmark's setup job
-    return [j * c * s ** 9 / (e * (1.0 + 0.25 * s) ** 11) for s, c, j, e in zip(sig, sigc, jac, d)]
+    return [jc * s ** 9 / (e * (1.0 + 0.25 * s) ** 11) for s, jc, e in rows]
 
 
-def _weighted_term(sig, sigc, jac, d):
+def _weighted_term(rows):
     # (1-s)^2 v(s)/s, the one term checked bit for bit with alpha != 1 on
     # the s -> 1 side (here 3); mu_0 - 2 mu_1 + mu_2 = 3/8
-    return [j * c ** 3 / e for c, j, e in zip(sigc, jac, d)]
+    return [j * c ** 3 / e for c, j, e in rows]
 
 
 _TERMS = {
-    "one": (_unit_term, (1, 1), 1, 1.0),
-    "s^3": (_cube_term, (1, 4), 1, 0.25),
-    "v(s) s^2": (_moment_term, (1, 3), -1, 19.0 / 720.0),
-    "(1-s)^2 v(s)/s": (_weighted_term, (3, 0), -1, 3.0 / 8.0),
+    "one": (_unit_term, _UNIT_ROWS, (1, 1), 1, 1.0),
+    "s^3": (_cube_term, _CUBE_ROWS, (1, 4), 1, 0.25),
+    "v(s) s^2": (_moment_term, quadrature._KERNEL_ROWS, (1, 3), -1, 19.0 / 720.0),
+    "(1-s)^2 v(s)/s": (_weighted_term, _WEIGHTED_ROWS, (3, 0), -1, 3.0 / 8.0),
 }
 
 
@@ -355,21 +368,23 @@ class TestColumnEngineMatchesPerNodeReference:
         (1e-3, 1), (1e-10, 4), (1e-15, 12), (1e-30, 7), (5e-324, 12)])
     def test_term_sees_the_reference_nodes(self, name, tol, max_levels):
         """A term function is handed exactly the reference's nodes, in
-        order, and the result is the same."""
-        term, alphas, beta, _ = _TERMS[name]
+        order, as rows of the side columns it reads, and the result is the
+        same."""
+        term, shape, alphas, beta, _ = _TERMS[name]
         seen = []
 
-        def recording(sig, sigc, jac, d):
-            seen.extend(zip(sig, sigc, jac, d))
-            return term(sig, sigc, jac, d)
+        def recording(rows):
+            rows = list(rows)
+            seen.extend(rows)
+            return term(rows)
 
-        got = _integrate(recording, alphas, beta, tol, max_levels)
+        got = _integrate(recording, alphas, beta, tol, max_levels, shape=shape)
         visited = []
 
         def g(nd):
-            _, y, sig, sigc, jac = nd
-            visited.append((sig, sigc, jac, y * y + math.pi * math.pi))
-            return term(*([col] for col in visited[-1]))[0]
+            cols = _side_columns(nd)
+            visited.append(tuple(cols[i] for i in shape))
+            return term([visited[-1]])[0]
 
         want = _reference_integrate(g, alphas, beta, tol, max_levels)
         assert _bits(got) == _bits(want)
@@ -463,14 +478,14 @@ class TestEngine:
     @pytest.mark.parametrize("name", sorted(_TERMS))
     def test_exact_values(self, name):
         """Each test-local term function integrates to its exact value."""
-        term, alphas, beta, exact = _TERMS[name]
-        result = _integrate(term, alphas, beta, 1e-12)
+        term, shape, alphas, beta, exact = _TERMS[name]
+        result = _integrate(term, alphas, beta, 1e-12, shape=shape)
         assert result.converged
         assert abs(result.value - exact) <= 1e-12
 
     def test_unreachable_tol_reports_not_converged(self):
         """An impossible tolerance is reported honestly, not raised."""
-        result = _integrate(_unit_term, (1, 1), 1, 1e-30)
+        result = _integrate(_unit_term, (1, 1), 1, 1e-30, shape=_UNIT_ROWS)
         assert not result.converged
         assert result.n_evals > 0
         assert abs(result.value - 1.0) < 1e-13
@@ -478,12 +493,12 @@ class TestEngine:
     def test_rejects_bad_controls(self):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                _integrate(_unit_term, (1, 1), 1, tol)
+                _integrate(_unit_term, (1, 1), 1, tol, shape=_UNIT_ROWS)
 
     def test_threaded_calls_agree(self):
         """Concurrent calls give identical results."""
         def job(_):
-            return _integrate(_cube_term, (1, 4), 1, 1e-10).value
+            return _integrate(_cube_term, (1, 4), 1, 1e-10, shape=_CUBE_ROWS).value
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(job, range(8)))
@@ -703,25 +718,73 @@ class TestMembers:
         assert [_bits(r) for r in got] == want
 
     def test_s1_side_is_worked_out_once_per_level(self):
-        """Every member is handed the same s -> 1 columns on a level: the
-        column lists themselves, not copies, on each of the levels 0..2
-        that every member runs."""
-        handed = []     # (member, first column), the columns kept alive
+        """Every member is handed the same s -> 1 rows on a level: the row
+        list itself, not a copy, on each of the levels 0..2 that every
+        member runs, and the centre node's."""
+        handed = []     # (member, rows), the rows kept alive
 
         def member(i, a):
             term, lo, floor = quadrature._kernel_member(a, 0.0, 0)
 
-            def recording(sig, sigc, jac, d):
-                handed.append((i, sig))
-                return term(sig, sigc, jac, d)
+            def recording(rows):
+                handed.append((i, rows))
+                return term(rows)
             return recording, lo, floor
 
         quadrature._integrate_members([member(i, a) for i, a in enumerate((0, 5, 40))],
                                       1, -1, 1e-10)
         members_of = {}
-        for i, col in handed:
-            members_of.setdefault(id(col), set()).add(i)
-        assert sum(seen == {0, 1, 2} for seen in members_of.values()) >= 3
+        for i, rows in handed:
+            members_of.setdefault(id(rows), set()).add(i)
+        assert sum(seen == {0, 1, 2} for seen in members_of.values()) >= 4
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_shared_rows_are_built_once_for_the_live_members(self, tol):
+        """The centre node's rows and each level's kept s -> 1 rows are one
+        list apiece, handed to every member that reaches the level and to
+        no other; every s -> 0 side is streamed to its own member; and a
+        member that has left is never handed rows again, so the rows it
+        was handed hold exactly its n_evals nodes."""
+        kernels = [(0, 0.0, 0), (40, 0.0, 0), (5, 0.0, 0), (299, 0.0, 0), (2, 0.0, 0)]
+        handed = []     # (member, rows, number of rows) in call order; keeps the rows alive
+
+        def member(i, a):
+            term, lo, floor = quadrature._kernel_member(a, 0.0, 0)
+
+            def recording(rows):
+                rows_seen = rows if isinstance(rows, list) else list(rows)
+                handed.append((i, rows, len(rows_seen)))
+                return term(rows_seen)
+            return recording, lo, floor
+
+        got = _members([member(i, args[0]) for i, args in enumerate(kernels)], 1, -1, tol)
+        want = [_kernel_result(*args, tol) for args in kernels]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        order = [i for i, _, _ in handed]
+        assert order == sorted(order)       # one member at a time: once left, never again
+        shared = {i: [rows for j, rows, _ in handed if j == i and isinstance(rows, list)]
+                  for i in range(len(kernels))}
+        deepest = max(shared.values(), key=len)
+        assert len({len(rows) for rows in shared.values()}) > 1     # members leave apart
+        for rows in shared.values():
+            assert [id(r) for r in rows] == [id(r) for r in deepest[:len(rows)]]
+        streamed = [id(rows) for _, rows, _ in handed if not isinstance(rows, list)]
+        assert len(streamed) == len(set(streamed))
+        for i, result in enumerate(got):
+            assert sum(count for j, _, count in handed if j == i) == result.n_evals
+
+    def test_lone_member_streams_every_side(self):
+        """A list of one builds no row list: no other member reads its rows."""
+        handed = []
+        term, lo, floor = quadrature._kernel_member(3, 0.0, 0)
+
+        def recording(rows):
+            handed.append(rows)
+            return term(rows)
+
+        got = _members([(recording, lo, floor)], 1, -1, 1e-10)[0]
+        assert _bits(got) == _bits(_kernel_result(3, 0.0, 0, 1e-10))
+        assert handed and not any(isinstance(rows, list) for rows in handed)
 
 
 class TestMomentIntegral:

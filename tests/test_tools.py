@@ -1,6 +1,8 @@
-"""The repository tools: the Tier-1 gate and the engine and exact-builder A/B comparisons."""
+"""The repository tools: the Tier-1 gate, the engine and exact-builder A/B
+comparisons and the benchmark snapshot recorder."""
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -112,7 +114,8 @@ class TestEngineAB:
 
     def test_timing_times_in_the_rotated_order(self, monkeypatch, capsys):
         """timing() warms each load up once, then times the rounds in the
-        rotation's order, for both workloads."""
+        rotation's order, for each of the three workloads: lone calls and
+        sweeps at two tolerances."""
         ab = _tool("engine_ab")
         functions = dict.fromkeys(("genfun_integral", "stieltjes_recip_log",
                                    "genfun_derivative_integral", "bernstein_identity",
@@ -122,14 +125,14 @@ class TestEngineAB:
         owner, timed = {}, []
         for name in ("lone_workload", "sweep_workload"):
             build = getattr(ab, name)
-            monkeypatch.setattr(ab, name, lambda module, rng, build=build: _owned(
-                owner, module, build(module, rng)))
+            monkeypatch.setattr(ab, name, lambda module, rng, *tol, build=build: _owned(
+                owner, module, build(module, rng, *tol)))
         monkeypatch.setattr(ab, "_timed", lambda calls: timed.append(owner[id(calls)]) or 1.0)
         ab.timing(*loads, rounds=6)
         labels = ("head", "other", "control")
         expected = list(labels) + [label for i in range(6) for label in ab.rotation(labels, i)]
-        assert timed == expected * 2
-        assert capsys.readouterr().out.count("A/A") == 3
+        assert timed == expected * 3
+        assert capsys.readouterr().out.count("A/A") == 4
 
 
 def _owned(owner: dict, module, calls: list) -> list:
@@ -176,3 +179,71 @@ class TestExactAB:
             sizes = sorted({args for _, args in work})
             assert sizes == ([(1,), (8,)] if "N=1,8" in label else [(64,), (128,), (256,)])
             assert len(work) == (2000 if "N=1,8" in label else 3)
+
+
+_RESULT = {"correct": True, "attempted": 40, "failed": 0,
+           "metrics": {"jobs_per_s": {"value": 99.5, "unit": "1/s"},
+                       "job_ms.p50": {"value": 4.25, "unit": "ms"}}}
+_LAYERS = {"correct": True, "attempted": 128, "failed": 0,
+           "metrics": {"quadrature.calls": {"value": 500, "unit": "count"}}}
+
+
+class TestBenchRecord:
+    """tools/bench_record.py turns run.py result lines into one BENCH file."""
+
+    def test_result_line_is_the_last_line(self):
+        rec = _tool("bench_record")
+        stdout = "workload evaluate, seed 1\n  jobs_per_s 99.5 1/s\n" + \
+            json.dumps(_RESULT) + "\n\n"
+        assert rec.result_line(stdout) == _RESULT
+
+    @pytest.mark.parametrize("stdout", ["", "\n", "jobs_per_s 99.5\n", "[1, 2]\n",
+                                        '{"correct": true}\n'])
+    def test_anything_else_is_no_result(self, stdout):
+        rec = _tool("bench_record")
+        with pytest.raises(ValueError):
+            rec.result_line(stdout)
+
+    def test_assembly_keeps_each_run_in_its_place(self):
+        rec = _tool("bench_record")
+        broken = dict(_LAYERS, correct=False)
+        host = {"cpu": "test cpu", "cores": 2, "python": "3.11.7"}
+        record = rec.assemble("x", host, 7, 30.0, {"verify": {0: _RESULT, 1: _LAYERS},
+                                                   "evaluate": {0: _RESULT, 1: broken}})
+        assert record["label"] == "x" and record["machine"] == host
+        assert record["settings"] == {"command": "python3 perfbench/run.py", "seed": 7,
+                                      "seconds": 30.0}
+        assert list(record["workloads"]) == ["verify", "evaluate"]
+        verify = record["workloads"]["verify"]
+        assert verify == {"correct": True, "attempted": {"trace 0": 40, "trace 1": 128},
+                          "end_to_end": _RESULT["metrics"], "per_layer": _LAYERS["metrics"]}
+        assert record["workloads"]["evaluate"]["correct"] is False
+
+    def test_main_writes_the_file_from_every_run(self, tmp_path, monkeypatch, capsys):
+        rec = _tool("bench_record")
+        runs = []
+        monkeypatch.setattr(rec, "ROOT", tmp_path)
+        monkeypatch.setattr(rec, "run", lambda workload, seed, seconds, trace: runs.append(
+            (workload, seed, seconds, trace)) or (_LAYERS if trace else _RESULT))
+        assert rec.main(["t1"]) == 0
+        assert runs == [(w, rec.SEED, rec.SECONDS, t) for w in rec.WORKLOADS for t in (0, 1)]
+        written = json.loads((tmp_path / "BENCH_t1.json").read_text())
+        assert written["workloads"]["tabulate"]["end_to_end"] == _RESULT["metrics"]
+        assert written["machine"]["python"] and written["settings"]["seed"] == rec.SEED
+        assert capsys.readouterr().out.endswith("wrote BENCH_t1.json\n")
+
+    def test_a_failed_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        rec = _tool("bench_record")
+        monkeypatch.setattr(rec, "ROOT", tmp_path)
+
+        def failing(workload, seed, seconds, trace):
+            raise RuntimeError(f"{workload} --trace {trace} exited 1: boom")
+        monkeypatch.setattr(rec, "run", failing)
+        assert rec.main(["t2"]) == 1
+        assert not list(tmp_path.iterdir())
+        assert "exited 1: boom" in capsys.readouterr().err
+
+    def test_rejects_a_label_that_is_no_file_name(self):
+        rec = _tool("bench_record")
+        with pytest.raises(SystemExit):
+            rec.main(["../x"])

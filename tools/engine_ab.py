@@ -11,20 +11,22 @@ for bit:
   invalid inputs among them: the value and estimate as hex, ``n_evals``
   and ``converged`` of every result, or the message of every ValueError;
 - ``bernoulli2_integrals(N)`` for N in {0, 1, 7, 50, 300} at tol 1e-10,
-  1e-13 and 1e-30.
+  1e-13 and 1e-30, and for the benchmark's sizes N in {20, 160, 256} at
+  tol 1e-10.
 
 It names every call that differs and exits 1 if any does.  Then, unless
-``--rounds 0``, it times two workloads over N rotating rounds (default
+``--rounds 0``, it times three workloads over N rotating rounds (default
 40): lone calls (genfun, 1/ln(1+x), f^(k) with k <= 20 and the Bernstein
-identity, x in 1e-3..1e3 and tol in 1e-13..1e-6) and coefficient sweeps
-(``bernoulli2_integrals`` with N in 20..300 at tol 1e-10 and 1e-13).  It
-prints the median and quartiles of the per-round time ratio of this tree
-to OTHER_SRC, next to an A/A control: this tree against a second load of
-itself, whose spread is what a ratio of two equal engines shows.  The
-three loads take turns at each place in the timing order, one cyclic shift
-per round.  Every module fills its own node table in a warm-up pass before
-the timed rounds.  tools/exact_ab.py times the exact table builders with
-the same loader, rotation and timing.
+identity, x in 1e-3..1e3 and tol in 1e-13..1e-6), and coefficient sweeps
+(``bernoulli2_integrals`` with N in 20..300) at tol 1e-10, the tolerance
+of ``compute --method integral`` and of the ``all`` jobs, and at 1e-13.
+It prints the median and quartiles of the per-round time ratio of this
+tree to OTHER_SRC, next to an A/A control: this tree against a second
+load of itself, whose spread is what a ratio of two equal engines shows.
+The three loads take turns at each place in the timing order, one cyclic
+shift per round.  Every module fills its own node table in a warm-up pass
+before the timed rounds.  tools/exact_ab.py times the exact table builders
+with the same loader, rotation and timing.
 Stdlib only; 40 rounds take about half a minute on a 2-core Xeon.
 """
 
@@ -43,7 +45,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1] / "src"
 SEED = 22
 DRAWS = 600
-SWEEPS = [(n_max, tol) for n_max in (0, 1, 7, 50, 300) for tol in (1e-10, 1e-13, 1e-30)]
+SWEEPS = ([(n_max, tol) for n_max in (0, 1, 7, 50, 300) for tol in (1e-10, 1e-13, 1e-30)]
+          + [(n_max, 1e-10) for n_max in (20, 160, 256)])
 BAD_TOLS = (0.0, -1e-10, math.nan, math.inf)
 BAD_X = (0.0, -1.0, math.nan, math.inf)
 
@@ -150,9 +153,8 @@ def lone_workload(module, rng: random.Random):
     return calls
 
 
-def sweep_workload(module, rng: random.Random):
-    return [(module.bernoulli2_integrals, (rng.randint(20, 300), rng.choice((1e-10, 1e-13))))
-            for _ in range(8)]
+def sweep_workload(module, rng: random.Random, tol: float = 1e-10):
+    return [(module.bernoulli2_integrals, (rng.randint(20, 300), tol)) for _ in range(8)]
 
 
 def _timed(calls) -> float:
@@ -184,10 +186,12 @@ def timing(head, other, control, rounds: int, workloads=None) -> None:
 
     `workloads` holds (label, build) pairs, where build(module, rng) gives
     the (function, args) calls to time; by default the engine's lone calls
-    and sweeps.
+    and its sweeps at tol 1e-10 and 1e-13.
     """
     if workloads is None:
-        workloads = (("lone calls", lone_workload), ("sweeps", sweep_workload))
+        workloads = (("lone calls", lone_workload),
+                     ("sweeps 1e-10", sweep_workload),
+                     ("sweeps 1e-13", lambda module, rng: sweep_workload(module, rng, 1e-13)))
     print(f"time ratio, this tree / other, over {rounds} rotating rounds "
           "(A/A: this tree / a second load of it)")
     width = max(len(label) for label, _ in workloads) + 6
