@@ -102,46 +102,47 @@ def cmd_compute(n_max: int, method: str, tol: float, fmt: str) -> int:
     explicit = bernoulli2_explicit_table(n_max) if method in ("explicit", "all") else None
     # the ray integral diverges at n = 0: integral[n - 1] is b_n
     integral = bernoulli2_integrals(n_max, tol) if wants_integral else []
-    exit_code = 0
-    for n, result in enumerate(integral, 1):
-        if not result.converged:
-            print(f"warning: quadrature did not converge at n={n} "
-                  f"(estimate {result.abs_error_estimate:.3e} > tol {tol:.3e})",
-                  file=sys.stderr)
-            exit_code = 1
-
-    # one tuple per value, in _RECORD_FIELDS order; exact and numeric are
-    # alternatives, and the loop emits them sorted by n, then by method
     exact_tables = [(name, table) for name, table in (("series", series), ("explicit", explicit))
                     if table is not None]
+    side_by_side = method == "all" and fmt == "table"
+    # rows: one tuple per value, in _RECORD_FIELDS order; exact and numeric
+    # are alternatives, and the loop emits them sorted by n, then by method
     rows: list[tuple] = []
+    cells = [("n", "series", "explicit", "integral", "error_estimate")]
+    exit_code, deviation = 0, 0.0
     for n in range(0, n_max + 1):
+        exact = []
         for name, table in exact_tables:
-            rows.append((n, format_rational(table[n]), None, name, None))
-        if n and integral:
-            result = integral[n - 1]
+            exact.append(format_rational(table[n]))
+            rows.append((n, exact[-1], None, name, None))
+        result = integral[n - 1] if n and integral else None
+        if result is not None:
+            if not result.converged:
+                print(f"warning: quadrature did not converge at n={n} "
+                      f"(estimate {result.abs_error_estimate:.3e} > tol {tol:.3e})",
+                      file=sys.stderr)
+                exit_code = 1
             rows.append((n, None, result.value, "integral", result.abs_error_estimate))
-
-    footer = None
-    if method == "all":
-        deviation = 0.0
-        for n in range(0, n_max + 1):
+        if method == "all":
             exact_value = float(series[n])
             deviation = max(deviation, abs(float(explicit[n]) - exact_value))
-            if n:
-                deviation = max(deviation, abs(integral[n - 1].value - exact_value))
-        footer = f"max cross-method deviation: {deviation:.3e}"
+            if result is not None:
+                deviation = max(deviation, abs(result.value - exact_value))
+        if side_by_side:
+            cells.append((str(n), *exact, repr(result.value) if n else "n/a",
+                          f"{result.abs_error_estimate:.3e}" if n else "n/a"))
 
     if fmt == "csv":
         _write_csv(rows, sys.stdout)
     elif fmt == "json":
         _write_json(rows, sys.stdout)
-    elif method == "all":
-        _emit_table_all(rows)
+    elif side_by_side:
+        _print_aligned(cells)
     else:
         _emit_table(rows)
-    if footer:
-        print(footer, file=sys.stdout if fmt == "table" else sys.stderr)
+    if method == "all":
+        print(f"max cross-method deviation: {deviation:.3e}",
+              file=sys.stdout if fmt == "table" else sys.stderr)
     return exit_code
 
 
@@ -183,17 +184,6 @@ def _emit_table(rows: list[tuple]) -> None:
     for n, exact, numeric, method, est in rows:
         cells.append((str(n), exact if exact is not None else repr(numeric), method,
                       "n/a" if est is None else f"{est:.3e}"))
-    _print_aligned(cells)
-
-
-def _emit_table_all(rows: list[tuple]) -> None:
-    # rows run series, explicit, then integral for each n, with no integral
-    # at n = 0: the ray integral needs n >= 1
-    cells = [("n", "series", "explicit", "integral", "error_estimate"),
-             ("0", rows[0][1], rows[1][1], "n/a", "n/a")]
-    for i in range(2, len(rows), 3):
-        (n, series, *_), (_, explicit, *_), (_, _, numeric, _, est) = rows[i:i + 3]
-        cells.append((str(n), series, explicit, repr(numeric), f"{est:.3e}"))
     _print_aligned(cells)
 
 
@@ -276,35 +266,30 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
 def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Factorial-moment products along every majorizing pair.
 
-    Exhaustive over nondecreasing index tuples with size <= 3 and entries
-    <= 6 (pairs with unequal sums never majorize and are skipped early); a
-    violation reports the two tuple positions in the canonical enumeration.
-    Both the majorization test and the product inequality depend only on
-    the two tuples' padded forms (sorted descending, zero-padded to length
-    3): a padded zero multiplies both products by the same m_0 = 0!*b_1 =
-    1/2.  So each ordered pair of padded forms is tested, and checked if it
-    majorizes, only at its first (i, j) in canonical order: a later pair
-    with the same forms has the same verdict, so the first violation is
-    unchanged.  A pair of equal forms is never tested, since its two
-    products are equal.  That is 416 tests and 196 checks of the 973
-    equal-sum pairs.
+    The index tuples are the nondecreasing ones with size <= 3 and entries
+    <= 6, at their positions in the canonical enumeration; a violation
+    reports the positions of its two tuples.  The walk goes over padded
+    forms (sorted descending, zero-padded to length 3), each represented
+    by its first tuple: a padded zero multiplies both products by the same
+    m_0 = 0!*b_1 = 1/2, so the verdict of a pair depends only on its two
+    forms.  For each form in order of first position, it tests whether
+    each other form of the same sum majorizes it, in that order (unequal
+    sums never majorize), and checks the products of each one that does.
+    These are the first occurrences of every pair of distinct equal-sum
+    forms in canonical (i, j) order, so the first violation is the one a
+    walk over every pair of tuples would report: 416 tests and 196 checks.
     """
     tuples = [t for m in range(1, 4)
               for t in combinations_with_replacement(range(7), m)]
-    padded = [t[::-1] + (0,) * (3 - len(t)) for t in tuples]
-    # (position, tuple) by sum, positions ascending: the pairs walked are
-    # the equal-sum ones, in canonical (i, j) order
+    forms: dict[tuple, tuple[int, tuple]] = {}
+    for i, t in enumerate(tuples):
+        forms.setdefault(t[::-1] + (0,) * (3 - len(t)), (i, t))
     of_sum: dict[int, list] = {}
-    for j, mu in enumerate(tuples):
-        of_sum.setdefault(sum(mu), []).append((j, mu))
-    seen = set()
-    for i, lam in enumerate(tuples):
+    for i, t in forms.values():
+        of_sum.setdefault(sum(t), []).append((i, t))
+    for i, lam in forms.values():
         for j, mu in of_sum[sum(lam)]:
-            forms = padded[i], padded[j]
-            if forms[0] == forms[1] or forms in seen:
-                continue
-            seen.add(forms)
-            if not is_majorized(lam, mu):
+            if i == j or not is_majorized(lam, mu):
                 continue
             probe = check_majorization_inequality(table, lam, mu)
             if not probe.passed:

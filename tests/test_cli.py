@@ -950,6 +950,18 @@ class TestGoldenTool:
         assert blocks[0] == blocks[1]
         assert "\nusage: gregory compute [-h] [--n-max N_MAX]\n" in blocks[0]
 
+    def test_suite_minimums_match_the_cli(self):
+        """The set probes each suite just below and at its smallest usable
+        --n-max, read from the tool's own table: it must agree with
+        cli._SUITES (0 where the tool lists no suite), and "all" with the
+        largest of them."""
+        tool = _golden_tool()
+        minimums = {name: entry[0] for name, entry in cli._SUITES.items()}
+        assert set(tool.SUITES) == set(minimums) | {"all"}
+        for name, low in minimums.items():
+            assert tool.SUITE_MIN_N_MAX.get(name, 0) == low, name
+        assert tool.SUITE_MIN_N_MAX["all"] == max(minimums.values())
+
     def test_digest_file_lists_the_argv_set(self):
         """tools/golden.sha256 holds one digest per argv of the set, in order."""
         tool = _golden_tool()

@@ -284,6 +284,18 @@ class TestExplicitFormula:
         for n in range(2, 31):
             assert bernoulli2_explicit(n) == series[n]
 
+    def test_formula_as_printed_through_30(self):
+        """(-1)**n/n! [1/(n+1) + sum_{k=2}^{n} (a(n, k) - n a(n-1, k))/k!],
+        summed from a_coefficient as the paper prints it, is b_n by both the
+        moment walk and the series recurrence."""
+        series = bernoulli2_series(30)
+        for n in range(2, 31):
+            bracket = Fraction(1, n + 1) + sum(
+                (a_coefficient(n, k) - n * a_coefficient(n - 1, k)) / math.factorial(k)
+                for k in range(2, n + 1))
+            printed = (-1) ** n * bracket / math.factorial(n)
+            assert printed == bernoulli2_explicit(n) == series[n], n
+
     def test_rejects_low_index(self):
         """The closed formula starts at n = 2."""
         with pytest.raises(ValueError):
