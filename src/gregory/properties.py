@@ -156,15 +156,21 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         irow, den = _common_denominator(row)
         scale *= den
         imat.append(irow)
-    return Fraction(_integer_determinant(imat), scale)
+    return Fraction(_integer_determinant(imat)[0], scale)
 
 
-def _integer_determinant(imat: list[list[int]]) -> int:
+def _integer_determinant(imat: list[list[int]]) -> tuple[int, list[int]]:
     # fraction-free Bareiss elimination, in place on a square integer
-    # matrix: every division is exact, so every intermediate stays integral
+    # matrix: every division is exact, so every intermediate stays integral.
+    # Also returns its pivots up to the first row swap: while no row is
+    # swapped, the pivot of column k is the leading principal minor of
+    # order k + 1, and only a minor that is 0 forces a swap, so the list
+    # stops before the first leading minor below order m that is 0 and
+    # holds all m of them exactly when no row was swapped
     m = len(imat)
     sign = 1
     prev = 1
+    minors: list[int] = []
     for col in range(m - 1):
         if imat[col][col] == 0:
             for r in range(col + 1, m):
@@ -173,14 +179,19 @@ def _integer_determinant(imat: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, minors
+        elif len(minors) == col:
+            minors.append(imat[col][col])
         pivot = imat[col][col]
         for r in range(col + 1, m):
             for c in range(col + 1, m):
                 imat[r][c] = (imat[r][c] * pivot - imat[r][col] * imat[col][c]) // prev
             imat[r][col] = 0
         prev = pivot
-    return sign * imat[m - 1][m - 1]
+    det = imat[m - 1][m - 1]
+    if len(minors) == m - 1:
+        minors.append(det)
+    return sign * det, minors
 
 
 def _moment_matrix(entry: Callable[[int], object], indices: Sequence[int],
@@ -223,7 +234,25 @@ def hankel_determinant(table: GregoryTable, indices,
         matrix = [[moments[ai + aj] for aj in idx] for ai in idx]
     else:
         matrix = _moment_matrix(moments.__getitem__, idx, variant)
-    return Fraction(_integer_determinant(matrix), den ** len(idx))
+    return Fraction(_integer_determinant(matrix)[0], den ** len(idx))
+
+
+def hankel_positive_definite(table: GregoryTable, size: int) -> bool:
+    """Whether the size x size factorial-moment matrix [m_{i+j}] is positive definite.
+
+    m_s = s! b_{s+1}, as in :func:`hankel_determinant`.  By Sylvester's
+    criterion the matrix is positive definite exactly when its leading
+    principal minors are all > 0, which one elimination with no row swap
+    gives as its pivots.  Every principal minor is then > 0 too: the
+    determinant of every index tuple with distinct entries below size.
+    size must be >= 1, and the table must reach index 2 * size - 1.
+    """
+    if 2 * size - 1 > table.max_index:
+        raise ValueError(
+            f"need coefficients through index {2 * size - 1}, table stops at {table.max_index}")
+    moments, _ = table.factorial_moments
+    minors = _integer_determinant([list(moments[i:i + size]) for i in range(size)])[1]
+    return len(minors) == size and min(minors) > 0
 
 
 # ----------------------------------------------------------------------

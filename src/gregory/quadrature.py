@@ -35,9 +35,15 @@ a fixed fraction of tol and bounds what it dropped, for the error
 estimate.  The engine hands a term function a side's nodes as rows of
 the node columns it reads, so a kernel's terms come from one list
 comprehension per side and level over rows (s, j*(1-s), d), the product
-being a column of the node table.  :func:`bernstein_identity`, the one
-integral without the kernel, reads rows (1-s, j*s) under the same
-envelope at beta = +1.
+being a column of the node table.  With a = 0 the s -> 0 side decays
+only like 1/(pi cosh tau) and runs out to tau of about 26, but from the
+first node where 1.0 + x*s rounds to 1.0 (every node at x = 0, on both
+sides) the term is exactly j*(1-s)/d, free of x and p; the engine reads
+those terms as a slice of that stored column instead of computing them,
+which covers about 70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x),
+f'(x) and h_1(x), and all but one of b_1's.  :func:`bernstein_identity`,
+the one integral without the kernel, reads rows (1-s, j*s) under the
+same envelope at beta = +1.
 
 :func:`_integrate_members`, the engine's one entry, sums a list of
 members, kernels that share the s -> 1 side's alpha.  They run through
@@ -62,6 +68,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -90,8 +97,9 @@ class QuadratureResult:
 
     ``converged=True`` implies ``abs_error_estimate <= tol`` as requested
     by the caller, and ``n_evals`` is always positive by the time any
-    result is produced.  ``n_evals`` counts the terms summed: every term
-    computed, as no side computes a term past the node where it stops.
+    result is produced.  ``n_evals`` counts the terms summed, computed or
+    read from the node table: no side takes a term past the node where it
+    stops.
     """
 
     value: float
@@ -103,28 +111,29 @@ class QuadratureResult:
 # ----------------------------------------------------------------------
 # node table
 #
-# Nodes sit at tau >= 0 and are stored as six columns: sig = sigma(y),
+# Nodes sit at tau >= 0 and are stored as eight columns: sig = sigma(y),
 # sigc = sigma(-y) (both computed without cancellation), jac =
-# pi*cosh(tau), d = y^2 + pi^2 and the products jac*sigc and jac*sig, with
-# y = pi*sinh(tau).  Level 0 holds tau = j for the integers 1 <= j <= 36
-# (tau = 0 is the separate _CENTER node); level L >= 1 holds tau = j * 2**-L
-# for odd j, so the union through level L is the full step-2**-L grid.
+# pi*cosh(tau), d = y^2 + pi^2, the products jac*sigc and jac*sig, and
+# those products over d, with y = pi*sinh(tau).  Level 0 holds tau = j for
+# the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER node); level
+# L >= 1 holds tau = j * 2**-L for odd j, so the union through level L is
+# the full step-2**-L grid.
 # _LAYOUTS holds the layout (h, step, node count) of each level through
 # DEFAULT_MAX_LEVELS, its nodes being tau = (step*i + 1)*h for i below the
 # count, for the engine and the table alike.  Read in this order, the
-# columns are the s -> 1 side's s, 1 - s, j, d, j*(1-s) and j*s, the names
-# _S, _C, _J, _E, _JC and _JS; swapping s with 1 - s and j*(1-s) with j*s,
-# as _MIRROR does, gives the s -> 0 side's, since y^2, and with it d, is
-# even.  A level's columns hold a prefix of its nodes and grow on demand,
-# doubling up to the level's full count; growth swaps in longer tuples
-# under a lock, so a caller keeps an immutable copy and concurrent calls
-# stay safe.
+# columns are the s -> 1 side's s, 1 - s, j, d, j*(1-s), j*s, j*(1-s)/d and
+# j*s/d, the names _S, _C, _J, _E, _JC, _JS, _JCD and _JSD; swapping s with
+# 1 - s, j*(1-s) with j*s and j*(1-s)/d with j*s/d, as _MIRROR does, gives
+# the s -> 0 side's, since y^2, and with it d, is even.  A level's columns
+# hold a prefix of its nodes and grow on demand, doubling up to the level's
+# full count; growth swaps in longer tuples under a lock, so a caller keeps
+# an immutable copy and concurrent calls stay safe.
 # ----------------------------------------------------------------------
 
 _LAYOUTS = [(2.0 ** -level, step, int(_T_MAX * 2 ** level) // step)
             for level, step in enumerate([1] + [2] * DEFAULT_MAX_LEVELS)]
-_S, _C, _J, _E, _JC, _JS = range(6)
-_MIRROR = (_C, _S, _J, _E, _JS, _JC)
+_S, _C, _J, _E, _JC, _JS, _JCD, _JSD = range(8)
+_MIRROR = (_C, _S, _J, _E, _JS, _JC, _JSD, _JCD)
 _node_lock = threading.Lock()
 _node_levels: dict[int, tuple] = {}
 
@@ -135,8 +144,10 @@ def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
     sig = tuple([1.0 / (1.0 + e) for e in es])
     sigc = tuple([e / (1.0 + e) for e in es])
     jac = tuple([PI * math.cosh(tau) for tau in taus])
-    return (sig, sigc, jac, tuple([y * y + _PI_SQ for y in ys]),
-            tuple(map(operator.mul, jac, sigc)), tuple(map(operator.mul, jac, sig)))
+    d = tuple([y * y + _PI_SQ for y in ys])
+    jc, js = tuple(map(operator.mul, jac, sigc)), tuple(map(operator.mul, jac, sig))
+    return (sig, sigc, jac, d, jc, js,
+            tuple(map(operator.truediv, jc, d)), tuple(map(operator.truediv, js, d)))
 
 
 _CENTER = _columns([0.0])
@@ -148,7 +159,7 @@ def _level_table(level: int, need: int) -> tuple:
     if cols is not None and len(cols[0]) >= need:
         return cols
     with _node_lock:
-        cols = _node_levels.get(level, ((),) * 6)
+        cols = _node_levels.get(level, ((),) * len(_MIRROR))
         have = len(cols[0])
         if have < need:   # re-check under the lock
             h, step, full = _LAYOUTS[level]
@@ -168,16 +179,19 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
 
     The engine's only entry, for one member or many, refining through at
     most the module's DEFAULT_MAX_LEVELS levels.  members is a list of
-    (term, lo, floor), and the result holds one raw (value,
+    (term, lo, floor, flat), and the result holds one raw (value,
     abs_error_estimate, n_evals, converged) tuple per member, in order:
     the fields of the one QuadratureResult that the public function
     builds with :func:`_result`, after any scaling.  shape names the side
-    columns a term reads (_S, _C, _J, _E, _JC, _JS: s, 1 - s, the
-    Jacobian pi*cosh(tau), d = y^2 + pi^2, j*(1-s) and j*s), and term(rows)
-    maps an iterable of rows, one tuple of those columns per node and in
-    node order, to an iterable of the transformed integrand's terms
-    (Jacobian included); the terms are finite and never negative.  Each
-    side of a member is bounded in advance by the envelope
+    columns a term reads (_S, _C, _J, _E, _JC, _JS, _JCD, _JSD: s, 1 - s,
+    the Jacobian pi*cosh(tau), d = y^2 + pi^2, j*(1-s), j*s, j*(1-s)/d and
+    j*s/d), and term(rows) maps an iterable of rows, one tuple of those
+    columns per node and in node order, to an iterable of the transformed
+    integrand's terms (Jacobian included); the terms are finite and never
+    negative.  flat is None, or the x of a kernel member with a = 0, whose
+    term at every node where 1.0 + x*s == 1.0 is exactly that node's
+    j*(1-s)/d (see below).  Each side of a member is bounded in advance by
+    the envelope
 
         M(tau) = sigma(-pi sinh|tau|)**alpha * (pi cosh tau)**beta,
 
@@ -197,6 +211,16 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     says, are built only as far as these tests and terms reach.  A side
     with no node left computes no term.
 
+    A member with flat = x takes part of its terms from the node table.
+    On the s -> 0 side s falls from node to node, so the kept nodes where
+    1.0 + x*s == 1.0 are a suffix; one bisection per level finds its first
+    node, term computes the terms before it, and the rest are a slice of
+    the side's j*(1-s)/d column.  At x == 0 every node qualifies, on the
+    s -> 1 side as well, whose kept terms are then a prefix of its column.
+    The two agree bit for bit, as s**0 == 1.0, 1.0**p == 1.0 and
+    e * 1.0 == e: with a = 0 the kernel's term is j*(1-s)/d once
+    1.0 + x*s rounds to 1.0.
+
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
     floor * total to the larger of the last level-to-level difference
@@ -215,7 +239,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     floor * total has settled; after two such levels in a row the
     refinement stops if floor * total plus the truncation bounds already
     exceeds tol, since no finer level can then converge.  n_evals counts
-    the terms summed.
+    the terms summed, computed or read.
 
     Whatever members read alike on a level is worked out once, by the
     first member to reach it, into one record per level: the layout, the
@@ -270,7 +294,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     levels: list[tuple] = []    # one record per level reached
     first_hi = int(_T_MAX) + 1  # the s -> 1 side's first dropped node on the last level
     results = []
-    for term, lo, floor in members:
+    for term, lo, floor, flat in members:
         terms: list[float] = list(term(center))
         prev_diff = 0.0     # level 1 has none before its own: a cube term of 0
         est = math.inf
@@ -290,12 +314,13 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                 first_hi, stop, trunc_hi = side(level, first_hi, hi, layout, cols)
                 # node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if beta > 0)
                 # are the constants of its test and of r taken there
-                levels.append((h, layout, cols, trunc_hi,
+                levels.append((h, layout, cols, trunc_hi, stop,
                                share(islice(zip(*pick_hi(cols)), stop)),
                                cols[_C][0], cols[_J][0] ** beta, cols[_S][0], cols[_J][0],
                                beta * (1.0 if beta > 0 else tanh(h))))
-            h, layout, cols, trunc, kept, c0, jb0, s0, j0, bt = levels[level]
-            terms.extend(term(kept))
+            h, layout, cols, trunc, stop_hi, kept, c0, jb0, s0, j0, bt = levels[level]
+            # at x == 0 every s -> 1 term of an a = 0 kernel is its column value
+            terms.extend(term(kept) if flat != 0.0 else cols[_JCD][:stop_hi])
             if (first_lo == 1 or level == 0) and c0 ** lo * jb0 <= cut:
                 # node 0 is the side's one test, or its scan's first, and falls
                 # to the cut: the side keeps nothing, and r is taken at node 0
@@ -306,8 +331,16 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                     cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
                 first_lo, stop, trunc_lo = side(level, first_lo, lo, layout, cols)
                 trunc += trunc_lo
-                if stop:
+                if stop and flat is None:
                     terms.extend(term(islice(zip(*pick_lo(cols)), stop)))
+                elif stop:
+                    # an a = 0 kernel's terms are column values from the first
+                    # node where 1.0 + x*s == 1.0 on: s falls along the side
+                    at = 0 if flat == 0.0 else bisect_left(
+                        cols[_C], True, 0, stop, key=lambda s: 1.0 + flat * s == 1.0)
+                    if at:
+                        terms.extend(term(islice(zip(*pick_lo(cols)), at)))
+                    terms.extend(cols[_JSD][at:stop])
             total = h * fsum(terms)
             if level == 0:
                 value = total
@@ -343,7 +376,7 @@ def _result(value: float, est: float, n_evals: int, converged: bool,
 # ----------------------------------------------------------------------
 
 def _kernel_member(a: int, x: float, p: int) -> tuple:
-    """The engine member (term, alpha on the s -> 0 side, floor) of K(a, x, p).
+    """The engine member (term, alpha on the s -> 0 side, floor, flat) of K(a, x, p).
 
     :func:`_kernel` sends it alone and :func:`bernoulli2_integrals` one per
     coefficient; either caller builds one result per member.
@@ -358,6 +391,14 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     (b_n, mu_n, f^(k)(0), h_n(0)), p == 1 with a == 0 (1/ln(1+x),
     x/ln(1+x), h_1(x)) and the general one (f^(k)(x), h_n(x)); the first
     two drop only factors exactly 1.0 in IEEE arithmetic, so all round alike.
+
+    flat is x when a == 0 and None otherwise.  With a == 0, each of the
+    three terms is exactly j*(1-s)/d at a node where 1.0 + x*s == 1.0, as
+    s**0, (1.0 + x*s)**p and the products with them are then exact, so the
+    engine reads it from the node table there: about 70 to 90 % of the
+    terms of 1/ln(1+x), x/ln(1+x), f'(x) and h_1(x), whose s -> 0 side
+    decays only like 1/(pi cosh tau), out to tau near 26, and every term
+    but the centre node's at x == 0 (b_1, mu_0, f'(0), h_1(0)).
 
     The rounding floor is (a + p + 4) unit roundoffs u = 2**-53 per term,
     without the p at x == 0, where no power of 1 + x*s is formed.  To first
@@ -388,7 +429,7 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
                     # under the engine's 2e-281 cut floor: 0.0 keeps it honest
                     terms.append(0.0)
             return terms
-    return term, a, (a + (p if x != 0.0 else 0) + 4) * _U
+    return term, a, (a + (p if x != 0.0 else 0) + 4) * _U, x if a == 0 else None
 
 
 def _kernel(a: int, x: float, p: int, tol: float) -> tuple:
@@ -534,7 +575,7 @@ def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     def term(rows):
         return [js * c * base ** -c for c, js in rows]
     value, est, n_evals, converged = _integrate_members(
-        [(term, 1, 1.1e-16)], 1, 1, _inner_tol(tol, base), (_C, _JS))[0]
+        [(term, 1, 1.1e-16, None)], 1, 1, _inner_tol(tol, base), (_C, _JS))[0]
     return _result(base * value, base * est, n_evals, converged, tol)
 
 

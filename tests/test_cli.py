@@ -20,11 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gregory import GregoryTable, IntegrandEvaluationError, bernoulli2_series, cli
+from gregory import (GregoryTable, IntegrandEvaluationError, TableMethod, bernoulli2_series,
+                     cli)
 from gregory.exact import format_rational
 from gregory.properties import (CmReport, DegreeBracket, _integer_determinant, _report,
                                 check_majorization_inequality, closed_derivative,
-                                is_majorized)
+                                hankel_positive_definite, is_majorized)
 
 
 def run_cli(argv, capsys):
@@ -428,6 +429,10 @@ class TestVerifyStageEvidence:
     def test_stage_violation(self, suite, horizon, attr, fake, violation,
                              capsys, monkeypatch):
         monkeypatch.setattr(cli, attr, fake(getattr(cli, attr)))
+        if attr == "hankel_determinant":
+            # the exact table's matrix is positive definite, which skips the
+            # sweep; a faked sweep determinant is read only when it is not
+            monkeypatch.setattr(cli, "hankel_positive_definite", lambda table, size: False)
         code, out, err = run_cli(["verify", "--suite", suite], capsys)
         assert (code, out, err) == (1, _report_line(suite, horizon, violation), "")
 
@@ -479,10 +484,9 @@ class TestVerifyStageEvidence:
         assert len(tested) == 416 and tested == first
         assert len(checked) == 196 and checked == [p for p in first if real_test(*p)]
 
-    def test_hankel_takes_one_determinant_per_matrix(self, capsys, monkeypatch):
-        """3 goldens and the 56 of the 209 sweep tuples with distinct
-        entries: 59 determinants, none twice; the 153 tuples skipped are
-        exactly those with a repeated entry."""
+    def test_hankel_sweep_skipped_on_a_positive_definite_matrix(self, capsys, monkeypatch):
+        """The exact table's 6 x 6 factorial-moment matrix is positive
+        definite, so the suite takes only its 3 golden determinants."""
         real, calls = cli.hankel_determinant, []
 
         def counting(*args, **kwargs):
@@ -491,8 +495,29 @@ class TestVerifyStageEvidence:
 
         monkeypatch.setattr(cli, "hankel_determinant", counting)
         code, _, _ = run_cli(["verify", "--suite", "hankel", "--n-max", "30"], capsys)
-        sweep = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
         assert code == 0
+        assert calls == [(0,), (0, 1), (0, 1, 2)]
+
+    def test_hankel_takes_one_determinant_per_matrix(self, monkeypatch):
+        """On the rank-one table b_{s+1} = t**s/(2 s!), t = -1/3, whose
+        matrix [m_{i+j}] = [t**(i+j)/2] is not positive definite, the sweep
+        runs: with the goldens passed through, 3 goldens and the 56 of the
+        209 sweep tuples with distinct entries, 59 determinants, none twice;
+        the 153 tuples skipped are exactly those with a repeated entry."""
+        t = Fraction(-1, 3)
+        values = [Fraction(1)] + [t ** s / (2 * math.factorial(s)) for s in range(11)]
+        table = GregoryTable(tuple(values), TableMethod.SERIES_RECURRENCE)
+        goldens = dict(_HANKEL_GOLDENS)
+        real, calls = cli.hankel_determinant, []
+
+        def counting(table, indices):
+            calls.append(indices)
+            return goldens[indices] if len(calls) <= 3 else real(table, indices)
+
+        monkeypatch.setattr(cli, "hankel_determinant", counting)
+        report = cli._SUITES["hankel"][2](11, 1e-10, table)
+        sweep = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
+        assert report == _report("hankel", (11, 3), None)
         assert len(calls) == 59
         assert calls[:3] == [(0,), (0, 1), (0, 1, 2)]
         assert calls[3:] == [t for t in sweep if len(set(t)) == len(t)]
@@ -610,13 +635,16 @@ class TestSweepsSkipOnlyChecksThatCannotFail:
         monkeypatch.setattr(cli, "check_shifted_kernel_determinants",
                             functools.cache(cli.check_shifted_kernel_determinants))
         run = cli._SUITES[suite][2]
-        firsts = set()
+        firsts, definite = set(), set()
         for table in _perturbed_tables(25, first, last, 1000):
             violation = next(walk(table, 1e-10), None)
             assert run(11, 1e-10, table) == _report(suite, horizon, violation)
             firsts.add(violation and violation[:2])
-        # passing tables and many distinct first violations among the 1,000
+            definite.add(hankel_positive_definite(table, 6))
+        # passing tables and many distinct first violations among the 1,000;
+        # the Hankel sweep is skipped on some tables and taken on others
         assert None in firsts and len(firsts) > 10
+        assert definite == {True, False}
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=11, max_size=11))
@@ -627,7 +655,7 @@ class TestSweepsSkipOnlyChecksThatCannotFail:
         assert len(repeated) == 153
         for indices in repeated:
             matrix = [[moments[ai + aj] for aj in indices] for ai in indices]
-            assert _integer_determinant(matrix) == 0
+            assert _integer_determinant(matrix)[0] == 0
 
 
 class TestEvalCommand:

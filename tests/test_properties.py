@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 import pytest
@@ -41,6 +41,7 @@ from gregory import (
     stieltjes_recip_log,
     stieltjes_weight,
 )
+from gregory.properties import _integer_determinant, hankel_positive_definite
 from gregory.quadrature import _C, _E, _J, _integrate_members
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -265,7 +266,7 @@ class TestIntegerPath:
         for k in range(31):
             def term(rows):
                 return [j * c ** (k + 1) / e for c, j, e in rows]
-            value = _integrate_members([(term, 0, 1.1e-16)], k + 1, -1, 1e-15, (_C, _J, _E))[0][0]
+            value = _integrate_members([(term, 0, 1.1e-16, None)], k + 1, -1, 1e-15, (_C, _J, _E))[0][0]
             assert abs(value - float(table.alternating(k, 0))) <= 1e-14, k
 
 
@@ -385,6 +386,54 @@ class TestHankelDeterminants:
             hankel_determinant(table31, (True,))
         with pytest.raises(ValueError):
             hankel_determinant(table31, (0.5,))
+
+
+class TestHankelPositiveDefinite:
+    def test_pivots_are_the_leading_minors(self, table31):
+        """With no row swapped, the elimination's pivots over the common
+        denominator D are D**k times the leading minors of order k."""
+        moments, den = table31.factorial_moments
+        det, minors = _integer_determinant([list(moments[i:i + 6]) for i in range(6)])
+        assert len(minors) == 6 and minors[-1] == det
+        for k, minor in enumerate(minors, 1):
+            assert Fraction(minor, den ** k) == hankel_determinant(table31, range(k))
+
+    @pytest.mark.parametrize("n_max", [11, 31, 300])
+    def test_exact_tables_are_positive_definite(self, n_max):
+        """Every principal minor below order 6 is then > 0."""
+        table = bernoulli2_series(n_max)
+        assert hankel_positive_definite(table, 6)
+        for m in range(1, 7):
+            for indices in combinations(range(6), m):
+                assert hankel_determinant(table, indices) > 0
+
+    def test_rank_one_table_is_not(self):
+        """b_{s+1} = t**s/(2 s!) gives [m_{i+j}] = [t**(i+j)/2], of rank one:
+        its leading minor of order 2 is 0, so the elimination swaps or stops."""
+        t = Fraction(-1, 3)
+        values = [Fraction(1)] + [t ** s / (2 * math.factorial(s)) for s in range(11)]
+        table = GregoryTable(tuple(values), TableMethod.SERIES_RECURRENCE)
+        assert not hankel_positive_definite(table, 6)
+        moments, _ = table.factorial_moments
+        assert _integer_determinant([list(moments[i:i + 6]) for i in range(6)]) == (0, [moments[0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
+                    min_size=4, max_size=4))
+    def test_minors_stop_at_the_first_swap(self, raw):
+        """On any integer matrix the list holds the leading minors through
+        the last nonzero one before a zero one, and all m of them only when
+        none before the last is 0."""
+        rows = [[Fraction(v) for v in row] for row in raw]
+        leading = [_cofactor_determinant([row[:k] for row in rows[:k]]) for k in range(1, 5)]
+        det, minors = _integer_determinant([list(row) for row in raw])
+        assert det == _cofactor_determinant(rows)
+        zero = next((k for k, minor in enumerate(leading[:3]) if minor == 0), 3)
+        assert minors == leading[:zero + (zero == 3)]
+
+    def test_requires_deep_table(self):
+        with pytest.raises(ValueError, match="through index 11"):
+            hankel_positive_definite(bernoulli2_series(10), 6)
 
 
 class TestMajorization:

@@ -249,13 +249,15 @@ def _integrate(term, alphas, beta, tol: float, levels=None, floor: float = 1.1e-
                shape: tuple = quadrature._KERNEL_ROWS) -> QuadratureResult:
     # one term function, alphas = (alpha on the s -> 1 side, on the s -> 0 side)
     hi, lo = alphas
-    return _members([(term, lo, floor)], hi, beta, tol, levels, shape)[0]
+    return _members([(term, lo, floor, None)], hi, beta, tol, levels, shape)[0]
 
 
 def _side_columns(node: tuple) -> tuple:
-    # a reference node's side columns, in the order _S, _C, _J, _E, _JC, _JS
+    # a reference node's side columns, in the order _S, _C, _J, _E, _JC, _JS,
+    # _JCD, _JSD
     _, y, sig, sigc, jac = node
-    return (sig, sigc, jac, y * y + math.pi * math.pi, jac * sigc, jac * sig)
+    d = y * y + math.pi * math.pi
+    return (sig, sigc, jac, d, jac * sigc, jac * sig, jac * sigc / d, jac * sig / d)
 
 
 def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> QuadratureResult:
@@ -347,11 +349,63 @@ class TestColumnEngineMatchesPerNodeReference:
     @example(args=(300, _MAX, 171), tol=5e-324, max_levels=12)
     @example(args=(0, 5e-324, 171), tol=1e-10, max_levels=12)
     @example(args=(0, 5e-324, 171), tol=5e-324, max_levels=12)
+    # a = 0 takes its s -> 0 terms from the node table from the first node
+    # where 1.0 + x*s == 1.0: node 0 of every level at x = 1e-17; the node
+    # tau = 3 (tau = 1) of level 0, where fl(x*s) is exactly 2**-53 and
+    # 1.0 + 2**-53 rounds to even, 1.0; the deepest cutover at the largest x
+    @example(args=(0, 1e-17, 1), tol=1e-10, max_levels=12)
+    @example(args=(0, 1e-17, 2), tol=5e-324, max_levels=12)
+    @example(args=(0, 0.005170849486911463, 1), tol=1e-10, max_levels=12)
+    @example(args=(0, 0.005170849486911463, 2), tol=5e-324, max_levels=12)
+    @example(args=(0, 4.565809361902511e-15, 1), tol=1e-13, max_levels=12)
+    @example(args=(0, _MAX, 2), tol=1e-10, max_levels=12)
+    @example(args=(0, _MAX, 2), tol=5e-324, max_levels=12)
     def test_kernel_bits(self, args, tol, max_levels):
         """Value, estimate, n_evals and converged agree bit for bit."""
         a, x, p = args
         got = _kernel_result(a, x, p, tol, max_levels)
         assert _bits(got) == _bits(_reference_kernel(a, x, p, tol, max_levels))
+
+    @pytest.mark.parametrize("x", [0.005170849486911463, 4.565809361902511e-15])
+    def test_tie_examples_tie_at_one_level_0_node(self, x):
+        """The two tie examples above: on level 0's s -> 0 side, fl(x*s) is
+        2**-53 at one node, where 1.0 + x*s rounds to 1.0, and larger at
+        every node before it."""
+        nodes = [_mirror(node)[2] for node in _reference_level(0)[1:]]
+        ties = [i for i, s in enumerate(nodes) if x * s == 2.0 ** -53]
+        assert len(ties) == 1 and 1.0 + x * nodes[ties[0]] == 1.0
+        assert all(1.0 + x * s > 1.0 for s in [0.5] + nodes[:ties[0]])
+
+    @pytest.mark.parametrize("n_max, tol", [(1, 1e-10), (40, 1e-13), (300, 1e-30)])
+    def test_sweep_b1_bits(self, n_max, tol):
+        """b_1, the a = 0 member at x = 0 of every coefficient sweep, every
+        term of which is a node-table value, has the bits of the per-node
+        reference and of the lone call."""
+        got = quadrature.bernoulli2_integrals(n_max, tol)[0]
+        want = _reference_kernel(0, 0.0, 0, tol, quadrature.DEFAULT_MAX_LEVELS)
+        assert _bits(got) == _bits(bernoulli2_integral(1, tol)) == _bits(want)
+
+    @pytest.mark.parametrize("args, tol, computed, n_evals", [
+        ((0, 1e3, 1), 1e-13, 203, 1217), ((0, 0.0, 0), 1e-10, 1, 247),
+        ((3, 1e3, 1), 1e-13, None, None)])
+    def test_a0_terms_past_the_cutover_are_read_not_computed(self, args, tol, computed,
+                                                             n_evals):
+        """1/ln(1+x) at x = 1e3 computes 203 of its 1,217 terms and b_1 only
+        its centre node's; a kernel with a > 0 computes every term."""
+        term, lo, floor, flat = quadrature._kernel_member(*args)
+        handed = []
+
+        def counting(rows):
+            terms = term(rows)
+            handed.append(len(terms))
+            return terms
+
+        got = _members([(counting, lo, floor, flat)], 1, -1, tol)[0]
+        assert _bits(got) == _bits(_kernel_result(*args, tol))
+        if computed is None:
+            assert flat is None and sum(handed) == got.n_evals
+        else:
+            assert (sum(handed), got.n_evals) == (computed, n_evals)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.one_of(st.floats(min_value=1e-300, max_value=_MAX),
@@ -724,12 +778,13 @@ class TestMembers:
         handed = []     # (member, rows), the rows kept alive
 
         def member(i, a):
-            term, lo, floor = quadrature._kernel_member(a, 0.0, 0)
+            term, lo, floor, _ = quadrature._kernel_member(a, 0.0, 0)
 
             def recording(rows):
                 handed.append((i, rows))
                 return term(rows)
-            return recording, lo, floor
+            # no x: every term, a = 0 too, comes from the term function
+            return recording, lo, floor, None
 
         quadrature._integrate_members([member(i, a) for i, a in enumerate((0, 5, 40))],
                                       1, -1, 1e-10)
@@ -749,13 +804,14 @@ class TestMembers:
         handed = []     # (member, rows, number of rows) in call order; keeps the rows alive
 
         def member(i, a):
-            term, lo, floor = quadrature._kernel_member(a, 0.0, 0)
+            term, lo, floor, _ = quadrature._kernel_member(a, 0.0, 0)
 
             def recording(rows):
                 rows_seen = rows if isinstance(rows, list) else list(rows)
                 handed.append((i, rows, len(rows_seen)))
                 return term(rows_seen)
-            return recording, lo, floor
+            # no x: every term, a = 0 too, comes from the term function
+            return recording, lo, floor, None
 
         got = _members([member(i, args[0]) for i, args in enumerate(kernels)], 1, -1, tol)
         want = [_kernel_result(*args, tol) for args in kernels]
@@ -776,13 +832,13 @@ class TestMembers:
     def test_lone_member_streams_every_side(self):
         """A list of one builds no row list: no other member reads its rows."""
         handed = []
-        term, lo, floor = quadrature._kernel_member(3, 0.0, 0)
+        term, lo, floor, flat = quadrature._kernel_member(3, 0.0, 0)
 
         def recording(rows):
             handed.append(rows)
             return term(rows)
 
-        got = _members([(recording, lo, floor)], 1, -1, 1e-10)[0]
+        got = _members([(recording, lo, floor, flat)], 1, -1, 1e-10)[0]
         assert _bits(got) == _bits(_kernel_result(3, 0.0, 0, 1e-10))
         assert handed and not any(isinstance(rows, list) for rows in handed)
 

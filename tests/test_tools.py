@@ -88,6 +88,23 @@ class TestEngineAB:
         assert changed._MIN_LEVEL == 3
         assert ab.differences(head, changed, draws=60)
 
+    def test_fixed_calls_catch_an_early_x_free_tail(self, tmp_path):
+        """A copy whose a = 0 kernels read node-table terms from where
+        1.0 + x*s < 1.5, not == 1.0, gives other bits on the fixed calls,
+        past the draw's x range among them; the x = 0 sweeps cannot see it."""
+        ab = _tool("engine_ab")
+        source = (ab.HERE / "gregory" / "quadrature.py").read_text(encoding="utf-8")
+        assert source.count("1.0 + flat * s == 1.0") == 1
+        (tmp_path / "gregory").mkdir()
+        (tmp_path / "gregory" / "quadrature.py").write_text(
+            source.replace("1.0 + flat * s == 1.0", "1.0 + flat * s < 1.5"),
+            encoding="utf-8")
+        head, changed = ab.load(ab.HERE, "ab_test_head"), ab.load(tmp_path, "ab_test_changed")
+        differ = ab.differences(head, changed, draws=0)
+        assert differ and not any(line.startswith("bernoulli2_integrals") for line in differ)
+        assert any(line.startswith("stieltjes_recip_log(0.001,") for line in differ)
+        assert any(line.startswith("genfun_integral(1.7976931348623157e+308,") for line in differ)
+
     def test_draw_covers_every_public_function_and_invalid_inputs(self):
         ab = _tool("engine_ab")
         head = ab.load(ab.HERE, "ab_test_head")

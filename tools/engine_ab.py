@@ -10,6 +10,11 @@ for bit:
 - a fixed-seed draw of calls to all eight public quadrature functions,
   invalid inputs among them: the value and estimate as hex, ``n_evals``
   and ``converged`` of every result, or the message of every ValueError;
+- fixed calls of the a = 0 kernels, whose terms turn x-free from the first
+  s -> 0 node where 1.0 + x*s == 1.0 on: 1/ln(1+x), x/ln(1+x), f'(x) and
+  h_1(x) at x in {5e-324, 1e-17, 1e-3, 1, 1e3, 1e150, the largest double},
+  outside the draw's x range at both ends, at tol 1e-10, and mu_0, b_1 and
+  f'(0) at tol 1e-10, 1e-13 and 1e-30;
 - ``bernoulli2_integrals(N)`` for N in {0, 1, 7, 50, 300} at tol 1e-10,
   1e-13 and 1e-30, and for the benchmark's sizes N in {20, 160, 256} at
   tol 1e-10.
@@ -47,6 +52,14 @@ SEED = 22
 DRAWS = 600
 SWEEPS = ([(n_max, tol) for n_max in (0, 1, 7, 50, 300) for tol in (1e-10, 1e-13, 1e-30)]
           + [(n_max, 1e-10) for n_max in (20, 160, 256)])
+CUTOVER_X = (5e-324, 1e-17, 1e-3, 1.0, 1e3, 1e150, sys.float_info.max)
+FIXED = ([(name, args + (1e-10,)) for x in CUTOVER_X
+          for name, args in (("stieltjes_recip_log", (x,)), ("genfun_integral", (x,)),
+                             ("genfun_derivative_integral", (x, 1)),
+                             ("shifted_kernel_integral", (1, x)))]
+         + [(name, args + (tol,)) for tol in (1e-10, 1e-13, 1e-30)
+            for name, args in (("moment_integral", (0,)), ("bernoulli2_integral", (1,)),
+                               ("genfun_derivative_integral", (0.0, 1)))])
 BAD_TOLS = (0.0, -1e-10, math.nan, math.inf)
 BAD_X = (0.0, -1.0, math.nan, math.inf)
 
@@ -126,8 +139,8 @@ def outcome(module, name: str, args: tuple):
 
 
 def differences(head, other, draws: int = DRAWS, seed: int = SEED) -> list[str]:
-    """One line per call of the draw and of SWEEPS on which the modules differ."""
-    calls = draw_calls(seed, draws)
+    """One line per call of the draw, of FIXED and of SWEEPS on which the modules differ."""
+    calls = draw_calls(seed, draws) + FIXED
     calls += [("bernoulli2_integrals", args) for args in SWEEPS]
     lines = []
     for name, args in calls:
@@ -222,7 +235,8 @@ def main(argv: list[str]) -> int:
     differ = differences(head, other)
     for line in differ:
         print(f"differs: {line}")
-    print(f"{DRAWS} drawn calls and {len(SWEEPS)} sweeps, {len(differ)} differ")
+    print(f"{DRAWS} drawn calls, {len(FIXED)} fixed calls and {len(SWEEPS)} sweeps, "
+          f"{len(differ)} differ")
     if args.rounds:
         timing(head, other, load(HERE, "engine_ab_control"), args.rounds)
     return 1 if differ else 0
