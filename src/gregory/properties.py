@@ -247,6 +247,8 @@ def hankel_positive_definite(table: GregoryTable, size: int) -> bool:
     determinant of every index tuple with distinct entries below size.
     size must be >= 1, and the table must reach index 2 * size - 1.
     """
+    if size < 1:
+        raise ValueError("size must be >= 1")
     if 2 * size - 1 > table.max_index:
         raise ValueError(
             f"need coefficients through index {2 * size - 1}, table stops at {table.max_index}")

@@ -37,11 +37,13 @@ the node columns it reads, so a kernel's terms come from one list
 comprehension per side and level over rows (s, j*(1-s), d), the product
 being a column of the node table.  With a = 0 the s -> 0 side decays
 only like 1/(pi cosh tau) and runs out to tau of about 26, but from the
-first node where 1.0 + x*s rounds to 1.0 (every node at x = 0, on both
-sides) the term is exactly j*(1-s)/d, free of x and p; the engine reads
-those terms as a slice of that stored column instead of computing them,
-which covers about 70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x),
-f'(x) and h_1(x), and all but one of b_1's.  :func:`bernstein_identity`,
+first node where 1.0 + x*s rounds to 1.0 the term is exactly j*(1-s)/d,
+free of x and p.  At every x, 0 included, one rule applies: the s -> 1
+side computes its kept terms, and the s -> 0 side bisects for that first
+node (node 0 at x = 0) and reads the terms from it on as a slice of the
+stored j*(1-s)/d column instead of computing them, which covers about
+70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x), f'(x) and h_1(x), and
+most of b_1's.  :func:`bernstein_identity`,
 the one integral without the kernel, reads rows (1-s, j*s) under the
 same envelope at beta = +1.
 
@@ -111,29 +113,30 @@ class QuadratureResult:
 # ----------------------------------------------------------------------
 # node table
 #
-# Nodes sit at tau >= 0 and are stored as eight columns: sig = sigma(y),
+# Nodes sit at tau >= 0 and are stored as seven columns: sig = sigma(y),
 # sigc = sigma(-y) (both computed without cancellation), jac =
 # pi*cosh(tau), d = y^2 + pi^2, the products jac*sigc and jac*sig, and
-# those products over d, with y = pi*sinh(tau).  Level 0 holds tau = j for
-# the integers 1 <= j <= 36 (tau = 0 is the separate _CENTER node); level
+# jac*sig/d, with y = pi*sinh(tau).  Level 0 holds tau = j for the
+# integers 1 <= j <= 36 (tau = 0 is the separate _CENTER node); level
 # L >= 1 holds tau = j * 2**-L for odd j, so the union through level L is
 # the full step-2**-L grid.
 # _LAYOUTS holds the layout (h, step, node count) of each level through
 # DEFAULT_MAX_LEVELS, its nodes being tau = (step*i + 1)*h for i below the
 # count, for the engine and the table alike.  Read in this order, the
-# columns are the s -> 1 side's s, 1 - s, j, d, j*(1-s), j*s, j*(1-s)/d and
-# j*s/d, the names _S, _C, _J, _E, _JC, _JS, _JCD and _JSD; swapping s with
-# 1 - s, j*(1-s) with j*s and j*(1-s)/d with j*s/d, as _MIRROR does, gives
-# the s -> 0 side's, since y^2, and with it d, is even.  A level's columns
-# hold a prefix of its nodes and grow on demand, doubling up to the level's
-# full count; growth swaps in longer tuples under a lock, so a caller keeps
-# an immutable copy and concurrent calls stay safe.
+# columns are the s -> 1 side's s, 1 - s, j, d, j*(1-s), j*s and j*s/d, the
+# names _S, _C, _J, _E, _JC, _JS and _JSD; swapping s with 1 - s and j*(1-s)
+# with j*s, as _MIRROR does for the six columns a shape can name, gives the
+# s -> 0 side's, since y^2, and with it d, is even.  _JSD is that side's
+# j*(1-s)/d, from which the engine reads an a = 0 kernel's terms.  A
+# level's columns hold a prefix of its nodes and grow on demand, doubling
+# up to the level's full count; growth swaps in longer tuples under a
+# lock, so a caller keeps an immutable copy and concurrent calls stay safe.
 # ----------------------------------------------------------------------
 
 _LAYOUTS = [(2.0 ** -level, step, int(_T_MAX * 2 ** level) // step)
             for level, step in enumerate([1] + [2] * DEFAULT_MAX_LEVELS)]
-_S, _C, _J, _E, _JC, _JS, _JCD, _JSD = range(8)
-_MIRROR = (_C, _S, _J, _E, _JS, _JC, _JSD, _JCD)
+_S, _C, _J, _E, _JC, _JS, _JSD = range(7)
+_MIRROR = (_C, _S, _J, _E, _JS, _JC)
 _node_lock = threading.Lock()
 _node_levels: dict[int, tuple] = {}
 
@@ -146,8 +149,7 @@ def _columns(taus: list[float]) -> tuple[tuple[float, ...], ...]:
     jac = tuple([PI * math.cosh(tau) for tau in taus])
     d = tuple([y * y + _PI_SQ for y in ys])
     jc, js = tuple(map(operator.mul, jac, sigc)), tuple(map(operator.mul, jac, sig))
-    return (sig, sigc, jac, d, jc, js,
-            tuple(map(operator.truediv, jc, d)), tuple(map(operator.truediv, js, d)))
+    return sig, sigc, jac, d, jc, js, tuple(map(operator.truediv, js, d))
 
 
 _CENTER = _columns([0.0])
@@ -159,7 +161,7 @@ def _level_table(level: int, need: int) -> tuple:
     if cols is not None and len(cols[0]) >= need:
         return cols
     with _node_lock:
-        cols = _node_levels.get(level, ((),) * len(_MIRROR))
+        cols = _node_levels.get(level, ((),) * len(_CENTER))
         have = len(cols[0])
         if have < need:   # re-check under the lock
             h, step, full = _LAYOUTS[level]
@@ -183,12 +185,12 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     abs_error_estimate, n_evals, converged) tuple per member, in order:
     the fields of the one QuadratureResult that the public function
     builds with :func:`_result`, after any scaling.  shape names the side
-    columns a term reads (_S, _C, _J, _E, _JC, _JS, _JCD, _JSD: s, 1 - s,
-    the Jacobian pi*cosh(tau), d = y^2 + pi^2, j*(1-s), j*s, j*(1-s)/d and
-    j*s/d), and term(rows) maps an iterable of rows, one tuple of those
-    columns per node and in node order, to an iterable of the transformed
-    integrand's terms (Jacobian included); the terms are finite and never
-    negative.  flat is None, or the x of a kernel member with a = 0, whose
+    columns a term reads (_S, _C, _J, _E, _JC, _JS: s, 1 - s, the Jacobian
+    pi*cosh(tau), d = y^2 + pi^2, j*(1-s) and j*s), and term(rows) maps an
+    iterable of rows, one tuple of those columns per node and in node
+    order, to an iterable of the transformed integrand's terms (Jacobian
+    included); the terms are finite and never negative.  flat is None, or
+    the x of a kernel member with a = 0, whose
     term at every node where 1.0 + x*s == 1.0 is exactly that node's
     j*(1-s)/d (see below).  Each side of a member is bounded in advance by
     the envelope
@@ -211,15 +213,16 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     says, are built only as far as these tests and terms reach.  A side
     with no node left computes no term.
 
-    A member with flat = x takes part of its terms from the node table.
-    On the s -> 0 side s falls from node to node, so the kept nodes where
-    1.0 + x*s == 1.0 are a suffix; one bisection per level finds its first
-    node, term computes the terms before it, and the rest are a slice of
-    the side's j*(1-s)/d column.  At x == 0 every node qualifies, on the
-    s -> 1 side as well, whose kept terms are then a prefix of its column.
-    The two agree bit for bit, as s**0 == 1.0, 1.0**p == 1.0 and
-    e * 1.0 == e: with a = 0 the kernel's term is j*(1-s)/d once
-    1.0 + x*s rounds to 1.0.
+    A member with flat = x takes part of its s -> 0 terms from the node
+    table, by one rule at every x, 0 included.  On that side s falls from
+    node to node, so the kept nodes where 1.0 + x*s == 1.0 are a suffix;
+    one bisection per level finds its first node (node 0 at x == 0), term
+    computes the terms before it, and the rest are a slice of the side's
+    j*(1-s)/d column.  The two agree bit for bit, as s**0 == 1.0,
+    1.0**p == 1.0 and e * 1.0 == e: with a = 0 the kernel's term is
+    j*(1-s)/d once 1.0 + x*s rounds to 1.0.  A member without flat
+    bisects nothing and computes every kept term, as does every member
+    on the s -> 1 side.
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
@@ -314,13 +317,12 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                 first_hi, stop, trunc_hi = side(level, first_hi, hi, layout, cols)
                 # node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if beta > 0)
                 # are the constants of its test and of r taken there
-                levels.append((h, layout, cols, trunc_hi, stop,
+                levels.append((h, layout, cols, trunc_hi,
                                share(islice(zip(*pick_hi(cols)), stop)),
                                cols[_C][0], cols[_J][0] ** beta, cols[_S][0], cols[_J][0],
                                beta * (1.0 if beta > 0 else tanh(h))))
-            h, layout, cols, trunc, stop_hi, kept, c0, jb0, s0, j0, bt = levels[level]
-            # at x == 0 every s -> 1 term of an a = 0 kernel is its column value
-            terms.extend(term(kept) if flat != 0.0 else cols[_JCD][:stop_hi])
+            h, layout, cols, trunc, kept, c0, jb0, s0, j0, bt = levels[level]
+            terms.extend(term(kept))
             if (first_lo == 1 or level == 0) and c0 ** lo * jb0 <= cut:
                 # node 0 is the side's one test, or its scan's first, and falls
                 # to the cut: the side keeps nothing, and r is taken at node 0
@@ -331,12 +333,11 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                     cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
                 first_lo, stop, trunc_lo = side(level, first_lo, lo, layout, cols)
                 trunc += trunc_lo
-                if stop and flat is None:
-                    terms.extend(term(islice(zip(*pick_lo(cols)), stop)))
-                elif stop:
+                if stop:
                     # an a = 0 kernel's terms are column values from the first
-                    # node where 1.0 + x*s == 1.0 on: s falls along the side
-                    at = 0 if flat == 0.0 else bisect_left(
+                    # node where 1.0 + x*s == 1.0 on, as s falls along the side;
+                    # any other member computes all of its kept terms
+                    at = stop if flat is None else bisect_left(
                         cols[_C], True, 0, stop, key=lambda s: 1.0 + flat * s == 1.0)
                     if at:
                         terms.extend(term(islice(zip(*pick_lo(cols)), at)))
@@ -395,10 +396,11 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     flat is x when a == 0 and None otherwise.  With a == 0, each of the
     three terms is exactly j*(1-s)/d at a node where 1.0 + x*s == 1.0, as
     s**0, (1.0 + x*s)**p and the products with them are then exact, so the
-    engine reads it from the node table there: about 70 to 90 % of the
-    terms of 1/ln(1+x), x/ln(1+x), f'(x) and h_1(x), whose s -> 0 side
-    decays only like 1/(pi cosh tau), out to tau near 26, and every term
-    but the centre node's at x == 0 (b_1, mu_0, f'(0), h_1(0)).
+    engine reads the s -> 0 side's terms from the node table there, at
+    every x alike: about 70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x),
+    f'(x) and h_1(x), whose s -> 0 side decays only like 1/(pi cosh tau),
+    out to tau near 26, and every s -> 0 term at x == 0 (b_1, mu_0, f'(0),
+    h_1(0)).
 
     The rounding floor is (a + p + 4) unit roundoffs u = 2**-53 per term,
     without the p at x == 0, where no power of 1 + x*s is formed.  To first

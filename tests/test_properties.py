@@ -435,6 +435,13 @@ class TestHankelPositiveDefinite:
         with pytest.raises(ValueError, match="through index 11"):
             hankel_positive_definite(bernoulli2_series(10), 6)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_rejects_empty_size(self, size):
+        """A size below 1 names no matrix: a ValueError, not the empty
+        elimination's IndexError."""
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            hankel_positive_definite(bernoulli2_series(10), size)
+
 
 class TestMajorization:
     def test_order_basics(self):

@@ -254,10 +254,10 @@ def _integrate(term, alphas, beta, tol: float, levels=None, floor: float = 1.1e-
 
 def _side_columns(node: tuple) -> tuple:
     # a reference node's side columns, in the order _S, _C, _J, _E, _JC, _JS,
-    # _JCD, _JSD
+    # _JSD
     _, y, sig, sigc, jac = node
     d = y * y + math.pi * math.pi
-    return (sig, sigc, jac, d, jac * sigc, jac * sig, jac * sigc / d, jac * sig / d)
+    return (sig, sigc, jac, d, jac * sigc, jac * sig, jac * sig / d)
 
 
 def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> QuadratureResult:
@@ -385,13 +385,23 @@ class TestColumnEngineMatchesPerNodeReference:
         want = _reference_kernel(0, 0.0, 0, tol, quadrature.DEFAULT_MAX_LEVELS)
         assert _bits(got) == _bits(bernoulli2_integral(1, tol)) == _bits(want)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13, 5e-324])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda x, tol: genfun_derivative_integral(x, 1, tol), id="derivative-1"),
+        pytest.param(lambda x, tol: shifted_kernel_integral(1, x, tol), id="shifted-1")])
+    def test_a0_members_at_negative_zero_have_the_bits_of_zero(self, call, tol):
+        """f'(x) and h_1(x) take x = -0.0 through the same one table-read
+        rule as x = 0.0: 1.0 + (-0.0)*s == 1.0 at every node."""
+        assert _bits(call(-0.0, tol)) == _bits(call(0.0, tol))
+
     @pytest.mark.parametrize("args, tol, computed, n_evals", [
-        ((0, 1e3, 1), 1e-13, 203, 1217), ((0, 0.0, 0), 1e-10, 1, 247),
+        ((0, 1e3, 1), 1e-13, 203, 1217), ((0, 0.0, 0), 1e-10, 23, 247),
         ((3, 1e3, 1), 1e-13, None, None)])
     def test_a0_terms_past_the_cutover_are_read_not_computed(self, args, tol, computed,
                                                              n_evals):
-        """1/ln(1+x) at x = 1e3 computes 203 of its 1,217 terms and b_1 only
-        its centre node's; a kernel with a > 0 computes every term."""
+        """1/ln(1+x) at x = 1e3 computes 203 of its 1,217 terms and b_1 23
+        of its 247, its centre node's and its s -> 1 side's; a kernel with
+        a > 0 computes every term."""
         term, lo, floor, flat = quadrature._kernel_member(*args)
         handed = []
 

@@ -1,5 +1,5 @@
 """The repository tools: the Tier-1 gate, the engine and exact-builder A/B
-comparisons and the benchmark snapshot recorder."""
+comparisons, the benchmark snapshot recorder and the code-line counter."""
 
 import importlib.util
 import json
@@ -264,3 +264,43 @@ class TestBenchRecord:
         rec = _tool("bench_record")
         with pytest.raises(SystemExit):
             rec.main(["../x"])
+
+
+_SYNTHETIC = '''"""Module docstring,
+two lines."""
+
+# a comment-only line
+import math  # a trailing comment keeps the line
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self):
+        """Method docstring, then an implicit concatenation:"""  " second piece"
+        text = """a multi-line string
+# not a comment here
+that is no docstring"""
+        return math.pi, text
+'''
+
+
+class TestCodeLines:
+    """tools/code_lines.py counts lines without blanks, comments and docstrings."""
+
+    def test_synthetic_module(self):
+        # code: import, class, def, the three lines of text, return
+        assert _tool("code_lines").count(_SYNTHETIC) == (16, 7)
+
+    def test_main_prints_each_file_and_a_total(self, tmp_path, capsys):
+        tool = _tool("code_lines")
+        one, two = tmp_path / "one.py", tmp_path / "two.py"
+        one.write_text(_SYNTHETIC, encoding="utf-8")
+        two.write_text("x = 1\n\n", encoding="utf-8")
+        assert tool.main(["code_lines.py", str(one), str(two)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows == [["16", "7", str(one)], ["2", "1", str(two)], ["18", "8", "total"]]
+
+    def test_usage(self, capsys):
+        assert _tool("code_lines").main(["code_lines.py"]) == 2
+        assert "usage" in capsys.readouterr().err
