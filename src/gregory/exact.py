@@ -60,7 +60,13 @@ def _common_denominator(values: Sequence) -> tuple[list[int], int]:
     # exact rationals (ints or Fractions) as numerators over their denominators' lcm
     if not values:
         raise ValueError("sequence must be nonempty")
-    den = math.lcm(*(q.denominator for q in values))
+    try:
+        den = math.lcm(*(q.denominator for q in values))
+    except AttributeError:
+        # a float or a Decimal has no denominator: name the first such entry
+        bad = next(q for q in values if not hasattr(q, "denominator"))
+        raise ValueError(f"values must be exact rationals (ints or Fractions), "
+                         f"got {bad!r}") from None
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
@@ -92,10 +98,15 @@ class GregoryTable:
             raise ValueError("b_0 must be 1")
         if len(self.values) > 1 and self.values[1] != ONE_HALF:
             raise ValueError("b_1 must be 1/2")
-        # a Fraction's sign is its numerator's: one int test per value
-        for n, v in enumerate(self.values[1:], 1):
-            num = v.numerator
-            if num == 0 or (num > 0) != (n % 2 == 1):
+        # a Fraction's sign is its numerator's: one int test per value, and
+        # a value with no numerator (a float, a Decimal) is no exact rational
+        for n, v in enumerate(self.values):
+            try:
+                num = v.numerator
+            except AttributeError:
+                raise ValueError(f"b_{n} must be an exact rational (int or Fraction), "
+                                 f"got {v!r}") from None
+            if n and (num == 0 or (num > 0) != (n % 2 == 1)):
                 raise ValueError(f"sign of b_{n} violates (-1)**(n+1) alternation")
 
     @property

@@ -84,11 +84,12 @@ def _signed_rows(row: list):
 def check_cm_sequence(mu: Sequence) -> CmReport:
     """Check that mu is completely monotonic as far as its length allows.
 
-    mu holds exact rationals (ints or Fractions).  Requires
-    (-1)**k (forward difference)^k mu_n >= 0 for every order
-    k = 0..len(mu)-1 and every offset n, the k = 0 row included (the
-    terms themselves must be nonnegative).  Exact comparison, no slack,
-    on integer rows over one common denominator, built one at a time.
+    mu holds exact rationals (ints or Fractions; any other entry is a
+    ValueError).  Requires (-1)**k (forward difference)^k mu_n >= 0 for
+    every order k = 0..len(mu)-1 and every offset n, the k = 0 row
+    included (the terms themselves must be nonnegative).  Exact
+    comparison, no slack, on integer rows over one common denominator,
+    built one at a time.
     """
     row, den = _common_denominator(mu)
     horizon = (len(row) - 1, len(row) - 1)
@@ -144,6 +145,7 @@ def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     Each row becomes integer numerators q.numerator * (den // q.denominator)
     over its denominator lcm den; the integer determinant of those rows,
     divided once by the product of the row scales, is the determinant.
+    Any other entry, a float or a Decimal, is a ValueError.
     """
     m = len(rows)
     if m == 0:

@@ -451,11 +451,40 @@ class TestVerifyStageEvidence:
         assert (order, point) == (1, 0)
         assert (code, out, err) == (1, _report_line("bernstein", [2, 7], (0, 3, value)), "")
 
+    def test_majorization_decides_on_the_15_unit_transfers(self, capsys, monkeypatch):
+        """On the exact table the suite tests and checks only the 15 unit
+        transfers (b-1, a+1, 0) < (b, a, 0), 0 <= a and a+2 <= b <= 6, in
+        order of b and then a, each padded form passed as its first tuple."""
+        first = {}
+        for t in _MAJORIZATION_TUPLES:
+            first.setdefault(t[::-1] + (0,) * (3 - len(t)), t)
+        transfers = [(first[(b - 1, a + 1, 0)], first[(b, a, 0)])
+                     for b in range(2, 7) for a in range(b - 1)]
+        calls = []
+        real_test, real_check = cli.is_majorized, cli.check_majorization_inequality
+
+        def testing(lam, mu):
+            calls.append(("test", lam, mu))
+            return real_test(lam, mu)
+
+        def checking(table, lam, mu):
+            calls.append(("check", lam, mu))
+            return real_check(table, lam, mu)
+
+        monkeypatch.setattr(cli, "is_majorized", testing)
+        monkeypatch.setattr(cli, "check_majorization_inequality", checking)
+        code, out, _ = run_cli(["verify", "--suite", "majorization"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert len(transfers) == 15 and transfers[:2] == [((1, 1), (2,)), ((1, 2), (3,))]
+        assert calls == [(kind, lam, mu) for lam, mu in transfers for kind in ("test", "check")]
+
     def test_majorization_walks_the_equal_sum_pairs_in_order(self, capsys, monkeypatch):
-        """Of the 973 equal-sum pairs among the 119 tuples, the 416 whose
-        padded forms differ and did not occur at an earlier pair are tested
-        for majorization, and the 196 majorizing ones checked, each in
-        canonical (i, j) order."""
+        """Once a unit transfer fails, the walk runs: of the 973 equal-sum
+        pairs among the 119 tuples, the 416 whose padded forms differ and
+        did not occur at an earlier pair are tested for majorization, and
+        the 196 majorizing ones checked, each in canonical (i, j) order.
+        Here the first transfer's check fails once, and the walk passes."""
         tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
         padded = {t: t[::-1] + (0,) * (3 - len(t)) for t in tuples}
         equal_sum = [(lam, mu) for lam in tuples for mu in tuples if sum(lam) == sum(mu)]
@@ -474,6 +503,8 @@ class TestVerifyStageEvidence:
 
         def checking(table, lam, mu):
             checked.append((lam, mu))
+            if len(checked) == 1:
+                return CmReport("majorization", False, (2, 2), (0, 0, "-1/5"))
             return real_check(table, lam, mu)
 
         monkeypatch.setattr(cli, "is_majorized", testing)
@@ -481,8 +512,9 @@ class TestVerifyStageEvidence:
         code, _, _ = run_cli(["verify", "--suite", "majorization"], capsys)
         assert code == 0
         assert len(equal_sum) == 973
-        assert len(tested) == 416 and tested == first
-        assert len(checked) == 196 and checked == [p for p in first if real_test(*p)]
+        assert tested[0] == checked[0] == ((1, 1), (2,))
+        assert len(tested) == 1 + 416 and tested[1:] == first
+        assert len(checked) == 1 + 196 and checked[1:] == [p for p in first if real_test(*p)]
 
     def test_hankel_sweep_skipped_on_a_positive_definite_matrix(self, capsys, monkeypatch):
         """The exact table's 6 x 6 factorial-moment matrix is positive
@@ -606,6 +638,17 @@ def _majorization_full_walk(table, tol):
             yield i, j, probe.first_violation[2]
 
 
+# a scale for one coefficient: 1, or p/q * 10**e for 1 <= p, q <= 20 and |e| <= 30
+_SCALE = st.one_of(st.just(Fraction(1)),
+                   st.builds(lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+                             st.integers(1, 20), st.integers(1, 20), st.integers(-30, 30)))
+
+
+def _one_scaled(s, factor):
+    # scales for b_2..b_7 that multiply m_s = s! |b_{s+1}| alone by factor
+    return [Fraction(1)] * (s - 1) + [Fraction(factor)] + [Fraction(1)] * (6 - s)
+
+
 def _perturbed_tables(seed, first, last, count):
     """count copies of the exact b_0..b_11, each with 1 to 3 of b_first..b_last
     scaled by a seeded positive rational (the sign pattern stays valid)."""
@@ -634,17 +677,46 @@ class TestSweepsSkipOnlyChecksThatCannotFail:
         # the stage-2 screens read no table: take each once
         monkeypatch.setattr(cli, "check_shifted_kernel_determinants",
                             functools.cache(cli.check_shifted_kernel_determinants))
+        tests = []
+        monkeypatch.setattr(cli, "is_majorized",
+                            lambda lam, mu: tests.append((lam, mu)) or is_majorized(lam, mu))
         run = cli._SUITES[suite][2]
-        firsts, definite = set(), set()
+        firsts, shortcut = set(), set()
         for table in _perturbed_tables(25, first, last, 1000):
             violation = next(walk(table, 1e-10), None)
+            tests.clear()
             assert run(11, 1e-10, table) == _report(suite, horizon, violation)
             firsts.add(violation and violation[:2])
-            definite.add(hankel_positive_definite(table, 6))
+            # Hankel stage 1 skips its sweep on a positive definite matrix;
+            # majorization walks only after a failed unit transfer
+            shortcut.add(hankel_positive_definite(table, 6) if suite == "hankel"
+                         else len(tests) == 15)
         # passing tables and many distinct first violations among the 1,000;
-        # the Hankel sweep is skipped on some tables and taken on others
+        # each suite's shortcut decides some tables and its walk others
         assert None in firsts and len(firsts) > 10
-        assert definite == {True, False}
+        assert shortcut == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SCALE, min_size=6, max_size=6))
+    @example(_one_scaled(1, 1))
+    @example(_one_scaled(1, 10))
+    @example(_one_scaled(2, Fraction(3, 2)))
+    @example(_one_scaled(3, Fraction(3, 2)))
+    @example(_one_scaled(4, Fraction(3, 2)))
+    @example(_one_scaled(5, Fraction(3, 2)))
+    def test_majorization_report_equals_the_full_walk(self, scales):
+        """b_2..b_7 scaled by positive rationals over 60 orders of magnitude,
+        so the signs stay valid: the suite reports the first violation of
+        the walk over all 568 majorizing pairs, or passes with it.  Each
+        example after the exact table fails exactly one of the 15 unit
+        transfers: m_s**2 <= m_{s-1} m_{s+1}, for one s in 1..5."""
+        values = list(bernoulli2_series(7).values)
+        for n, scale in enumerate(scales, 2):
+            values[n] *= scale
+        table = GregoryTable(tuple(values), TableMethod.SERIES_RECURRENCE)
+        violation = next(_majorization_full_walk(table, 1e-10), None)
+        assert (cli._SUITES["majorization"][2](7, 1e-10, table)
+                == _report("majorization", (3, 6), violation))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=11, max_size=11))

@@ -1,6 +1,7 @@
 """Exact layer: recurrence, chain sums, explicit formula, table type."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -142,6 +143,22 @@ class TestGregoryTable:
         """b_2 must be negative; a positive value is rejected at construction."""
         with pytest.raises(ValueError):
             GregoryTable(values=(Fraction(1), Fraction(1, 2), Fraction(1, 12)),
+                         method=TableMethod.SERIES_RECURRENCE)
+
+    @pytest.mark.parametrize("n, value", [(0, 1.0), (1, 0.5), (3, 1 / 24),
+                                          (4, Decimal("-0.025"))])
+    def test_rejects_an_inexact_value_by_index(self, golden_values, n, value):
+        """A float or a Decimal is no exact rational: a ValueError naming
+        the first such b_n, also where it equals the exact value."""
+        values = list(golden_values[:6])
+        values[n] = value
+        with pytest.raises(ValueError, match=rf"^b_{n} must be an exact rational "
+                                             rf"\(int or Fraction\), got {re.escape(repr(value))}$"):
+            GregoryTable(values=tuple(values), method=TableMethod.SERIES_RECURRENCE)
+
+    def test_rejects_a_table_of_floats_at_b_0(self, golden_values):
+        with pytest.raises(ValueError, match=r"^b_0 must be an exact rational"):
+            GregoryTable(values=tuple(map(float, golden_values)),
                          method=TableMethod.SERIES_RECURRENCE)
 
     @pytest.mark.parametrize("n", range(2, 9))

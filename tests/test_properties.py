@@ -1,7 +1,9 @@
 """Property checks: difference tables, CM reports, determinants, screens."""
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
@@ -299,6 +301,24 @@ class TestMinimality:
     def test_rejects_non_cm_base(self):
         with pytest.raises(ValueError):
             check_minimality_perturbation([Fraction(1), Fraction(2)], Fraction(1, 10))
+
+
+class TestInexactInputs:
+    """The exact checks take ints and Fractions; a float or a Decimal entry
+    is a ValueError naming the first such entry, not an AttributeError."""
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: check_cm_sequence([0.5, 0.25]), "0.5"),
+        (lambda: check_cm_sequence([Fraction(1, 2), 1, Decimal("0.25"), 0.125]),
+         "Decimal('0.25')"),
+        (lambda: check_minimality_perturbation([0.5], Fraction(1, 10)), "0.5"),
+        (lambda: bareiss_determinant([[0.5]]), "0.5"),
+        (lambda: bareiss_determinant([[Fraction(1), 2], [3, Decimal(4)]]), "Decimal('4')"),
+    ], ids=["cm-float", "cm-decimal", "minimality-float", "bareiss-float", "bareiss-decimal"])
+    def test_names_the_first_inexact_entry(self, call, bad):
+        with pytest.raises(ValueError, match=rf"exact rationals \(ints or Fractions\), "
+                                             rf"got {re.escape(bad)}$"):
+            call()
 
 
 class TestBareissDeterminant:

@@ -1,5 +1,6 @@
-"""The repository tools: the Tier-1 gate, the engine and exact-builder A/B
-comparisons, the benchmark snapshot recorder and the code-line counter."""
+"""The repository tools: the Tier-1 gate, the engine, exact-builder and
+verify-suite A/B comparisons, the benchmark snapshot recorder and the
+code-line counter."""
 
 import importlib.util
 import json
@@ -196,6 +197,47 @@ class TestExactAB:
             sizes = sorted({args for _, args in work})
             assert sizes == ([(1,), (8,)] if "N=1,8" in label else [(64,), (128,), (256,)])
             assert len(work) == (2000 if "N=1,8" in label else 3)
+
+
+class TestSuiteAB:
+    """tools/suite_ab.py compares every verify suite's output between two
+    trees and times the suites through engine_ab.py's rotation."""
+
+    def test_this_tree_against_itself_differs_nowhere(self, capsys):
+        ab = _tool("suite_ab")
+        assert ab.main([str(ab.engine_ab.HERE), "--rounds", "0"]) == 0
+        assert capsys.readouterr().out == "8 suites at --n-max 11, 30, 80, 160, 0 differ\n"
+
+    def test_a_changed_report_line_differs(self, tmp_path, capsys):
+        """A copy whose degree suite reports another horizon is named at
+        every --n-max, and nothing else is."""
+        ab = _tool("suite_ab")
+        (tmp_path / "gregory").mkdir()
+        for source in (ab.engine_ab.HERE / "gregory").glob("*.py"):
+            text = source.read_text(encoding="utf-8")
+            if source.name == "cli.py":
+                assert text.count('@_aggregate("degree", lambda n_max: (4, 8))') == 1
+                text = text.replace('@_aggregate("degree", lambda n_max: (4, 8))',
+                                    '@_aggregate("degree", lambda n_max: (4, 9))')
+            (tmp_path / "gregory" / source.name).write_text(text, encoding="utf-8")
+        assert ab.main([str(tmp_path), "--rounds", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(": this tree")[0] for line in lines[:-1]] == [
+            f"differs: --suite degree --n-max {n}" for n in (11, 30, 80, 160)]
+        assert lines[-1] == "8 suites at --n-max 11, 30, 80, 160, 4 differ"
+
+    def test_workloads_time_each_runner_on_its_table(self):
+        ab = _tool("suite_ab")
+        package = ab.load(ab.engine_ab.HERE, "suite_ab_test")
+        calls = {label: build(package, None)
+                 for label, build in ab.workloads(package.cli._SUITES)}
+        assert list(calls) == list(package.cli._SUITES)
+        for suite, work in calls.items():
+            assert len(work) == ab.REPEATS and len(set(map(id, work))) == 1
+            runner, (n_max, tol, table) = work[0]
+            _, last, expected = package.cli._SUITES[suite]
+            assert (runner, n_max, tol) == (expected, 30, 1e-10)
+            assert (table and table.max_index) == (last and last(30))
 
 
 _RESULT = {"correct": True, "attempted": 40, "failed": 0,
