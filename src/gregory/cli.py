@@ -236,13 +236,12 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     Stage 1: exhaustive sweep, sizes <= 4 and entries <= 5, all >= 0.
     Stage 2: shifted-kernel determinant screens at x in {0.5, 1}.
     A sign-prefixed matrix is D M D with D = diag((-1)**a_i): same det.
-    The sweep keeps its 209 indices but takes only the 56 determinants of
-    tuples with distinct entries: a repeated entry a_i = a_j repeats a
-    row, so the determinant is exactly 0 and cannot be negative.  Those
-    56 are the principal minors of the 6 x 6 matrix [m_{i+j}], all > 0
-    when it is positive definite, so the sweep takes them only when one
-    elimination of that matrix does not show it positive definite
-    (Sylvester's criterion: all six leading minors > 0, no row swapped).
+    Stage 1 takes its 209 determinants only when one elimination of the
+    6 x 6 matrix [m_{i+j}] does not show it positive definite (Sylvester's
+    criterion: all six leading minors > 0, no row swapped).  When it is,
+    every sweep determinant is >= 0: the 56 tuples with distinct entries
+    give its principal minors, all > 0, and the 153 with a repeated entry
+    a matrix with two equal rows, whose determinant is 0.
     """
     goldens = [
         ((0,), Fraction(1, 2)),
@@ -257,8 +256,6 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
         tuples = [t for m in range(1, 5)
                   for t in combinations_with_replacement(range(6), m)]
         for idx, indices in enumerate(tuples):
-            if len(set(indices)) < len(indices):
-                continue
             det = hankel_determinant(table, indices)
             if det < 0:
                 yield 1, idx, format_rational(det)
@@ -268,67 +265,35 @@ def _suite_hankel(n_max: int, tol: float, table: GregoryTable) -> _Violations:
             yield 2, idx, probe.first_violation[2]
 
 
-def _padded_forms() -> tuple[dict[tuple, tuple[int, tuple]], dict[int, list]]:
-    # each padded form (sorted descending, zero-padded to length 3) of the
-    # nondecreasing index tuples with size <= 3 and entries <= 6, mapped to
-    # its first tuple in the canonical enumeration and that tuple's
-    # position; and those (position, tuple) pairs grouped by their sum
-    tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
-    forms: dict[tuple, tuple[int, tuple]] = {}
-    for i, t in enumerate(tuples):
-        forms.setdefault(t[::-1] + (0,) * (3 - len(t)), (i, t))
-    of_sum: dict[int, list] = {}
-    for i, t in forms.values():
-        of_sum.setdefault(sum(t), []).append((i, t))
-    return forms, of_sum
-
-
-_FORMS, _FORMS_OF_SUM = _padded_forms()
-# the unit transfers (b-1, a+1, 0) < (b, a, 0), 0 <= a, a+2 <= b <= 6, in
-# order of b and then a, each form as its first tuple
-_UNIT_TRANSFERS = [(_FORMS[(b - 1, a + 1, 0)][1], _FORMS[(b, a, 0)][1])
-                   for b in range(2, 7) for a in range(b - 1)]
-
-
 @_aggregate("majorization", lambda n_max: (3, 6))
 def _suite_majorization(n_max: int, tol: float, table: GregoryTable) -> _Violations:
     """Factorial-moment products along every majorizing pair.
 
     The index tuples are the nondecreasing ones with size <= 3 and entries
-    <= 6, at their positions in the canonical enumeration; a violation
-    reports the positions of its two tuples.  The walk goes over padded
-    forms (sorted descending, zero-padded to length 3), each represented
-    by its first tuple: a padded zero multiplies both products by the same
-    m_0 = 0!*b_1 = 1/2, so the verdict of a pair depends only on its two
-    forms.  For each form in order of first position, it tests whether
-    each other form of the same sum majorizes it, in that order (unequal
-    sums never majorize), and checks the products of each one that does.
-    These are the first occurrences of every pair of distinct equal-sum
-    forms in canonical (i, j) order, so the first violation is the one a
-    walk over every pair of tuples would report: 416 tests and 196 checks.
+    <= 6, in canonical enumeration; the walk tests every pair (i, j) of
+    equal sums for majorization, in that order, and checks the products
+    of each one that does: 973 tests and 568 checks.  A violation reports
+    the positions of its two tuples.
 
-    The walk runs only when one of the 15 unit transfers fails first.  A
-    form is majorized by another exactly when unit transfers
-    (b, a) -> (b-1, a+1), b >= a+2, lead from the second to the first
-    through forms that are all among these (Muirhead; Hardy, Littlewood
-    and Polya, Inequalities, 2.19), and such a transfer scales |product|
-    by |m_{a+1} m_{b-1}| / |m_a m_b|, the third factor cancelling (a
-    GregoryTable holds no zero coefficient, so no m_s is 0).  So when the
-    15 transfers, themselves walked pairs, all pass, every walked pair
-    passes: 15 tests and 15 checks.
+    The walk runs only when it must name a violation.  The suite first
+    tests and checks the five adjacent transfers (s, s) < (s-1, s+1),
+    s = 1..5, that is m_s**2 <= m_{s-1} m_{s+1} for m_s = s! |b_{s+1}|.
+    When all five pass, log m_s is convex on 0..6, and every majorizing
+    pair passes by Karamata's inequality (Muirhead; Hardy, Littlewood and
+    Polya, Inequalities, 2.19; a GregoryTable holds no zero coefficient,
+    so no m_s is 0): 5 tests and 5 checks.
     """
-    for lam, mu in _UNIT_TRANSFERS:
-        if not is_majorized(lam, mu) or not check_majorization_inequality(table, lam, mu).passed:
-            break
-    else:
+    if all(is_majorized((s, s), (s - 1, s + 1))
+           and check_majorization_inequality(table, (s, s), (s - 1, s + 1)).passed
+           for s in range(1, 6)):
         return
-    for i, lam in _FORMS.values():
-        for j, mu in _FORMS_OF_SUM[sum(lam)]:
-            if i == j or not is_majorized(lam, mu):
-                continue
-            probe = check_majorization_inequality(table, lam, mu)
-            if not probe.passed:
-                yield i, j, probe.first_violation[2]
+    tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
+    for i, lam in enumerate(tuples):
+        for j, mu in enumerate(tuples):
+            if sum(lam) == sum(mu) and is_majorized(lam, mu):
+                probe = check_majorization_inequality(table, lam, mu)
+                if not probe.passed:
+                    yield i, j, probe.first_violation[2]
 
 
 def _suite_log_convexity(n_max: int, tol: float, table: GregoryTable) -> CmReport:

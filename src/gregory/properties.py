@@ -8,9 +8,11 @@ factorial-scaled magnitudes.  This module implements those checks
 exactly over rationals where the data is exact, and with explicit slack
 where values come from quadrature.
 
-Every check returns a :class:`CmReport` carrying a pass flag, the
-checked horizon, and the lexicographically first violation if any, so
-failures are reproducible rather than just boolean.
+Every ``check_*`` function and :func:`cm_grid_test` returns a
+:class:`CmReport` carrying a pass flag, the checked horizon, and the
+lexicographically first violation if any, so failures are reproducible
+rather than just boolean.  The predicates :func:`is_majorized` and
+:func:`hankel_positive_definite` return a bool.
 """
 
 from __future__ import annotations
@@ -209,8 +211,7 @@ def _validate_index_tuple(indices) -> tuple[int, ...]:
     if not out:
         raise ValueError("index tuple must be nonempty")
     for a in out:
-        # plain ints, nearly every index, skip both isinstance calls
-        if type(a) is not int and (isinstance(a, bool) or not isinstance(a, int)):
+        if isinstance(a, bool) or not isinstance(a, int):
             raise ValueError(f"indices must be integers, got {a!r}")
         if a < 0:
             raise ValueError(f"indices must be nonnegative, got {a}")
@@ -232,10 +233,7 @@ def hankel_determinant(table: GregoryTable, indices,
         raise ValueError(
             f"need coefficients through index {needed}, table stops at {table.max_index}")
     moments, den = table.factorial_moments
-    if variant is DeterminantVariant.PLAIN:
-        matrix = [[moments[ai + aj] for aj in idx] for ai in idx]
-    else:
-        matrix = _moment_matrix(moments.__getitem__, idx, variant)
+    matrix = _moment_matrix(moments.__getitem__, idx, variant)
     return Fraction(_integer_determinant(matrix)[0], den ** len(idx))
 
 

@@ -370,9 +370,9 @@ _STAGE_CASES = [
      _when(lambda x, tol: x == 1.0, _failing("kernel-determinants", (0, 4, "-1/3"))),
      (2, 1, "-1/3")),
     ("majorization", [3, 6], "check_majorization_inequality",
-     _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (2,)),
+     _when(lambda table, lam, mu: (lam, mu) == ((1, 1), (0, 2)),
            _failing("majorization", (0, 0, "-1/5"))),
-     (14, 2, "-1/5")),
+     (14, 9, "-1/5")),
     ("integrals", [20, 12], "bernoulli2_integrals", _off_at(5), (0, 5, BIG_STR)),
     ("integrals", [20, 12], "stieltjes_recip_log",
      _when(lambda x, tol: x == 2.0, _off), (1, 3, BIG_STR)),
@@ -451,15 +451,11 @@ class TestVerifyStageEvidence:
         assert (order, point) == (1, 0)
         assert (code, out, err) == (1, _report_line("bernstein", [2, 7], (0, 3, value)), "")
 
-    def test_majorization_decides_on_the_15_unit_transfers(self, capsys, monkeypatch):
-        """On the exact table the suite tests and checks only the 15 unit
-        transfers (b-1, a+1, 0) < (b, a, 0), 0 <= a and a+2 <= b <= 6, in
-        order of b and then a, each padded form passed as its first tuple."""
-        first = {}
-        for t in _MAJORIZATION_TUPLES:
-            first.setdefault(t[::-1] + (0,) * (3 - len(t)), t)
-        transfers = [(first[(b - 1, a + 1, 0)], first[(b, a, 0)])
-                     for b in range(2, 7) for a in range(b - 1)]
+    def test_majorization_decides_on_the_5_adjacent_transfers(self, capsys, monkeypatch):
+        """On the exact table the suite tests and checks only the five
+        adjacent transfers (s, s) < (s-1, s+1), s = 1..5, each test
+        followed by its check."""
+        transfers = [((s, s), (s - 1, s + 1)) for s in range(1, 6)]
         calls = []
         real_test, real_check = cli.is_majorized, cli.check_majorization_inequality
 
@@ -476,24 +472,16 @@ class TestVerifyStageEvidence:
         code, out, _ = run_cli(["verify", "--suite", "majorization"], capsys)
         assert code == 0
         assert json.loads(out)["passed"] is True
-        assert len(transfers) == 15 and transfers[:2] == [((1, 1), (2,)), ((1, 2), (3,))]
         assert calls == [(kind, lam, mu) for lam, mu in transfers for kind in ("test", "check")]
 
     def test_majorization_walks_the_equal_sum_pairs_in_order(self, capsys, monkeypatch):
-        """Once a unit transfer fails, the walk runs: of the 973 equal-sum
-        pairs among the 119 tuples, the 416 whose padded forms differ and
-        did not occur at an earlier pair are tested for majorization, and
-        the 196 majorizing ones checked, each in canonical (i, j) order.
-        Here the first transfer's check fails once, and the walk passes."""
+        """Once an adjacent transfer fails, the walk runs: each of the 973
+        equal-sum pairs among the 119 tuples is tested for majorization,
+        and each of the 568 majorizing ones checked, in canonical (i, j)
+        order.  Here the first transfer's check fails once, and the walk
+        passes."""
         tuples = [t for m in range(1, 4) for t in combinations_with_replacement(range(7), m)]
-        padded = {t: t[::-1] + (0,) * (3 - len(t)) for t in tuples}
         equal_sum = [(lam, mu) for lam in tuples for mu in tuples if sum(lam) == sum(mu)]
-        first, seen = [], set()
-        for lam, mu in equal_sum:
-            forms = padded[lam], padded[mu]
-            if forms[0] != forms[1] and forms not in seen:
-                seen.add(forms)
-                first.append((lam, mu))
         tested, checked = [], []
         real_test, real_check = cli.is_majorized, cli.check_majorization_inequality
 
@@ -511,10 +499,10 @@ class TestVerifyStageEvidence:
         monkeypatch.setattr(cli, "check_majorization_inequality", checking)
         code, _, _ = run_cli(["verify", "--suite", "majorization"], capsys)
         assert code == 0
-        assert len(equal_sum) == 973
-        assert tested[0] == checked[0] == ((1, 1), (2,))
-        assert len(tested) == 1 + 416 and tested[1:] == first
-        assert len(checked) == 1 + 196 and checked[1:] == [p for p in first if real_test(*p)]
+        assert tested[0] == checked[0] == ((1, 1), (0, 2))
+        assert len(tested) == 1 + 973 and tested[1:] == equal_sum
+        assert len(checked) == 1 + 568
+        assert checked[1:] == [(lam, mu) for _, _, lam, mu in _MAJORIZING]
 
     def test_hankel_sweep_skipped_on_a_positive_definite_matrix(self, capsys, monkeypatch):
         """The exact table's 6 x 6 factorial-moment matrix is positive
@@ -533,12 +521,9 @@ class TestVerifyStageEvidence:
     def test_hankel_takes_one_determinant_per_matrix(self, monkeypatch):
         """On the rank-one table b_{s+1} = t**s/(2 s!), t = -1/3, whose
         matrix [m_{i+j}] = [t**(i+j)/2] is not positive definite, the sweep
-        runs: with the goldens passed through, 3 goldens and the 56 of the
-        209 sweep tuples with distinct entries, 59 determinants, none twice;
-        the 153 tuples skipped are exactly those with a repeated entry."""
-        t = Fraction(-1, 3)
-        values = [Fraction(1)] + [t ** s / (2 * math.factorial(s)) for s in range(11)]
-        table = GregoryTable(tuple(values), TableMethod.SERIES_RECURRENCE)
+        runs: with the goldens passed through, 3 goldens and the 209 sweep
+        determinants, in sweep order, none twice."""
+        table = _rank_one_table()
         goldens = dict(_HANKEL_GOLDENS)
         real, calls = cli.hankel_determinant, []
 
@@ -550,11 +535,29 @@ class TestVerifyStageEvidence:
         report = cli._SUITES["hankel"][2](11, 1e-10, table)
         sweep = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
         assert report == _report("hankel", (11, 3), None)
-        assert len(calls) == 59
+        assert len(calls) == 3 + 209
         assert calls[:3] == [(0,), (0, 1), (0, 1, 2)]
-        assert calls[3:] == [t for t in sweep if len(set(t)) == len(t)]
-        skipped = [t for t in sweep if t not in calls[3:]]
-        assert len(skipped) == 153 and all(len(set(t)) < len(t) for t in skipped)
+        assert calls[3:] == sweep
+
+    def test_majorization_passes_on_equal_adjacent_gaps(self, monkeypatch):
+        """On the rank-one table every adjacent gap is an equality,
+        m_s**2 = m_{s-1} m_{s+1} = |t|**(2 s)/4: the five transfers pass at
+        the edge of the certificate, the suite stops after 5 tests and 5
+        checks, and the full walk passes too."""
+        table = _rank_one_table()
+        moments, _ = table.factorial_moments
+        assert all(moments[s] ** 2 == moments[s - 1] * moments[s + 1] for s in range(1, 6))
+        tests, checks = [], []
+        real_check = cli.check_majorization_inequality
+        monkeypatch.setattr(cli, "is_majorized",
+                            lambda lam, mu: tests.append((lam, mu)) or is_majorized(lam, mu))
+        monkeypatch.setattr(cli, "check_majorization_inequality",
+                            lambda table, lam, mu: checks.append((lam, mu))
+                            or real_check(table, lam, mu))
+        report = cli._SUITES["majorization"][2](7, 1e-10, table)
+        assert report == _report("majorization", (3, 6), None)
+        assert tests == checks == [((s, s), (s - 1, s + 1)) for s in range(1, 6)]
+        assert next(_majorization_full_walk(table, 1e-10), None) is None
 
     def test_factorial_moment_row_built_once_per_table(self, capsys, monkeypatch):
         """Hankel, majorization and log-convexity share the run's table and
@@ -601,10 +604,9 @@ class TestVerifyStageEvidence:
         assert err == "suite integrals aborted: integrand evaluated to inf at s=0.1\n"
 
 
-# The two sweeps as they were before they skipped the checks that hold by
-# construction: every one of the 209 Hankel determinants, and every one of
-# the 973 equal-sum majorization pairs.  The differential tests below run
-# them beside the suites on perturbed tables.
+# The two sweeps with no shortcut: every one of the 209 Hankel
+# determinants, and every one of the 973 equal-sum majorization pairs.  The
+# differential tests below run them beside the suites on perturbed tables.
 _HANKEL_GOLDENS = [((0,), Fraction(1, 2)), ((0, 1), Fraction(5, 144)),
                    ((0, 1, 2), Fraction(407, 86400))]
 _HANKEL_SWEEP = [t for m in range(1, 5) for t in combinations_with_replacement(range(6), m)]
@@ -614,6 +616,14 @@ _MAJORIZATION_TUPLES = [t for m in range(1, 4)
 _MAJORIZING = [(i, j, lam, mu) for i, lam in enumerate(_MAJORIZATION_TUPLES)
                for j, mu in enumerate(_MAJORIZATION_TUPLES)
                if sum(lam) == sum(mu) and is_majorized(lam, mu)]
+
+
+def _rank_one_table():
+    # b_{s+1} = t**s/(2 s!), t = -1/3: m_s = s! b_{s+1} = t**s/2, so the
+    # matrix [m_{i+j}] = [t**(i+j)/2] has rank one
+    t = Fraction(-1, 3)
+    values = [Fraction(1)] + [t ** s / (2 * math.factorial(s)) for s in range(11)]
+    return GregoryTable(tuple(values), TableMethod.SERIES_RECURRENCE)
 
 
 def _hankel_full_walk(table, tol):
@@ -661,9 +671,9 @@ def _perturbed_tables(seed, first, last, count):
 
 
 class TestSweepsSkipOnlyChecksThatCannotFail:
-    """The Hankel sweep skips the determinants of matrices with two equal
-    rows, and the majorization sweep tests each pair of padded forms once;
-    on any table the report equals that of the full walk."""
+    """The Hankel sweep is skipped on a positive definite matrix, and the
+    majorization walk once the five adjacent transfers pass; on any table
+    the report equals that of the full walk."""
 
     # b_2..b_7 is what the majorization suite reads; b_6..b_11 leaves the
     # Hankel goldens (b_1..b_5) intact, so that its sweep decides
@@ -688,9 +698,9 @@ class TestSweepsSkipOnlyChecksThatCannotFail:
             assert run(11, 1e-10, table) == _report(suite, horizon, violation)
             firsts.add(violation and violation[:2])
             # Hankel stage 1 skips its sweep on a positive definite matrix;
-            # majorization walks only after a failed unit transfer
+            # majorization walks only after a failed adjacent transfer
             shortcut.add(hankel_positive_definite(table, 6) if suite == "hankel"
-                         else len(tests) == 15)
+                         else len(tests) == 5)
         # passing tables and many distinct first violations among the 1,000;
         # each suite's shortcut decides some tables and its walk others
         assert None in firsts and len(firsts) > 10
@@ -708,7 +718,7 @@ class TestSweepsSkipOnlyChecksThatCannotFail:
         """b_2..b_7 scaled by positive rationals over 60 orders of magnitude,
         so the signs stay valid: the suite reports the first violation of
         the walk over all 568 majorizing pairs, or passes with it.  Each
-        example after the exact table fails exactly one of the 15 unit
+        example after the exact table fails exactly one of the five adjacent
         transfers: m_s**2 <= m_{s-1} m_{s+1}, for one s in 1..5."""
         values = list(bernoulli2_series(7).values)
         for n, scale in enumerate(scales, 2):

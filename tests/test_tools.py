@@ -199,14 +199,19 @@ class TestExactAB:
             assert len(work) == (2000 if "N=1,8" in label else 3)
 
 
+_SUITE_AB_SUMMARY = ("8 suites at --n-max 11, 30, 80, 160 and majorization, hankel "
+                     "on 200 perturbed tables each, {} differ")
+
+
 class TestSuiteAB:
     """tools/suite_ab.py compares every verify suite's output between two
-    trees and times the suites through engine_ab.py's rotation."""
+    trees, and the hankel and majorization runners' reports on perturbed
+    tables, and times the suites through engine_ab.py's rotation."""
 
     def test_this_tree_against_itself_differs_nowhere(self, capsys):
         ab = _tool("suite_ab")
         assert ab.main([str(ab.engine_ab.HERE), "--rounds", "0"]) == 0
-        assert capsys.readouterr().out == "8 suites at --n-max 11, 30, 80, 160, 0 differ\n"
+        assert capsys.readouterr().out == _SUITE_AB_SUMMARY.format(0) + "\n"
 
     def test_a_changed_report_line_differs(self, tmp_path, capsys):
         """A copy whose degree suite reports another horizon is named at
@@ -224,7 +229,29 @@ class TestSuiteAB:
         lines = capsys.readouterr().out.splitlines()
         assert [line.partition(": this tree")[0] for line in lines[:-1]] == [
             f"differs: --suite degree --n-max {n}" for n in (11, 30, 80, 160)]
-        assert lines[-1] == "8 suites at --n-max 11, 30, 80, 160, 4 differ"
+        assert lines[-1] == _SUITE_AB_SUMMARY.format(4)
+
+    def test_a_failing_fallback_check_differs_on_perturbed_tables(self, monkeypatch):
+        """A load whose majorization check fails every pair that is not an
+        adjacent transfer passes on the exact table, so no verify run
+        differs; the fallback walk on the perturbed tables does, and only
+        there."""
+        ab = _tool("suite_ab")
+        head = ab.load(ab.engine_ab.HERE, "suite_ab_head")
+        other = ab.load(ab.engine_ab.HERE, "suite_ab_other")
+        real = other.cli.check_majorization_inequality
+        transfers = [((s, s), (s - 1, s + 1)) for s in range(1, 6)]
+
+        def failing(table, lam, mu):
+            if (lam, mu) in transfers:
+                return real(table, lam, mu)
+            return other.properties.CmReport("majorization", False, (2, 2), (0, 0, "-1/5"))
+
+        monkeypatch.setattr(other.cli, "check_majorization_inequality", failing)
+        lines = ab.differences(head, other)
+        assert lines and all(line.startswith("--suite majorization on perturbed table ")
+                             for line in lines)
+        assert len(lines) < ab.TABLES
 
     def test_workloads_time_each_runner_on_its_table(self):
         ab = _tool("suite_ab")

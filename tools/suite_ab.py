@@ -7,10 +7,15 @@ packages of their own under distinct names (the package needs nothing but
 the standard library).  For every suite of ``verify`` at --n-max 11, 30, 80
 and 160 it runs ``verify --suite NAME --n-max N`` through each tree's
 ``cli.main`` and compares the exit code, stdout and stderr byte for byte,
-report line included; it names every run that differs and exits 1 if any
-does.  Then, unless ``--rounds 0``, it times each suite's runner at
---n-max 30 and tol 1e-10, the defaults, on the run's exact table, built
-beforehand as ``verify`` builds it, over N rotating rounds (default 30).
+report line included.  No argv reaches the fallback walks of the
+``hankel`` and ``majorization`` suites, since ``verify`` always builds the
+true table, so it also runs those two runners of each tree at --n-max 11
+on a fixed seeded set of perturbed tables, each built with that tree's
+own ``GregoryTable``, and compares their reports.  It names every run and
+every table that differs and exits 1 if any does.  Then, unless
+``--rounds 0``, it times each suite's runner at --n-max 30 and tol 1e-10,
+the defaults, on the run's exact table, built beforehand as ``verify``
+builds it, over N rotating rounds (default 30).
 As in engine_ab.py, it prints the median and quartiles of the per-round
 time ratio of this tree to OTHER_SRC next to an A/A control (this tree
 against a second load of itself), and the three loads take turns at each
@@ -25,7 +30,9 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -35,6 +42,12 @@ N_MAX = (11, 30, 80, 160)
 TIMED_N_MAX = 30
 TOL = 1e-10
 REPEATS = 10        # runner calls per timed pass: one is too short to be steady
+# the coefficients each fallback walk's tables scale: b_2..b_7 is what the
+# majorization suite reads; b_6..b_11 leaves the Hankel goldens (b_1..b_5)
+# intact, so that its sweep decides
+PERTURBED = {"majorization": (2, 7), "hankel": (6, 11)}
+TABLES = 200        # perturbed tables per suite
+SEED = 25
 
 
 def load(src: Path, name: str):
@@ -60,14 +73,36 @@ def verify_output(package, suite: str, n_max: int) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def perturbed_tables(package, first: int, last: int):
+    """TABLES copies of package's exact b_0..b_11, each with 1 to 3 of
+    b_first..b_last scaled by a seeded positive rational (the sign pattern
+    stays valid), as package's own GregoryTables."""
+    rng, exact = random.Random(SEED), package.bernoulli2_series(11)
+    for _ in range(TABLES):
+        values = list(exact.values)
+        for n in rng.sample(range(first, last + 1), rng.randint(1, 3)):
+            values[n] *= Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        yield package.GregoryTable(tuple(values), exact.method)
+
+
 def differences(head, other) -> list[str]:
-    """One line per suite and --n-max whose verify output differs between the trees."""
+    """One line per suite and --n-max whose verify output differs between
+    the trees, then one per perturbed table whose report differs."""
     lines = []
     for suite in head.cli._SUITES:
         for n_max in N_MAX:
             mine, theirs = verify_output(head, suite, n_max), verify_output(other, suite, n_max)
             if mine != theirs:
                 lines.append(f"--suite {suite} --n-max {n_max}: "
+                             f"this tree {mine!r} != other {theirs!r}")
+    for suite, (first, last) in PERTURBED.items():
+        run_mine, run_theirs = head.cli._SUITES[suite][2], other.cli._SUITES[suite][2]
+        tables = zip(perturbed_tables(head, first, last), perturbed_tables(other, first, last))
+        for idx, (table_mine, table_theirs) in enumerate(tables):
+            mine = run_mine(11, TOL, table_mine).to_json_dict()
+            theirs = run_theirs(11, TOL, table_theirs).to_json_dict()
+            if mine != theirs:
+                lines.append(f"--suite {suite} on perturbed table {idx}: "
                              f"this tree {mine!r} != other {theirs!r}")
     return lines
 
@@ -98,8 +133,8 @@ def main(argv: list[str]) -> int:
     differ = differences(head, other)
     for line in differ:
         print(f"differs: {line}")
-    print(f"{len(head.cli._SUITES)} suites at --n-max {', '.join(map(str, N_MAX))}, "
-          f"{len(differ)} differ")
+    print(f"{len(head.cli._SUITES)} suites at --n-max {', '.join(map(str, N_MAX))} "
+          f"and {', '.join(PERTURBED)} on {TABLES} perturbed tables each, {len(differ)} differ")
     if args.rounds:
         engine_ab.timing(head, other, load(engine_ab.HERE, "suite_ab_control"),
                          args.rounds, workloads(head.cli._SUITES))
