@@ -49,16 +49,22 @@ same envelope at beta = +1.
 
 :func:`_integrate_members`, the engine's one entry, sums a list of
 members, kernels that share the s -> 1 side's alpha.  They run through
-the level loop one after another.  The first to reach a level works out
-what all of them read alike there, once: the node table, the s -> 1
-side's stop, truncation bound and kept rows, and the constants of the
-one node-0 test that an s -> 0 side with nothing kept makes.  A member
-then pays only for its own terms, its sum and its estimate, and for its
-s -> 0 side where that keeps nodes, so every result is bit for bit the
-one its member gets alone.  The engine and the node table read one level
-layout.  :func:`bernoulli2_integrals` sums b_1..b_N as one such list,
-and every other public function is a list of one; each scales its raw
-tuples and builds one QuadratureResult apiece.
+the level loop one after another.  Where a side stops on a level, how
+many nodes it keeps and what it bounds the dropped ones by depend only on
+(alpha, beta, tol) over fixed node columns, so each side reads them from
+a plan that the module works out once and keeps for later calls; the side
+routine runs only for a level that no call has reached in that plan.  The
+s -> 0 sides are planned only from the second call at a tolerance on, so
+a call at a fresh one pays for a single plan.  An s -> 0 side whose node
+0 already falls to the cut settles on one test of constants kept per
+level and reads no plan.  The first member to reach a level fetches the
+node table and the s -> 1 side's kept rows, once for all; a member then
+pays only for its own terms, its sum and its estimate, and every result
+is bit for bit the one its member gets alone, with new plans or kept
+ones.  The engine and the node table read one level layout.
+:func:`bernoulli2_integrals` sums b_1..b_N as one such list, and every
+other public function is a list of one; each scales its raw tuples and
+builds one QuadratureResult apiece.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.  Every call
@@ -67,6 +73,7 @@ refines through at most DEFAULT_MAX_LEVELS levels, the module constant.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -171,6 +178,40 @@ def _level_table(level: int, need: int) -> tuple:
         return cols
 
 
+# ----------------------------------------------------------------------
+# side plans
+#
+# Where a side stops on each level, how many nodes it keeps there and what
+# it bounds the dropped ones by depend only on its envelope's alpha and
+# beta, the cut and the level, over the fixed node columns: a plan is a
+# pure function of (alpha, beta, tol).  _plan keeps one per (alpha, beta,
+# cut) for the whole process, as the node table is kept, in a least
+# recently used memo of at most 1,024 plans (a plan of all 13 levels takes
+# about 2 kB).  A plan is one slot per level for the (first dropped node,
+# nodes kept, truncation bound) record that the engine's side routine
+# returns there, None until a call first reads that level's side; writing
+# a record into its slot is idempotent, as every call works out the same
+# one, so concurrent calls need no lock.  A call plans its s -> 0 sides
+# only if an earlier call left its s -> 1 side's plan: a plan pays off
+# only when its (alpha, beta, tol) repeats, and a call at a fresh
+# tolerance then costs one plan, not one per member.  _NODE0 holds, per
+# beta and level, node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if
+# beta > 0): the constants of the one node-0 test that settles an s -> 0
+# side without its plan.
+# ----------------------------------------------------------------------
+
+_NODE0 = {beta: [(c[_C][0], c[_J][0] ** beta, c[_S][0], c[_J][0],
+                  beta * (1.0 if beta > 0 else math.tanh(h)))
+                 for h, _, _ in _LAYOUTS for c in [_columns([h])]]
+          for beta in (-1, 1)}
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(alpha: int, beta: int, cut: float) -> list:
+    """The plan of a side with this envelope and cut, shared by every call."""
+    return [None] * len(_LAYOUTS)
+
+
 # the columns a kernel term reads: s, j*(1-s) and d
 _KERNEL_ROWS = (_S, _JC, _E)
 
@@ -202,6 +243,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     rate alpha*sigma(|y|)*pi*cosh(tau) - beta*tanh|tau|, which is at
     least r, that rate taken at the last node kept with tanh replaced by
     1 if beta > 0; r must be positive (alpha*pi/2 > beta when beta > 0).
+    beta is -1 or +1, the two rows of _NODE0.
 
     One side routine applies this rule to either side.  On each level a
     side computes terms only for the nodes before the first one where M
@@ -244,23 +286,31 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     exceeds tol, since no finer level can then converge.  n_evals counts
     the terms summed, computed or read.
 
-    Whatever members read alike on a level is worked out once, by the
-    first member to reach it, into one record per level: the layout, the
-    node table fetched as far as that member's two sides reach, the
-    s -> 1 side's stop, truncation bound and kept rows (the s -> 1 side
-    depends only on hi, beta and tol), and the constants of the node-0
-    test.  An s -> 0 side that kept no node tests only node 0 on the next
+    A side's record on a level, its first dropped node, nodes kept and
+    truncation bound, depends only on its alpha, beta and cut, so it comes
+    from the side's plan (see the side plans above): the s -> 1 side of
+    every member reads plan(hi, beta, cut), and an s -> 0 side reads
+    plan(lo, beta, cut), looked up once per member, on every level that
+    node 0 does not settle, provided an earlier call reached level 0 of
+    plan(hi, beta, cut); in a first call at this (hi, beta, cut) the
+    s -> 0 sides run the side routine directly.  The side routine runs
+    only where the plan's slot is still empty, and its record fills the
+    slot.  An s -> 0 side that kept no node tests only node 0 on the next
     level, and one whose node 0 falls to the cut keeps nothing and adds
-    the bound that r at node 0 gives, so such a member reads both from
-    the record and runs no side routine.  Rows that more than one member
-    reads, the kept ones and the centre node's, are built once as a list
-    of tuples; a lone member streams them, as every member streams its
-    own s -> 0 side's rows.  A member runs through the level loop alone:
-    it grows the level's node table only if its own s -> 0 side reaches
-    further, so tables grow exactly as far as member by member, adds its
-    own terms and estimate, and leaves the loop, never to be visited
-    again, when it converges or settles.  Each result is bit for bit the
-    one the member gets alone.
+    the bound that r at node 0 gives, which is the record the side routine
+    returns there, from node 0's constants in _NODE0: such a side reads
+    no plan, so the large-n members of a coefficient sweep do no plan
+    traffic.  Per call, the first member to reach a level fetches the
+    node table as far as its two sides reach and builds the s -> 1
+    side's kept rows: rows that more than one member reads, the kept ones
+    and the centre node's, are built once as a list of tuples; a lone
+    member streams them, as every member streams its own s -> 0 side's
+    rows.  A member runs through the level loop alone: it grows the
+    level's node table only if its own s -> 0 side reaches further, so
+    tables grow exactly as far as member by member, with new plans or
+    kept ones, adds its own terms and estimate, and leaves the loop, never
+    to be visited again, when it converges or settles.  Each result is bit
+    for bit the one the member gets alone.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -293,6 +343,10 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
         return first, stop, (cut * (h + 1.0 / r) if stop < full
                              else sigc[k] ** alpha * jac[k] ** beta / r)
 
+    plan_hi, node0 = _plan(hi, beta, cut), _NODE0[beta]
+    # every call reaches level 0: a filled slot 0 means an earlier call ran
+    # at this (hi, beta, cut), and only then are s -> 0 sides planned
+    reuse = plan_hi[0] is not None
     center = share(zip(*pick_hi(_CENTER)))
     levels: list[tuple] = []    # one record per level reached
     first_hi = int(_T_MAX) + 1  # the s -> 1 side's first dropped node on the last level
@@ -305,22 +359,21 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
         converged = False
         stagnant = 0
         first_lo = int(_T_MAX) + 1
+        plan_lo = None
         for level in range(0, DEFAULT_MAX_LEVELS + 1):
             if level == len(levels):
-                # the first member to reach this level works out what every
-                # member reads alike there; a side reads this level's nodes
-                # only below its previous first
+                # the first member to reach this level fetches the node table
+                # as far as either of its sides reads, below its previous first
                 layout = _LAYOUTS[level]
                 h = layout[0]
                 need = first_hi if first_hi > first_lo else first_lo
                 cols = _level_table(level, need if need < layout[2] else layout[2])
-                first_hi, stop, trunc_hi = side(level, first_hi, hi, layout, cols)
-                # node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if beta > 0)
-                # are the constants of its test and of r taken there
+                record = plan_hi[level]
+                if record is None:
+                    record = plan_hi[level] = side(level, first_hi, hi, layout, cols)
+                first_hi, stop, trunc_hi = record
                 levels.append((h, layout, cols, trunc_hi,
-                               share(islice(zip(*pick_hi(cols)), stop)),
-                               cols[_C][0], cols[_J][0] ** beta, cols[_S][0], cols[_J][0],
-                               beta * (1.0 if beta > 0 else tanh(h))))
+                               share(islice(zip(*pick_hi(cols)), stop))) + node0[level])
             h, layout, cols, trunc, kept, c0, jb0, s0, j0, bt = levels[level]
             terms.extend(term(kept))
             if (first_lo == 1 or level == 0) and c0 ** lo * jb0 <= cut:
@@ -331,7 +384,15 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
             else:
                 if first_lo > len(cols[0]):     # past what the first member fetched
                     cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
-                first_lo, stop, trunc_lo = side(level, first_lo, lo, layout, cols)
+                if reuse:
+                    if plan_lo is None:
+                        plan_lo = _plan(lo, beta, cut)
+                    record = plan_lo[level]
+                    if record is None:
+                        record = plan_lo[level] = side(level, first_lo, lo, layout, cols)
+                else:
+                    record = side(level, first_lo, lo, layout, cols)
+                first_lo, stop, trunc_lo = record
                 trunc += trunc_lo
                 if stop:
                     # an a = 0 kernel's terms are column values from the first

@@ -361,10 +361,13 @@ class TestColumnEngineMatchesPerNodeReference:
     @example(args=(0, _MAX, 2), tol=1e-10, max_levels=12)
     @example(args=(0, _MAX, 2), tol=5e-324, max_levels=12)
     def test_kernel_bits(self, args, tol, max_levels):
-        """Value, estimate, n_evals and converged agree bit for bit."""
+        """Value, estimate, n_evals and converged agree bit for bit, from no
+        side plans, from the s -> 1 side's plan that the first call left
+        (the second call plans its s -> 0 side) and from both plans."""
         a, x, p = args
-        got = _kernel_result(a, x, p, tol, max_levels)
-        assert _bits(got) == _bits(_reference_kernel(a, x, p, tol, max_levels))
+        _clear_plans()
+        runs = [_bits(_kernel_result(a, x, p, tol, max_levels)) for _ in range(3)]
+        assert runs == [_bits(_reference_kernel(a, x, p, tol, max_levels))] * 3
 
     @pytest.mark.parametrize("x", [0.005170849486911463, 4.565809361902511e-15])
     def test_tie_examples_tie_at_one_level_0_node(self, x):
@@ -538,6 +541,14 @@ def _clear_node_tables():
         quadrature._node_levels.clear()
 
 
+def _clear_plans():
+    quadrature._plan.cache_clear()
+
+
+def _cut(tol: float) -> float:
+    return max(4e-3 * tol, 2e-281)
+
+
 class TestEngine:
     @pytest.mark.parametrize("name", sorted(_TERMS))
     def test_exact_values(self, name):
@@ -559,6 +570,21 @@ class TestEngine:
             with pytest.raises(ValueError):
                 _integrate(_unit_term, (1, 1), 1, tol, shape=_UNIT_ROWS)
 
+    def test_plan_memo_keeps_the_1024_most_recent_plans(self):
+        """1,124 calls at distinct tolerances, one side plan each (mu_1's two
+        sides share alpha = 1), leave 1,024 plans: the most recently used
+        are kept and the first ones are gone."""
+        tols = [1e-10 * (1.0 + i * 2.0 ** -20) for i in range(1024 + 100)]
+        _clear_plans()
+        for tol in tols:
+            moment_integral(1, tol)
+        info = quadrature._plan.cache_info()
+        assert (info.misses, info.currsize) == (1124, 1024)
+        quadrature._plan(1, -1, _cut(tols[100]))
+        assert quadrature._plan.cache_info().hits == info.hits + 1
+        quadrature._plan(1, -1, _cut(tols[99]))
+        assert quadrature._plan.cache_info().misses == info.misses + 1
+
     def test_threaded_calls_agree(self):
         """Concurrent calls give identical results."""
         def job(_):
@@ -573,16 +599,28 @@ class TestEngine:
         """Eight threads that build and grow every level at once, half of
         them reaching tau = 36 on their levels and half stopping far short
         of it, agree with serial calls.  The first is the kernel of
-        f^(10)(0.25) with no floor, at a tol it never meets."""
+        f^(10)(0.25) with no floor, at a tol it never meets.  Each thread
+        makes its call twice, the second time planning the s -> 0 side.
+        Starting from no plans, the threads leave the four side plans of
+        the serial calls, each holding one record per level a side read
+        from it and the serial record there."""
         calls = (lambda: _integrate(_setup_term, (1, 9), -1, 1e-100, floor=0.0),
                  lambda: genfun_derivative_integral(0.06, 1, 1e-30))
-        serial = [_bits(call()) for call in calls]
+        keys = [(alpha, -1, _cut(tol)) for tol, alphas in ((1e-100, (1, 9)), (1e-30, (1, 0)))
+                for alpha in alphas]
+        _clear_plans()
+        serial = [[_bits(call()) for _ in range(2)] for call in calls]
+        plans = [list(quadrature._plan(*key)) for key in keys]
+        assert quadrature._plan.cache_info().currsize == 4
+        assert all(first == second for first, second in serial)
+        assert None not in plans[0]     # the setup kernel reads every level's s -> 1 side
         _clear_node_tables()
+        _clear_plans()
         start = threading.Barrier(8, timeout=60)
 
         def job(i):
             start.wait()
-            return _bits(calls[i % 2]())
+            return [_bits(calls[i % 2]()) for _ in range(2)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # switch threads mid-growth
@@ -594,6 +632,8 @@ class TestEngine:
         assert sorted(quadrature._node_levels) == list(range(quadrature.DEFAULT_MAX_LEVELS + 1))
         assert len(quadrature._node_levels[5][0]) == 576     # the full level
         assert results == serial * 4
+        assert quadrature._plan.cache_info().currsize == 4
+        assert [quadrature._plan(*key) for key in keys] == plans
 
 
 def _hex_columns(cols) -> list:
@@ -710,6 +750,34 @@ class TestCoefficientSweep:
         got = quadrature.bernoulli2_integrals(n_max, tol)
         want = [bernoulli2_integral(n, tol) for n in range(1, n_max + 1)]
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+    def test_sweep_and_lone_calls_agree_in_either_order(self):
+        """bernoulli2_integrals(300) and then the lone call of each of its
+        members, and the same in the reverse order, each from no plans,
+        give the same bits: the second to run reads the plans the first
+        left.  A first call at a tolerance plans only the s -> 1 side
+        (alpha 1); every later one also plans the s -> 0 sides that node 0
+        does not settle, those of b_1..b_35 (alpha 0..34)."""
+        def sweep():
+            return [_bits(r) for r in quadrature.bernoulli2_integrals(300)]
+
+        def lone():
+            return [_bits(bernoulli2_integral(n)) for n in range(1, 301)]
+
+        def plans():
+            return quadrature._plan.cache_info().currsize
+        _clear_plans()
+        runs = [sweep()]
+        sizes = [plans()]
+        runs.append(lone())
+        sizes.append(plans())
+        _clear_plans()
+        runs.append(lone())
+        sizes.append(plans())
+        runs.append(sweep())
+        sizes.append(plans())
+        assert runs[1:] == [runs[0]] * 3
+        assert sizes == [1, 35, 34, 35]     # the first lone call, b_1's, plans no alpha 0
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-30])
     def test_signs_the_kernel_integrals(self, tol):

@@ -132,8 +132,8 @@ class TestEngineAB:
 
     def test_timing_times_in_the_rotated_order(self, monkeypatch, capsys):
         """timing() warms each load up once, then times the rounds in the
-        rotation's order, for each of the three workloads: lone calls and
-        sweeps at two tolerances."""
+        rotation's order, for each of the five workloads: lone calls and
+        sweeps at 1e-10, each warm and then cold, and sweeps at 1e-13."""
         ab = _tool("engine_ab")
         functions = dict.fromkeys(("genfun_integral", "stieltjes_recip_log",
                                    "genfun_derivative_integral", "bernstein_identity",
@@ -145,12 +145,31 @@ class TestEngineAB:
             build = getattr(ab, name)
             monkeypatch.setattr(ab, name, lambda module, rng, *tol, build=build: _owned(
                 owner, module, build(module, rng, *tol)))
-        monkeypatch.setattr(ab, "_timed", lambda calls: timed.append(owner[id(calls)]) or 1.0)
+        monkeypatch.setattr(ab, "_timed", lambda calls, cold: timed.append(
+            (owner[id(calls)], cold)) or 1.0)
         ab.timing(*loads, rounds=6)
         labels = ("head", "other", "control")
         expected = list(labels) + [label for i in range(6) for label in ab.rotation(labels, i)]
-        assert timed == expected * 3
-        assert capsys.readouterr().out.count("A/A") == 4
+        assert timed == [(label, cold) for cold in (False, True, False, True, False)
+                         for label in expected]
+        out = capsys.readouterr().out
+        assert out.count("A/A") == 6 and out.count(", cold A/B") == 2
+
+    def test_a_cold_pass_moves_every_tolerance_to_a_new_one(self):
+        """Each cold pass calls with tolerances that no earlier call used,
+        a relative 2**-40 steps or more from the workload's own."""
+        ab = _tool("engine_ab")
+        seen = []
+        calls = [(lambda *args: seen.append(args), (n, 1e-10)) for n in (20, 300)]
+        ab._timed(calls, cold=True)
+        ab._timed(calls, cold=True)
+        tols = [args[-1] for args in seen]
+        assert [args[0] for args in seen] == [20, 300] * 6
+        assert len(set(tols)) == 12
+        assert all(0.0 < t / 1e-10 - 1.0 < 1e-6 for t in tols)
+        seen.clear()
+        ab._timed(calls)
+        assert [args[-1] for args in seen] == [1e-10] * 6
 
 
 def _owned(owner: dict, module, calls: list) -> list:
@@ -187,11 +206,19 @@ class TestExactAB:
         assert series[0] == series[1] and explicit[0] != explicit[1]
         assert lines[-1] == "2 tables at N = 256, 1 differ"
 
+    def test_workloads_run_through_engine_ab_timing(self, monkeypatch, capsys):
+        ab = _tool("exact_ab")
+        module = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
+        monkeypatch.setattr(ab.engine_ab, "_timed", lambda calls, cold: 1.0)
+        ab.engine_ab.timing(module, module, module, 2, ab.workloads())
+        assert capsys.readouterr().out.count(" A/B ") == 4
+
     def test_workloads_time_both_builders_over_the_range(self):
         ab = _tool("exact_ab")
         module = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
-        calls = {label: build(module, None) for label, build in ab.workloads()}
-        assert len(calls) == 4
+        calls = {label: build(module, None) for label, build, cold in ab.workloads()
+                 if cold is False}
+        assert len(calls) == 4 == len(ab.workloads())     # every one warm
         for label, work in calls.items():
             assert {fn for fn, _ in work} == {"series" if "series" in label else "explicit"}
             sizes = sorted({args for _, args in work})
@@ -253,12 +280,19 @@ class TestSuiteAB:
                              for line in lines)
         assert len(lines) < ab.TABLES
 
+    def test_workloads_run_through_engine_ab_timing(self, monkeypatch, capsys):
+        ab = _tool("suite_ab")
+        package = ab.load(ab.engine_ab.HERE, "suite_ab_test")
+        monkeypatch.setattr(ab.engine_ab, "_timed", lambda calls, cold: 1.0)
+        ab.engine_ab.timing(package, package, package, 2, ab.workloads(package.cli._SUITES))
+        assert capsys.readouterr().out.count(" A/B ") == len(package.cli._SUITES)
+
     def test_workloads_time_each_runner_on_its_table(self):
         ab = _tool("suite_ab")
         package = ab.load(ab.engine_ab.HERE, "suite_ab_test")
         calls = {label: build(package, None)
-                 for label, build in ab.workloads(package.cli._SUITES)}
-        assert list(calls) == list(package.cli._SUITES)
+                 for label, build, cold in ab.workloads(package.cli._SUITES) if cold is False}
+        assert list(calls) == list(package.cli._SUITES)     # every one warm
         for suite, work in calls.items():
             assert len(work) == ab.REPEATS and len(set(map(id, work))) == 1
             runner, (n_max, tol, table) = work[0]
@@ -294,16 +328,35 @@ class TestBenchRecord:
         rec = _tool("bench_record")
         broken = dict(_LAYERS, correct=False)
         host = {"cpu": "test cpu", "cores": 2, "python": "3.11.7"}
-        record = rec.assemble("x", host, 7, 30.0, {"verify": {0: _RESULT, 1: _LAYERS},
-                                                   "evaluate": {0: _RESULT, 1: broken}})
+        record = rec.assemble("x", host, (7, 8), 30.0, {"verify": ([_RESULT] * 2, _LAYERS),
+                                                        "evaluate": ([_RESULT] * 2, broken)})
         assert record["label"] == "x" and record["machine"] == host
-        assert record["settings"] == {"command": "python3 perfbench/run.py", "seed": 7,
-                                      "seconds": 30.0}
+        assert record["settings"] == {"command": "python3 perfbench/run.py", "seeds": [7, 8],
+                                      "layer_seed": 7, "seconds": 30.0}
         assert list(record["workloads"]) == ["verify", "evaluate"]
         verify = record["workloads"]["verify"]
-        assert verify == {"correct": True, "attempted": {"trace 0": 40, "trace 1": 128},
-                          "end_to_end": _RESULT["metrics"], "per_layer": _LAYERS["metrics"]}
+        assert verify == {"correct": True, "attempted": {"trace 0": [40, 40], "trace 1": 128},
+                          "end_to_end": {"jobs_per_s": {"value": 99.5, "unit": "1/s",
+                                                        "runs": [99.5, 99.5]},
+                                         "job_ms.p50": {"value": 4.25, "unit": "ms",
+                                                        "runs": [4.25, 4.25]}},
+                          "per_layer": _LAYERS["metrics"]}
         assert record["workloads"]["evaluate"]["correct"] is False
+
+    def test_end_to_end_metrics_are_the_median_of_the_seeds(self):
+        """Each end-to-end metric is the median of the three seeds' values,
+        listed in seed order; one failing seed marks the workload."""
+        rec = _tool("bench_record")
+        runs = [{"correct": correct, "attempted": attempted, "failed": 0,
+                 "metrics": {"jobs_per_s": {"value": rate, "unit": "1/s"}}}
+                for correct, attempted, rate in ((True, 40, 101.0), (False, 39, 95.0),
+                                                 (True, 41, 99.0))]
+        record = rec.assemble("m", {}, (1, 2, 3), 30.0, {"verify": (runs, _LAYERS)})
+        verify = record["workloads"]["verify"]
+        assert verify["end_to_end"] == {"jobs_per_s": {"value": 99.0, "unit": "1/s",
+                                                       "runs": [101.0, 95.0, 99.0]}}
+        assert verify["attempted"] == {"trace 0": [40, 39, 41], "trace 1": 128}
+        assert verify["correct"] is False
 
     def test_main_writes_the_file_from_every_run(self, tmp_path, monkeypatch, capsys):
         rec = _tool("bench_record")
@@ -312,10 +365,14 @@ class TestBenchRecord:
         monkeypatch.setattr(rec, "run", lambda workload, seed, seconds, trace: runs.append(
             (workload, seed, seconds, trace)) or (_LAYERS if trace else _RESULT))
         assert rec.main(["t1"]) == 0
-        assert runs == [(w, rec.SEED, rec.SECONDS, t) for w in rec.WORKLOADS for t in (0, 1)]
+        assert rec.SEEDS == (1, 2, 3)
+        assert runs == [run for w in rec.WORKLOADS
+                        for run in [(w, 1, rec.SECONDS, 0), (w, 2, rec.SECONDS, 0),
+                                    (w, 3, rec.SECONDS, 0), (w, 1, rec.SECONDS, 1)]]
         written = json.loads((tmp_path / "BENCH_t1.json").read_text())
-        assert written["workloads"]["tabulate"]["end_to_end"] == _RESULT["metrics"]
-        assert written["machine"]["python"] and written["settings"]["seed"] == rec.SEED
+        assert written["workloads"]["tabulate"]["end_to_end"]["jobs_per_s"]["value"] == 99.5
+        assert written["workloads"]["tabulate"]["per_layer"] == _LAYERS["metrics"]
+        assert written["machine"]["python"] and written["settings"]["seeds"] == [1, 2, 3]
         assert capsys.readouterr().out.endswith("wrote BENCH_t1.json\n")
 
     def test_a_failed_run_writes_nothing(self, tmp_path, monkeypatch, capsys):

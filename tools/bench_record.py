@@ -2,19 +2,23 @@
 
     python tools/bench_record.py LABEL
 
-Runs the unchanged ``perfbench/run.py`` once per workload (tabulate,
-verify, evaluate) with ``--trace 0``, for the end-to-end metrics, and
-once with ``--trace 1``, for the per-layer table, each in a process of
-its own, at the fixed SEED and SECONDS so that files compare.  It writes
+Runs the unchanged ``perfbench/run.py`` for each workload (tabulate,
+verify, evaluate), each run in a process of its own, at the fixed SEEDS
+and SECONDS so that files compare: with ``--trace 0`` once per seed, for
+the end-to-end metrics, and with ``--trace 1`` once at the first seed,
+for the per-layer table.  An end-to-end metric is the median of its
+per-seed values, which the file lists beside it: one run of one seed
+moves by about 5 % with no change to the code.  It writes
 ``BENCH_<label>.json`` at the repository root: the machine, the Python
 version, the run settings, and per workload the end-to-end metrics, the
-layer table and whether every job's output passed the oracle.  One file per change gives the trajectory that a
-perf entry in CHANGES.md cites; the claim of a gain still rests on the
-benchmark's alternating pairs, which one snapshot cannot replace.
+layer table and whether every job's output passed the oracle.  One file
+per change gives the trajectory that a perf entry in CHANGES.md cites;
+the claim of a gain still rests on the benchmark's alternating pairs,
+which one snapshot cannot replace.
 
 A run that exits non-zero or prints no result line stops the script with
 exit 1 before anything is written.  Stdlib only; at 30 s per run the
-three workloads take about two minutes on a 2-core Xeon.
+three workloads take about eight minutes on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("tabulate", "verify", "evaluate")
-SEED = 1
+SEEDS = (1, 2, 3)
 SECONDS = 30.0
 
 
@@ -61,21 +66,34 @@ def machine() -> dict:
             "implementation": platform.python_implementation()}
 
 
-def assemble(label: str, host: dict, seed: int, seconds: float,
-             results: dict[str, dict[int, dict]]) -> dict:
-    """The BENCH file's content from results[workload][trace] result lines."""
+def median_metrics(lines: list[dict]) -> dict:
+    """Each metric of the result lines as its median, with its unit and
+    its value in every line, in order."""
+    metrics = {}
+    for name, first in lines[0]["metrics"].items():
+        values = [line["metrics"][name]["value"] for line in lines]
+        metrics[name] = {"value": statistics.median(values), "unit": first["unit"],
+                         "runs": values}
+    return metrics
+
+
+def assemble(label: str, host: dict, seeds: tuple, seconds: float,
+             results: dict[str, tuple[list[dict], dict]]) -> dict:
+    """The BENCH file's content from results[workload]: the --trace 0
+    result lines of the seeds, in order, and the --trace 1 line of the
+    first seed."""
     workloads = {}
-    for workload, by_trace in results.items():
-        end_to_end, layers = by_trace[0], by_trace[1]
+    for workload, (runs, layers) in results.items():
         workloads[workload] = {
-            "correct": bool(end_to_end["correct"] and layers["correct"]),
-            "attempted": {"trace 0": end_to_end["attempted"], "trace 1": layers["attempted"]},
-            "end_to_end": end_to_end["metrics"],
+            "correct": all(line["correct"] for line in runs) and bool(layers["correct"]),
+            "attempted": {"trace 0": [line["attempted"] for line in runs],
+                          "trace 1": layers["attempted"]},
+            "end_to_end": median_metrics(runs),
             "per_layer": layers["metrics"],
         }
     return {"label": label, "machine": host,
-            "settings": {"command": "python3 perfbench/run.py", "seed": seed,
-                         "seconds": seconds},
+            "settings": {"command": "python3 perfbench/run.py", "seeds": list(seeds),
+                         "layer_seed": seeds[0], "seconds": seconds},
             "workloads": workloads}
 
 
@@ -96,17 +114,17 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("label must be letters, digits, '-' or '_'")
-    results: dict[str, dict[int, dict]] = {}
+    results: dict[str, tuple[list[dict], dict]] = {}
     try:
         for workload in WORKLOADS:
-            results[workload] = {trace: run(workload, SEED, SECONDS, trace)
-                                 for trace in (0, 1)}
+            runs = [run(workload, seed, SECONDS, 0) for seed in SEEDS]
+            results[workload] = runs, run(workload, SEEDS[0], SECONDS, 1)
             print(f"{workload}: done", flush=True)
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     path = ROOT / f"BENCH_{args.label}.json"
-    record = assemble(args.label, machine(), SEED, SECONDS, results)
+    record = assemble(args.label, machine(), SEEDS, SECONDS, results)
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
     return 0

@@ -20,19 +20,24 @@ for bit:
   tol 1e-10.
 
 It names every call that differs and exits 1 if any does.  Then, unless
-``--rounds 0``, it times three workloads over N rotating rounds (default
+``--rounds 0``, it times five workloads over N rotating rounds (default
 40): lone calls (genfun, 1/ln(1+x), f^(k) with k <= 20 and the Bernstein
-identity, x in 1e-3..1e3 and tol in 1e-13..1e-6), and coefficient sweeps
+identity, x in 1e-3..1e3 and tol in 1e-13..1e-6) and coefficient sweeps
 (``bernoulli2_integrals`` with N in 20..300) at tol 1e-10, the tolerance
-of ``compute --method integral`` and of the ``all`` jobs, and at 1e-13.
-It prints the median and quartiles of the per-round time ratio of this
-tree to OTHER_SRC, next to an A/A control: this tree against a second
-load of itself, whose spread is what a ratio of two equal engines shows.
-The three loads take turns at each place in the timing order, one cyclic
-shift per round.  Every module fills its own node table in a warm-up pass
-before the timed rounds.  tools/exact_ab.py times the exact table builders
-with the same loader, rotation and timing.
-Stdlib only; 40 rounds take about half a minute on a 2-core Xeon.
+of ``compute --method integral`` and of the ``all`` jobs, each warm and
+then cold, and sweeps at 1e-13.  A warm workload repeats its calls, so
+every pass after the first finds the side plans that the engine keeps
+per (alpha, beta, tol); a cold one moves every call of every pass,
+warm-up included, to a tolerance no earlier call used, so no call finds
+a kept plan, as in a one-shot CLI run.  It prints the median
+and quartiles of the per-round time ratio of this tree to OTHER_SRC,
+next to an A/A control: this tree against a second load of itself,
+whose spread is what a ratio of two equal engines shows.  The three
+loads take turns at each place in the timing order, one cyclic shift
+per round.  Every module fills its own node table in a warm-up pass
+before the timed rounds.  tools/exact_ab.py times the exact table
+builders with the same loader, rotation and timing.
+Stdlib only; 40 rounds take about 40 seconds on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import itertools
 import math
 import random
 import statistics
@@ -62,6 +68,7 @@ FIXED = ([(name, args + (1e-10,)) for x in CUTOVER_X
                                ("genfun_derivative_integral", (0.0, 1)))])
 BAD_TOLS = (0.0, -1e-10, math.nan, math.inf)
 BAD_X = (0.0, -1.0, math.nan, math.inf)
+_FRESH = itertools.count(1)
 
 
 def load(src: Path, name: str, stem: str = "quadrature"):
@@ -170,11 +177,17 @@ def sweep_workload(module, rng: random.Random, tol: float = 1e-10):
     return [(module.bernoulli2_integrals, (rng.randint(20, 300), tol)) for _ in range(8)]
 
 
-def _timed(calls) -> float:
-    # the best of three passes: one pass is too short to be steady
+def _timed(calls, cold: bool = False) -> float:
+    # the best of three passes: one pass is too short to be steady.  A cold
+    # pass moves each call's tol, its last argument, by a relative 2**-40
+    # times a number no earlier call drew, so that no call finds the plans
+    # of an earlier one
     gc.collect()
     best = math.inf
     for _ in range(3):
+        if cold:
+            calls = [(call, args[:-1] + (args[-1] * (1.0 + next(_FRESH) * 2.0 ** -40),))
+                     for call, args in calls]
         start = time.perf_counter()
         for call, args in calls:
             call(*args)
@@ -197,25 +210,31 @@ def rotation(loads: tuple, i: int) -> tuple:
 def timing(head, other, control, rounds: int, workloads=None) -> None:
     """Print head/other and head/control time ratios over rotating rounds.
 
-    `workloads` holds (label, build) pairs, where build(module, rng) gives
-    the (function, args) calls to time; by default the engine's lone calls
-    and its sweeps at tol 1e-10 and 1e-13.
+    `workloads` holds (label, build, cold) triples, where build(module, rng)
+    gives the (function, args) calls to time, and cold says whether every
+    pass moves each call to a tolerance no earlier pass used; by default
+    the engine's lone calls and its sweeps at tol 1e-10, warm and cold, and
+    its sweeps at 1e-13.
     """
     if workloads is None:
-        workloads = (("lone calls", lone_workload),
-                     ("sweeps 1e-10", sweep_workload),
-                     ("sweeps 1e-13", lambda module, rng: sweep_workload(module, rng, 1e-13)))
+        workloads = (("lone calls", lone_workload, False),
+                     ("lone calls, cold", lone_workload, True),
+                     ("sweeps 1e-10", sweep_workload, False),
+                     ("sweeps 1e-10, cold", sweep_workload, True),
+                     ("sweeps 1e-13", lambda module, rng: sweep_workload(module, rng, 1e-13),
+                      False))
     print(f"time ratio, this tree / other, over {rounds} rotating rounds "
           "(A/A: this tree / a second load of it)")
-    width = max(len(label) for label, _ in workloads) + 6
+    width = max(len(label) for label, _, _ in workloads) + 6
     print(f"{'workload':<{width}} median  quartiles")
-    for label, build in workloads:
+    for label, build, cold in workloads:
         work = {id(m): build(m, random.Random(SEED)) for m in (head, other, control)}
         for module in (head, other, control):
-            _timed(work[id(module)])     # warm-up: fills the module's node table
+            _timed(work[id(module)], cold)   # warm-up: fills the module's node table
         ab, aa = [], []
         for i in range(rounds):
-            spent = {id(m): _timed(work[id(m)]) for m in rotation((head, other, control), i)}
+            spent = {id(m): _timed(work[id(m)], cold)
+                     for m in rotation((head, other, control), i)}
             ab.append(spent[id(head)] / spent[id(other)])
             aa.append(spent[id(head)] / spent[id(control)])
         print(f"{label + ' A/B':<{width}} {_summary(ab)}")

@@ -44,14 +44,15 @@ def digests(module) -> dict[str, str]:
 
 
 def workloads() -> list:
-    """(label, build) pairs for engine_ab.timing: per builder, the small-N
-    calls and the benchmark-range calls."""
+    """(label, build, cold) triples for engine_ab.timing: per builder, the
+    small-N calls and the benchmark-range calls, each warm (the builders
+    take no tolerance)."""
     out = []
     for name in BUILDERS:
         out.append((f"{name} N=1,8", lambda module, rng, name=name: [
-            (getattr(module, name), (n,)) for n in SMALL for _ in range(SMALL_CALLS)]))
+            (getattr(module, name), (n,)) for n in SMALL for _ in range(SMALL_CALLS)], False))
         out.append((f"{name} N=64-256", lambda module, rng, name=name: [
-            (getattr(module, name), (n,)) for n in LARGE]))
+            (getattr(module, name), (n,)) for n in LARGE], False))
     return out
 
 

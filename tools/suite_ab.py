@@ -115,8 +115,9 @@ def suite_calls(package, suite: str) -> list:
 
 
 def workloads(suites) -> list:
-    """(label, build) pairs for engine_ab.timing, one per suite."""
-    return [(suite, lambda package, rng, suite=suite: suite_calls(package, suite))
+    """(label, build, cold) triples for engine_ab.timing, one per suite,
+    each warm: a suite's calls repeat as they are."""
+    return [(suite, lambda package, rng, suite=suite: suite_calls(package, suite), False)
             for suite in suites]
 
 
