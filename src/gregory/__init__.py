@@ -28,7 +28,6 @@ from .exact import (
 from .quadrature import (
     DEFAULT_MAX_LEVELS,
     DEFAULT_TOL,
-    IntegrandEvaluationError,
     QuadratureResult,
     bernoulli2_integral,
     bernoulli2_integrals,
@@ -45,6 +44,7 @@ from .properties import (
     CmReport,
     DegreeBracket,
     DeterminantVariant,
+    IntegrandEvaluationError,
     bareiss_determinant,
     check_bernstein,
     check_cm_sequence,

@@ -41,6 +41,7 @@ from .exact import (
 )
 from .properties import (
     CmReport,
+    IntegrandEvaluationError,
     _report,
     _value_string,
     check_bernstein,
@@ -57,7 +58,6 @@ from .properties import (
     is_majorized,
 )
 from .quadrature import (
-    IntegrandEvaluationError,
     bernoulli2_integrals,
     bernstein_identity,
     genfun_derivative_integral,

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, zip_longest
 from typing import Callable, Optional, Sequence
 
 from .exact import GregoryTable, _common_denominator, format_rational
-from .quadrature import IntegrandEvaluationError, shifted_kernel_integral
+from .quadrature import shifted_kernel_integral
 
 DEFAULT_GRID_ORDER = 8          # difference orders checked by the grid tests
 DEFAULT_CLOSED_FORM_SLACK = 1e-12
@@ -218,6 +218,13 @@ def _validate_index_tuple(indices) -> tuple[int, ...]:
     return out
 
 
+def _check_reach(table: GregoryTable, index: int) -> None:
+    # a check that reads b_index needs a table that reaches it
+    if index > table.max_index:
+        raise ValueError(
+            f"need coefficients through index {index}, table stops at {table.max_index}")
+
+
 def hankel_determinant(table: GregoryTable, indices,
                        variant: DeterminantVariant = DeterminantVariant.PLAIN) -> Fraction:
     """det of the factorial-moment matrix picked out by an index tuple.
@@ -228,10 +235,7 @@ def hankel_determinant(table: GregoryTable, indices,
     2 * max(indices) + 1.
     """
     idx = _validate_index_tuple(indices)
-    needed = 2 * max(idx) + 1
-    if needed > table.max_index:
-        raise ValueError(
-            f"need coefficients through index {needed}, table stops at {table.max_index}")
+    _check_reach(table, 2 * max(idx) + 1)
     moments, den = table.factorial_moments
     matrix = _moment_matrix(moments.__getitem__, idx, variant)
     return Fraction(_integer_determinant(matrix)[0], den ** len(idx))
@@ -249,9 +253,7 @@ def hankel_positive_definite(table: GregoryTable, size: int) -> bool:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    if 2 * size - 1 > table.max_index:
-        raise ValueError(
-            f"need coefficients through index {2 * size - 1}, table stops at {table.max_index}")
+    _check_reach(table, 2 * size - 1)
     moments, _ = table.factorial_moments
     minors = _integer_determinant([list(moments[i:i + size]) for i in range(size)])[1]
     return len(minors) == size and min(minors) > 0
@@ -305,9 +307,7 @@ def check_majorization_inequality(table: GregoryTable, lam, mu) -> CmReport:
         raise ValueError(f"{tuple(lam)} is not majorized by {tuple(mu)}")
     a, b = pair
     top = max(a[0], b[0])
-    if top + 1 > table.max_index:
-        raise ValueError(
-            f"need coefficients through index {top + 1}, table stops at {table.max_index}")
+    _check_reach(table, top + 1)
     width = max(len(a), len(b))
     moments, den = table.factorial_moments    # each product is over den**width
     lhs = abs(math.prod(map(moments.__getitem__, a)) * moments[0] ** (width - len(a)))
@@ -383,6 +383,15 @@ def closed_derivative(x: float, k: int) -> float:
 # ----------------------------------------------------------------------
 # float-grid checks for functions given only pointwise
 # ----------------------------------------------------------------------
+
+class IntegrandEvaluationError(ArithmeticError):
+    """An integrand returned a non-finite value; carries the abscissa."""
+
+    def __init__(self, abscissa: float, value: float):
+        self.abscissa = abscissa
+        self.value = value
+        super().__init__(f"integrand evaluated to {value!r} at s={abscissa!r}")
+
 
 def cm_grid_test(f: Callable[[float], float], x_grid: Sequence[float],
                  K: int = DEFAULT_GRID_ORDER, h: Optional[float] = None,

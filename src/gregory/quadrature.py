@@ -27,44 +27,20 @@ turns K into a trapezoid sum over tau with the one term
 
 where 1/(y^2 + pi^2) IS v(s), since ln((1-s)/s) = -y.  The logarithm in
 the kernel is therefore available exactly even where s or 1 - s
-underflows.  As y^2 + pi^2 = (pi cosh tau)^2, every term is bounded in
-advance by the envelope sigma(-|y|)^alpha * (pi cosh tau)^beta with
-beta = -1, alpha = 1 on the s -> 1 side and alpha = a on the s -> 0
-side; one side routine stops either side where the envelope falls below
-a fixed fraction of tol and bounds what it dropped, for the error
-estimate.  The engine hands a term function a side's nodes as rows of
-the node columns it reads, so a kernel's terms come from one list
-comprehension per side and level over rows (s, j*(1-s), d), the product
-being a column of the node table.  With a = 0 the s -> 0 side decays
-only like 1/(pi cosh tau) and runs out to tau of about 26, but from the
-first node where 1.0 + x*s rounds to 1.0 the term is exactly j*(1-s)/d,
-free of x and p.  At every x, 0 included, one rule applies: the s -> 1
-side computes its kept terms, and the s -> 0 side bisects for that first
-node (node 0 at x = 0) and reads the terms from it on as a slice of the
-stored j*(1-s)/d column instead of computing them, which covers about
-70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x), f'(x) and h_1(x), and
-most of b_1's.  :func:`bernstein_identity`,
-the one integral without the kernel, reads rows (1-s, j*s) under the
-same envelope at beta = +1.
+underflows.
 
 :func:`_integrate_members`, the engine's one entry, sums a list of
-members, kernels that share the s -> 1 side's alpha.  They run through
-the level loop one after another.  Where a side stops on a level, how
-many nodes it keeps and what it bounds the dropped ones by depend only on
-(alpha, beta, tol) over fixed node columns, so each side reads them from
-a plan that the module works out once and keeps for later calls; the side
-routine runs only for a level that no call has reached in that plan.  The
-s -> 0 sides are planned only from the second call at a tolerance on, so
-a call at a fresh one pays for a single plan.  An s -> 0 side whose node
-0 already falls to the cut settles on one test of constants kept per
-level and reads no plan.  The first member to reach a level fetches the
-node table and the s -> 1 side's kept rows, once for all; a member then
-pays only for its own terms, its sum and its estimate, and every result
-is bit for bit the one its member gets alone, with new plans or kept
-ones.  The engine and the node table read one level layout.
-:func:`bernoulli2_integrals` sums b_1..b_N as one such list, and every
-other public function is a list of one; each scales its raw tuples and
-builds one QuadratureResult apiece.
+members, each a term function over the rows of the node table's columns
+(see the node table).  Each side of tau = 0 stops where an envelope
+known in advance falls below a fixed fraction of tol and bounds what it
+dropped, reading where it stops on each level from a plan kept for its
+envelope and tolerance (see the side plans).  :func:`_kernel_member`
+gives K's term and rounding floor; an a = 0 kernel reads its s -> 0
+terms from the node table where 1.0 + x*s rounds to 1.0.
+:func:`bernoulli2_integrals` sums b_1..b_N as one list of members, every
+other public function is a list of one, and each builds one
+QuadratureResult per member.  :func:`bernstein_identity`, the one
+integral without the kernel, sends its own term.
 
 Tolerances are absolute error targets throughout; callers wanting a
 relative target scale tol by a magnitude estimate first.  Every call
@@ -89,15 +65,6 @@ DEFAULT_MAX_LEVELS = 12     # dyadic refinements; about 2^12 nodes per side
 _MIN_LEVEL = 2              # first level whose estimate may claim convergence
 _T_MAX = 36.0               # |tau| cap; slowest tail is ~exp(-tau) < 3e-16 there
 _U = 2.0 ** -53             # unit roundoff: the relative error of one rounding
-
-
-class IntegrandEvaluationError(ArithmeticError):
-    """An integrand returned a non-finite value; carries the abscissa."""
-
-    def __init__(self, abscissa: float, value: float):
-        self.abscissa = abscissa
-        self.value = value
-        super().__init__(f"integrand evaluated to {value!r} at s={abscissa!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +101,7 @@ class QuadratureResult:
 # names _S, _C, _J, _E, _JC, _JS and _JSD; swapping s with 1 - s and j*(1-s)
 # with j*s, as _MIRROR does for the six columns a shape can name, gives the
 # s -> 0 side's, since y^2, and with it d, is even.  _JSD is that side's
-# j*(1-s)/d, from which the engine reads an a = 0 kernel's terms.  A
+# j*(1-s)/d, the term an a = 0 kernel reads (see _integrate_members).  A
 # level's columns hold a prefix of its nodes and grow on demand, doubling
 # up to the level's full count; growth swaps in longer tuples under a
 # lock, so a caller keeps an immutable copy and concurrent calls stay safe.
@@ -191,13 +158,16 @@ def _level_table(level: int, need: int) -> tuple:
 # nodes kept, truncation bound) record that the engine's side routine
 # returns there, None until a call first reads that level's side; writing
 # a record into its slot is idempotent, as every call works out the same
-# one, so concurrent calls need no lock.  A call plans its s -> 0 sides
-# only if an earlier call left its s -> 1 side's plan: a plan pays off
-# only when its (alpha, beta, tol) repeats, and a call at a fresh
-# tolerance then costs one plan, not one per member.  _NODE0 holds, per
-# beta and level, node 0's 1 - s, j**beta, s, j and beta*tanh(h) (beta if
-# beta > 0): the constants of the one node-0 test that settles an s -> 0
-# side without its plan.
+# one, so concurrent calls need no lock.  Both sides read plans by one
+# rule: the s -> 1 side reads _plan(1, beta, cut), an s -> 0 side with
+# alpha lo reads _plan(lo, beta, cut), looked up once per member on the
+# first level it needs, and the side routine runs only to fill an empty
+# slot.  The one exception is an s -> 0 side whose node 0 falls to the
+# cut, on level 0 or after a level where it kept nothing: it keeps nothing,
+# and the record the side routine would return, r taken at node 0, follows
+# from node 0's constants, which _NODE0 holds per beta and level (1 - s,
+# j**beta, s, j and beta*tanh(h), beta if beta > 0).  Such a side reads no
+# plan, so the large-n members of a coefficient sweep do no plan traffic.
 # ----------------------------------------------------------------------
 
 _NODE0 = {beta: [(c[_C][0], c[_J][0] ** beta, c[_S][0], c[_J][0],
@@ -216,7 +186,7 @@ def _plan(alpha: int, beta: int, cut: float) -> list:
 _KERNEL_ROWS = (_S, _JC, _E)
 
 
-def _integrate_members(members: list, hi: int, beta: int, tol: float,
+def _integrate_members(members: list, beta: int, tol: float,
                        shape: tuple = _KERNEL_ROWS) -> list[tuple]:
     """Trapezoid-in-tau summation of term functions that share the s -> 1 side.
 
@@ -230,15 +200,12 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     pi*cosh(tau), d = y^2 + pi^2, j*(1-s) and j*s), and term(rows) maps an
     iterable of rows, one tuple of those columns per node and in node
     order, to an iterable of the transformed integrand's terms (Jacobian
-    included); the terms are finite and never negative.  flat is None, or
-    the x of a kernel member with a = 0, whose
-    term at every node where 1.0 + x*s == 1.0 is exactly that node's
-    j*(1-s)/d (see below).  Each side of a member is bounded in advance by
-    the envelope
+    included); the terms are finite and never negative.  Each side of a
+    member is bounded in advance by the envelope
 
         M(tau) = sigma(-pi sinh|tau|)**alpha * (pi cosh tau)**beta,
 
-    with alpha = hi on the s -> 1 side and alpha = lo on the s -> 0 side:
+    with alpha = 1 on the s -> 1 side and alpha = lo on the s -> 0 side:
     every term at tau is at most M(tau).  M decreases in |tau| at the
     rate alpha*sigma(|y|)*pi*cosh(tau) - beta*tanh|tau|, which is at
     least r, that rate taken at the last node kept with tanh replaced by
@@ -251,20 +218,21 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     level one test of the node halfway between the last node kept and the
     first dropped.  The nodes it drops then sum to at most cut * (h + 1/r);
     a side whose envelope is still above the cut at tau = 36 adds M/r
-    taken there instead.  A level's node columns, laid out as _LAYOUTS
-    says, are built only as far as these tests and terms reach.  A side
-    with no node left computes no term.
+    taken there instead.  A side's record on a level comes from its plan
+    (see the side plans above).  A level's node columns, laid out as
+    _LAYOUTS says, are built only as far as these tests and terms reach.
+    A side with no node left computes no term.
 
-    A member with flat = x takes part of its s -> 0 terms from the node
-    table, by one rule at every x, 0 included.  On that side s falls from
-    node to node, so the kept nodes where 1.0 + x*s == 1.0 are a suffix;
-    one bisection per level finds its first node (node 0 at x == 0), term
-    computes the terms before it, and the rest are a slice of the side's
-    j*(1-s)/d column.  The two agree bit for bit, as s**0 == 1.0,
-    1.0**p == 1.0 and e * 1.0 == e: with a = 0 the kernel's term is
-    j*(1-s)/d once 1.0 + x*s rounds to 1.0.  A member without flat
-    bisects nothing and computes every kept term, as does every member
-    on the s -> 1 side.
+    flat is None, or the x of a member whose term is exactly j*(1-s)/d at
+    every node where 1.0 + x*s == 1.0, as an a = 0 kernel's is (see
+    :func:`_kernel_member`).  On the s -> 0 side s falls from node to
+    node, so those of its kept nodes are a suffix; one bisection per
+    level finds its first node (node 0 at x == 0), term computes the
+    terms before it, and the rest are a slice of the side's _JSD column.
+    That covers about 70 to 90 % of the terms of 1/ln(1+x),
+    x/ln(1+x), f'(x) and h_1(x), whose s -> 0 side decays only like
+    1/(pi cosh tau) out to tau near 26, and every s -> 0 term at x == 0.
+    Every other side computes all of its kept terms.
 
     Levels halve the step until the error estimate meets tol.  The
     estimate adds both sides' truncation bounds and a rounding floor of
@@ -286,31 +254,17 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
     exceeds tol, since no finer level can then converge.  n_evals counts
     the terms summed, computed or read.
 
-    A side's record on a level, its first dropped node, nodes kept and
-    truncation bound, depends only on its alpha, beta and cut, so it comes
-    from the side's plan (see the side plans above): the s -> 1 side of
-    every member reads plan(hi, beta, cut), and an s -> 0 side reads
-    plan(lo, beta, cut), looked up once per member, on every level that
-    node 0 does not settle, provided an earlier call reached level 0 of
-    plan(hi, beta, cut); in a first call at this (hi, beta, cut) the
-    s -> 0 sides run the side routine directly.  The side routine runs
-    only where the plan's slot is still empty, and its record fills the
-    slot.  An s -> 0 side that kept no node tests only node 0 on the next
-    level, and one whose node 0 falls to the cut keeps nothing and adds
-    the bound that r at node 0 gives, which is the record the side routine
-    returns there, from node 0's constants in _NODE0: such a side reads
-    no plan, so the large-n members of a coefficient sweep do no plan
-    traffic.  Per call, the first member to reach a level fetches the
-    node table as far as its two sides reach and builds the s -> 1
-    side's kept rows: rows that more than one member reads, the kept ones
-    and the centre node's, are built once as a list of tuples; a lone
-    member streams them, as every member streams its own s -> 0 side's
-    rows.  A member runs through the level loop alone: it grows the
-    level's node table only if its own s -> 0 side reaches further, so
-    tables grow exactly as far as member by member, with new plans or
-    kept ones, adds its own terms and estimate, and leaves the loop, never
-    to be visited again, when it converges or settles.  Each result is bit
-    for bit the one the member gets alone.
+    Members run through the level loop one after another.  The first
+    member to reach a level fetches the node table as far as its two
+    sides reach and builds the s -> 1 side's kept rows: rows that more
+    than one member reads, the kept ones and the centre node's, are built
+    once as a list of tuples; a lone member streams them, as every member
+    streams its own s -> 0 side's rows.  A later member grows the level's
+    node table only if its own s -> 0 side reaches further, so tables
+    grow exactly as far as member by member, adds its own terms and
+    estimate, and leaves the loop, never to be visited again, when it
+    converges or settles.  Each result is bit for bit the one the member
+    gets alone, with new plans or kept ones.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -322,7 +276,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
 
     def side(level, first, alpha, layout, cols):
         # a side's first dropped node as j in tau = j*h (36/h + 1 while none
-        # is, as before level 0), its number of nodes kept and its truncation bound
+        # is), its number of nodes kept and its truncation bound
         h, step, full = layout
         sig, sigc, jac = cols[_S], cols[_C], cols[_J]
         if level == 0:
@@ -343,10 +297,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
         return first, stop, (cut * (h + 1.0 / r) if stop < full
                              else sigc[k] ** alpha * jac[k] ** beta / r)
 
-    plan_hi, node0 = _plan(hi, beta, cut), _NODE0[beta]
-    # every call reaches level 0: a filled slot 0 means an earlier call ran
-    # at this (hi, beta, cut), and only then are s -> 0 sides planned
-    reuse = plan_hi[0] is not None
+    plan_hi, node0 = _plan(1, beta, cut), _NODE0[beta]
     center = share(zip(*pick_hi(_CENTER)))
     levels: list[tuple] = []    # one record per level reached
     first_hi = int(_T_MAX) + 1  # the s -> 1 side's first dropped node on the last level
@@ -370,7 +321,7 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
                 cols = _level_table(level, need if need < layout[2] else layout[2])
                 record = plan_hi[level]
                 if record is None:
-                    record = plan_hi[level] = side(level, first_hi, hi, layout, cols)
+                    record = plan_hi[level] = side(level, first_hi, 1, layout, cols)
                 first_hi, stop, trunc_hi = record
                 levels.append((h, layout, cols, trunc_hi,
                                share(islice(zip(*pick_hi(cols)), stop))) + node0[level])
@@ -384,20 +335,16 @@ def _integrate_members(members: list, hi: int, beta: int, tol: float,
             else:
                 if first_lo > len(cols[0]):     # past what the first member fetched
                     cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
-                if reuse:
-                    if plan_lo is None:
-                        plan_lo = _plan(lo, beta, cut)
-                    record = plan_lo[level]
-                    if record is None:
-                        record = plan_lo[level] = side(level, first_lo, lo, layout, cols)
-                else:
-                    record = side(level, first_lo, lo, layout, cols)
+                if plan_lo is None:
+                    plan_lo = _plan(lo, beta, cut)
+                record = plan_lo[level]
+                if record is None:
+                    record = plan_lo[level] = side(level, first_lo, lo, layout, cols)
                 first_lo, stop, trunc_lo = record
                 trunc += trunc_lo
                 if stop:
-                    # an a = 0 kernel's terms are column values from the first
-                    # node where 1.0 + x*s == 1.0 on, as s falls along the side;
-                    # any other member computes all of its kept terms
+                    # a flat member's terms from the first node where 1.0 + x*s
+                    # == 1.0 on are _JSD values; any other computes all of its own
                     at = stop if flat is None else bisect_left(
                         cols[_C], True, 0, stop, key=lambda s: 1.0 + flat * s == 1.0)
                     if at:
@@ -441,7 +388,7 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     """The engine member (term, alpha on the s -> 0 side, floor, flat) of K(a, x, p).
 
     :func:`_kernel` sends it alone and :func:`bernoulli2_integrals` one per
-    coefficient; either caller builds one result per member.
+    coefficient.
 
     Every term is jac*sigc*sig**a / (d*(1+x*sig)**p), read from the rows
     (s, j*(1-s), d) that _KERNEL_ROWS names, finite and never negative for
@@ -453,15 +400,9 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     (b_n, mu_n, f^(k)(0), h_n(0)), p == 1 with a == 0 (1/ln(1+x),
     x/ln(1+x), h_1(x)) and the general one (f^(k)(x), h_n(x)); the first
     two drop only factors exactly 1.0 in IEEE arithmetic, so all round alike.
-
-    flat is x when a == 0 and None otherwise.  With a == 0, each of the
+    flat is x when a == 0 and None otherwise: with a == 0 each of the
     three terms is exactly j*(1-s)/d at a node where 1.0 + x*s == 1.0, as
-    s**0, (1.0 + x*s)**p and the products with them are then exact, so the
-    engine reads the s -> 0 side's terms from the node table there, at
-    every x alike: about 70 to 90 % of the terms of 1/ln(1+x), x/ln(1+x),
-    f'(x) and h_1(x), whose s -> 0 side decays only like 1/(pi cosh tau),
-    out to tau near 26, and every s -> 0 term at x == 0 (b_1, mu_0, f'(0),
-    h_1(0)).
+    s**0 == 1.0, 1.0**p == 1.0 and e * 1.0 == e.
 
     The rounding floor is (a + p + 4) unit roundoffs u = 2**-53 per term,
     without the p at x == 0, where no power of 1 + x*s is formed.  To first
@@ -498,7 +439,7 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
 def _kernel(a: int, x: float, p: int, tol: float) -> tuple:
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled, as the
     engine's raw tuple, with the term and floor of :func:`_kernel_member`."""
-    return _integrate_members([_kernel_member(a, x, p)], 1, -1, tol)[0]
+    return _integrate_members([_kernel_member(a, x, p)], -1, tol)[0]
 
 
 def _inner_tol(tol: float, scale: float) -> float:
@@ -535,7 +476,7 @@ def bernoulli2_integrals(n_max: int, tol: float = DEFAULT_TOL) -> list[Quadratur
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     members = [_kernel_member(n - 1, 0.0, 0) for n in range(1, n_max + 1)]
-    raws = _integrate_members(members, 1, -1, tol)
+    raws = _integrate_members(members, -1, tol)
     return [_result(value if n % 2 == 1 else -value, est, n_evals, converged, tol)
             for n, (value, est, n_evals, converged) in enumerate(raws, 1)]
 
@@ -638,7 +579,7 @@ def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     def term(rows):
         return [js * c * base ** -c for c, js in rows]
     value, est, n_evals, converged = _integrate_members(
-        [(term, 1, 1.1e-16, None)], 1, 1, _inner_tol(tol, base), (_C, _JS))[0]
+        [(term, 1, 1.1e-16, None)], 1, _inner_tol(tol, base), (_C, _JS))[0]
     return _result(base * value, base * est, n_evals, converged, tol)
 
 

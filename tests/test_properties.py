@@ -260,15 +260,16 @@ class TestIntegerPath:
         The term jac * sigc**(k+1) / (y**2 + pi**2) is that integrand in
         the tanh-sinh variables, read from rows (1 - s, jac, d) of the
         node columns, d = y**2 + pi**2 among them; summed by the engine itself, it keeps the 1/(s ln(s)**2) tail
-        below the smallest normal s.  Its envelope is sigma(-|y|)**(k+1)
-        / (pi cosh tau) on the s -> 1 side and 1/(pi cosh tau) on the
+        below the smallest normal s.  Its envelope is sigma(-|y|)/(pi cosh
+        tau) on the s -> 1 side, which bounds its terms there as
+        sigma(-|y|)**(k+1) <= sigma(-|y|), and 1/(pi cosh tau) on the
         s -> 0 side.
         """
         table = difference_table(signed_moment_sequence(table31), 30)
         for k in range(31):
             def term(rows):
                 return [j * c ** (k + 1) / e for c, j, e in rows]
-            value = _integrate_members([(term, 0, 1.1e-16, None)], k + 1, -1, 1e-15, (_C, _J, _E))[0][0]
+            value = _integrate_members([(term, 0, 1.1e-16, None)], -1, 1e-15, (_C, _J, _E))[0][0]
             assert abs(value - float(table.alternating(k, 0))) <= 1e-14, k
 
 

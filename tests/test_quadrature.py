@@ -150,7 +150,7 @@ def _reference_side(nodes, alpha, beta, cut: float, h: float):
     return kept, sigc ** alpha * jac ** beta / r
 
 
-def _reference_integrate(g, alphas, beta, tol: float, max_levels: int,
+def _reference_integrate(g, lo, beta, tol: float, max_levels: int,
                          floor: float = 1.1e-16) -> QuadratureResult:
     gvals = []
     prev_total = prev_diff = None
@@ -163,7 +163,7 @@ def _reference_integrate(g, alphas, beta, tol: float, max_levels: int,
             gvals.append(g(nodes[0]))
             nodes = nodes[1:]
         trunc = 0.0
-        for alpha, mirrored in zip(alphas, (False, True)):
+        for alpha, mirrored in zip((1, lo), (False, True)):
             kept, bound = _reference_side(nodes, alpha, beta, cut, h)
             for node in kept:
                 v = g(_mirror(node) if mirrored else node)
@@ -207,7 +207,7 @@ def _reference_kernel(a: int, x: float, p: int, tol: float, max_levels: int):
             return jac * sigc * sig ** a / ((y * y + math.pi * math.pi) * (1.0 + x * sig) ** p)
         except OverflowError:
             return 0.0
-    return _reference_integrate(g, (1, a), -1, tol, max_levels, _kernel_floor(a, x, p))
+    return _reference_integrate(g, a, -1, tol, max_levels, _kernel_floor(a, x, p))
 
 
 def _reference_bernstein(x: float, tol: float) -> QuadratureResult:
@@ -216,7 +216,7 @@ def _reference_bernstein(x: float, tol: float) -> QuadratureResult:
     def g(nd):
         _, _, s, c, jac = nd
         return jac * s * c * base ** -c
-    raw = _reference_integrate(g, (1, 1), 1, max(tol / base, 5e-324),
+    raw = _reference_integrate(g, 1, 1, max(tol / base, 5e-324),
                                quadrature.DEFAULT_MAX_LEVELS)
     est = base * raw.abs_error_estimate
     return QuadratureResult(value=base * raw.value, abs_error_estimate=est,
@@ -238,18 +238,17 @@ def _capped(levels):
     return mock.patch.object(quadrature, "DEFAULT_MAX_LEVELS", levels)
 
 
-def _members(members: list, hi: int, beta: int, tol: float, levels=None,
+def _members(members: list, beta: int, tol: float, levels=None,
              shape: tuple = quadrature._KERNEL_ROWS) -> list:
     with _capped(levels):
-        raws = quadrature._integrate_members(members, hi, beta, tol, shape)
+        raws = quadrature._integrate_members(members, beta, tol, shape)
     return [QuadratureResult(*raw) for raw in raws]
 
 
-def _integrate(term, alphas, beta, tol: float, levels=None, floor: float = 1.1e-16,
+def _integrate(term, lo, beta, tol: float, levels=None, floor: float = 1.1e-16,
                shape: tuple = quadrature._KERNEL_ROWS) -> QuadratureResult:
-    # one term function, alphas = (alpha on the s -> 1 side, on the s -> 0 side)
-    hi, lo = alphas
-    return _members([(term, lo, floor, None)], hi, beta, tol, levels, shape)[0]
+    # one term function, lo being its envelope's alpha on the s -> 0 side
+    return _members([(term, lo, floor, None)], beta, tol, levels, shape)[0]
 
 
 def _side_columns(node: tuple) -> tuple:
@@ -266,7 +265,7 @@ def _kernel_result(a: int, x: float, p: int, tol: float, levels=None) -> Quadrat
 
 
 # test-local term functions of the engine, with the side columns each
-# reads: (term, shape, alphas, beta, exact value)
+# reads: (term, shape, alpha on the s -> 0 side, beta, exact value)
 _UNIT_ROWS = (quadrature._C, quadrature._JS)
 _CUBE_ROWS = (quadrature._S, quadrature._C, quadrature._J)
 _WEIGHTED_ROWS = (quadrature._C, quadrature._J, quadrature._E)
@@ -291,16 +290,16 @@ def _setup_term(rows):
 
 
 def _weighted_term(rows):
-    # (1-s)^2 v(s)/s, the one term checked bit for bit with alpha != 1 on
-    # the s -> 1 side (here 3); mu_0 - 2 mu_1 + mu_2 = 3/8
+    # (1-s)^2 v(s)/s, mu_0 - 2 mu_1 + mu_2 = 3/8: its s -> 1 terms carry
+    # sigma(-|y|)**3, under the alpha = 1 envelope as sigma(-|y|)**m <= sigma(-|y|)
     return [j * c ** 3 / e for c, j, e in rows]
 
 
 _TERMS = {
-    "one": (_unit_term, _UNIT_ROWS, (1, 1), 1, 1.0),
-    "s^3": (_cube_term, _CUBE_ROWS, (1, 4), 1, 0.25),
-    "v(s) s^2": (_moment_term, quadrature._KERNEL_ROWS, (1, 3), -1, 19.0 / 720.0),
-    "(1-s)^2 v(s)/s": (_weighted_term, _WEIGHTED_ROWS, (3, 0), -1, 3.0 / 8.0),
+    "one": (_unit_term, _UNIT_ROWS, 1, 1, 1.0),
+    "s^3": (_cube_term, _CUBE_ROWS, 4, 1, 0.25),
+    "v(s) s^2": (_moment_term, quadrature._KERNEL_ROWS, 3, -1, 19.0 / 720.0),
+    "(1-s)^2 v(s)/s": (_weighted_term, _WEIGHTED_ROWS, 0, -1, 3.0 / 8.0),
 }
 
 
@@ -362,12 +361,11 @@ class TestColumnEngineMatchesPerNodeReference:
     @example(args=(0, _MAX, 2), tol=5e-324, max_levels=12)
     def test_kernel_bits(self, args, tol, max_levels):
         """Value, estimate, n_evals and converged agree bit for bit, from no
-        side plans, from the s -> 1 side's plan that the first call left
-        (the second call plans its s -> 0 side) and from both plans."""
+        side plans and from the plans the first call left."""
         a, x, p = args
         _clear_plans()
-        runs = [_bits(_kernel_result(a, x, p, tol, max_levels)) for _ in range(3)]
-        assert runs == [_bits(_reference_kernel(a, x, p, tol, max_levels))] * 3
+        runs = [_bits(_kernel_result(a, x, p, tol, max_levels)) for _ in range(2)]
+        assert runs == [_bits(_reference_kernel(a, x, p, tol, max_levels))] * 2
 
     @pytest.mark.parametrize("x", [0.005170849486911463, 4.565809361902511e-15])
     def test_tie_examples_tie_at_one_level_0_node(self, x):
@@ -413,7 +411,7 @@ class TestColumnEngineMatchesPerNodeReference:
             handed.append(len(terms))
             return terms
 
-        got = _members([(counting, lo, floor, flat)], 1, -1, tol)[0]
+        got = _members([(counting, lo, floor, flat)], -1, tol)[0]
         assert _bits(got) == _bits(_kernel_result(*args, tol))
         if computed is None:
             assert flat is None and sum(handed) == got.n_evals
@@ -437,7 +435,7 @@ class TestColumnEngineMatchesPerNodeReference:
         """A term function is handed exactly the reference's nodes, in
         order, as rows of the side columns it reads, and the result is the
         same."""
-        term, shape, alphas, beta, _ = _TERMS[name]
+        term, shape, lo, beta, _ = _TERMS[name]
         seen = []
 
         def recording(rows):
@@ -445,7 +443,7 @@ class TestColumnEngineMatchesPerNodeReference:
             seen.extend(rows)
             return term(rows)
 
-        got = _integrate(recording, alphas, beta, tol, max_levels, shape=shape)
+        got = _integrate(recording, lo, beta, tol, max_levels, shape=shape)
         visited = []
 
         def g(nd):
@@ -453,7 +451,7 @@ class TestColumnEngineMatchesPerNodeReference:
             visited.append(tuple(cols[i] for i in shape))
             return term([visited[-1]])[0]
 
-        want = _reference_integrate(g, alphas, beta, tol, max_levels)
+        want = _reference_integrate(g, lo, beta, tol, max_levels)
         assert _bits(got) == _bits(want)
         assert seen == visited
 
@@ -553,14 +551,14 @@ class TestEngine:
     @pytest.mark.parametrize("name", sorted(_TERMS))
     def test_exact_values(self, name):
         """Each test-local term function integrates to its exact value."""
-        term, shape, alphas, beta, exact = _TERMS[name]
-        result = _integrate(term, alphas, beta, 1e-12, shape=shape)
+        term, shape, lo, beta, exact = _TERMS[name]
+        result = _integrate(term, lo, beta, 1e-12, shape=shape)
         assert result.converged
         assert abs(result.value - exact) <= 1e-12
 
     def test_unreachable_tol_reports_not_converged(self):
         """An impossible tolerance is reported honestly, not raised."""
-        result = _integrate(_unit_term, (1, 1), 1, 1e-30, shape=_UNIT_ROWS)
+        result = _integrate(_unit_term, 1, 1, 1e-30, shape=_UNIT_ROWS)
         assert not result.converged
         assert result.n_evals > 0
         assert abs(result.value - 1.0) < 1e-13
@@ -568,7 +566,7 @@ class TestEngine:
     def test_rejects_bad_controls(self):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                _integrate(_unit_term, (1, 1), 1, tol, shape=_UNIT_ROWS)
+                _integrate(_unit_term, 1, 1, tol, shape=_UNIT_ROWS)
 
     def test_plan_memo_keeps_the_1024_most_recent_plans(self):
         """1,124 calls at distinct tolerances, one side plan each (mu_1's two
@@ -585,10 +583,21 @@ class TestEngine:
         quadrature._plan(1, -1, _cut(tols[99]))
         assert quadrature._plan.cache_info().misses == info.misses + 1
 
+    def test_a_fresh_tolerance_plans_both_sides(self):
+        """One call at a tolerance no call has used plans both of its sides:
+        f'(0.06) leaves the s -> 1 side's plan (alpha 1) and its s -> 0
+        side's (alpha 0), slot 0 of each filled, and no other."""
+        tol = 1.234e-10
+        _clear_plans()
+        genfun_derivative_integral(0.06, 1, tol)
+        assert quadrature._plan.cache_info().currsize == 2
+        plans = [quadrature._plan(alpha, -1, _cut(tol)) for alpha in (1, 0)]
+        assert all(plan[0] is not None for plan in plans)
+
     def test_threaded_calls_agree(self):
         """Concurrent calls give identical results."""
         def job(_):
-            return _integrate(_cube_term, (1, 4), 1, 1e-10, shape=_CUBE_ROWS).value
+            return _integrate(_cube_term, 4, 1, 1e-10, shape=_CUBE_ROWS).value
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(job, range(8)))
@@ -600,11 +609,11 @@ class TestEngine:
         them reaching tau = 36 on their levels and half stopping far short
         of it, agree with serial calls.  The first is the kernel of
         f^(10)(0.25) with no floor, at a tol it never meets.  Each thread
-        makes its call twice, the second time planning the s -> 0 side.
-        Starting from no plans, the threads leave the four side plans of
-        the serial calls, each holding one record per level a side read
-        from it and the serial record there."""
-        calls = (lambda: _integrate(_setup_term, (1, 9), -1, 1e-100, floor=0.0),
+        makes its call twice, the second time reading the plans the first
+        left.  Starting from no plans, the threads leave the four side
+        plans of the serial calls, each holding one record per level a side
+        read from it and the serial record there."""
+        calls = (lambda: _integrate(_setup_term, 9, -1, 1e-100, floor=0.0),
                  lambda: genfun_derivative_integral(0.06, 1, 1e-30))
         keys = [(alpha, -1, _cut(tol)) for tol, alphas in ((1e-100, (1, 9)), (1e-30, (1, 0)))
                 for alpha in alphas]
@@ -668,7 +677,7 @@ class TestNodeColumns:
         assert not genfun_derivative_integral(0.25, 10, 1e-13).converged
         assert max(quadrature._node_levels) == 5
         _clear_node_tables()
-        _integrate(_setup_term, (1, 9), -1, 1e-100, floor=0.0)
+        _integrate(_setup_term, 9, -1, 1e-100, floor=0.0)
         assert 5 * len(quadrature._node_levels[12][0]) <= 36 << 11
         _clear_node_tables()
         for n in range(1, 301):
@@ -755,9 +764,9 @@ class TestCoefficientSweep:
         """bernoulli2_integrals(300) and then the lone call of each of its
         members, and the same in the reverse order, each from no plans,
         give the same bits: the second to run reads the plans the first
-        left.  A first call at a tolerance plans only the s -> 1 side
-        (alpha 1); every later one also plans the s -> 0 sides that node 0
-        does not settle, those of b_1..b_35 (alpha 0..34)."""
+        left.  Either order plans the s -> 1 side (alpha 1) and the s -> 0
+        sides that node 0 does not settle, those of b_1..b_35 (alpha
+        0..34)."""
         def sweep():
             return [_bits(r) for r in quadrature.bernoulli2_integrals(300)]
 
@@ -777,7 +786,7 @@ class TestCoefficientSweep:
         runs.append(sweep())
         sizes.append(plans())
         assert runs[1:] == [runs[0]] * 3
-        assert sizes == [1, 35, 34, 35]     # the first lone call, b_1's, plans no alpha 0
+        assert sizes == [35, 35, 35, 35]
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-30])
     def test_signs_the_kernel_integrals(self, tol):
@@ -836,7 +845,7 @@ class TestMembers:
         """Kernels of any shape, in any order, some reaching levels that no
         member before them reached, each get the bits of their own call."""
         got = _members([quadrature._kernel_member(*args) for args in kernels],
-                       1, -1, tol, max_levels)
+                       -1, tol, max_levels)
         want = [_kernel_result(*args, tol, max_levels) for args in kernels]
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
@@ -846,7 +855,7 @@ class TestMembers:
         kernels = [(299, 0.0, 0), (0, 0.0, 0), (0, 1e3, 2)]
         want = [_bits(_kernel_result(*args, 1e-13)) for args in kernels]
         _clear_node_tables()
-        got = _members([quadrature._kernel_member(*args) for args in kernels], 1, -1, 1e-13)
+        got = _members([quadrature._kernel_member(*args) for args in kernels], -1, 1e-13)
         assert [_bits(r) for r in got] == want
 
     def test_s1_side_is_worked_out_once_per_level(self):
@@ -865,7 +874,7 @@ class TestMembers:
             return recording, lo, floor, None
 
         quadrature._integrate_members([member(i, a) for i, a in enumerate((0, 5, 40))],
-                                      1, -1, 1e-10)
+                                      -1, 1e-10)
         members_of = {}
         for i, rows in handed:
             members_of.setdefault(id(rows), set()).add(i)
@@ -891,7 +900,7 @@ class TestMembers:
             # no x: every term, a = 0 too, comes from the term function
             return recording, lo, floor, None
 
-        got = _members([member(i, args[0]) for i, args in enumerate(kernels)], 1, -1, tol)
+        got = _members([member(i, args[0]) for i, args in enumerate(kernels)], -1, tol)
         want = [_kernel_result(*args, tol) for args in kernels]
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
         order = [i for i, _, _ in handed]
@@ -916,7 +925,7 @@ class TestMembers:
             handed.append(rows)
             return term(rows)
 
-        got = _members([(recording, lo, floor, flat)], 1, -1, 1e-10)[0]
+        got = _members([(recording, lo, floor, flat)], -1, 1e-10)[0]
         assert _bits(got) == _bits(_kernel_result(3, 0.0, 0, 1e-10))
         assert handed and not any(isinstance(rows, list) for rows in handed)
 
