@@ -130,7 +130,11 @@ _CENTER = _columns([0.0])
 
 
 def _level_table(level: int, need: int) -> tuple:
-    """The columns of a level, holding at least its first `need` nodes."""
+    """The columns of a level, holding at least its first `need` nodes, or
+    all of them when it has fewer."""
+    h, step, full = _LAYOUTS[level]
+    if need > full:
+        need = full
     cols = _node_levels.get(level)
     if cols is not None and len(cols[0]) >= need:
         return cols
@@ -138,7 +142,6 @@ def _level_table(level: int, need: int) -> tuple:
         cols = _node_levels.get(level, ((),) * len(_CENTER))
         have = len(cols[0])
         if have < need:   # re-check under the lock
-            h, step, full = _LAYOUTS[level]
             top = min(max(need, 2 * have), full)
             grown = _columns([(step * i + 1) * h for i in range(have, top)])
             cols = _node_levels[level] = tuple(map(tuple.__add__, cols, grown))
@@ -318,7 +321,7 @@ def _integrate_members(members: list, beta: int, tol: float,
                 layout = _LAYOUTS[level]
                 h = layout[0]
                 need = first_hi if first_hi > first_lo else first_lo
-                cols = _level_table(level, need if need < layout[2] else layout[2])
+                cols = _level_table(level, need)
                 record = plan_hi[level]
                 if record is None:
                     record = plan_hi[level] = side(level, first_hi, 1, layout, cols)
@@ -334,7 +337,7 @@ def _integrate_members(members: list, beta: int, tol: float,
                 trunc += cut * (h + 1.0 / (lo * s0 * j0 - bt))
             else:
                 if first_lo > len(cols[0]):     # past what the first member fetched
-                    cols = _level_table(level, first_lo if first_lo < layout[2] else layout[2])
+                    cols = _level_table(level, first_lo)
                 if plan_lo is None:
                     plan_lo = _plan(lo, beta, cut)
                 record = plan_lo[level]

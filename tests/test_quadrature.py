@@ -668,6 +668,18 @@ class TestNodeColumns:
             assert _hex_columns(cols) == _hex_columns(col[:have] for col in whole)
         assert have == full
 
+    @pytest.mark.parametrize("level", range(quadrature.DEFAULT_MAX_LEVELS + 1))
+    def test_a_need_past_the_level_reads_the_full_level(self, level):
+        """A need beyond a level's node count is clamped to it: every such
+        call returns the one stored table of the full level and stores no
+        new one."""
+        full = quadrature._LAYOUTS[level][2]
+        cols = quadrature._level_table(level, full)
+        assert len(cols[0]) == full
+        assert quadrature._level_table(level, full + 1) is cols
+        assert quadrature._level_table(level, 10 ** 6) is cols
+        assert quadrature._node_levels[level] is cols
+
     def test_calls_build_only_the_nodes_they_reach(self):
         """The setup job of perfbench/run.py, f^(10)(0.25) at tol 1e-13,
         settles above tol and stops at level 5; its kernel refined through

@@ -1,6 +1,5 @@
-"""The repository tools: the Tier-1 gate, the engine, exact-builder and
-verify-suite A/B comparisons, the benchmark snapshot recorder and the
-code-line counter."""
+"""The repository tools: the Tier-1 gate, the comparison with another
+checkout, the benchmark snapshot recorder and the code-line counter."""
 
 import importlib.util
 import json
@@ -10,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = TOOLS.parent / "src"
 
 
 def _tool(name: str):
@@ -68,47 +68,132 @@ class TestTier1Gate:
         assert out.endswith("tier-1: 5 tests, 2 passed, 2 failed, 1 skipped -> FAIL\n")
 
 
-class TestEngineAB:
-    """tools/engine_ab.py tells an identical engine from a changed one."""
+def _copy(tmp_path, *edits: tuple[str, str, str]) -> Path:
+    """This tree's gregory package under tmp_path, with each (file name,
+    old, new) edit made where old occurs exactly once."""
+    (tmp_path / "gregory").mkdir()
+    for source in (SRC / "gregory").glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        for name, old, new in edits:
+            if name == source.name:
+                assert text.count(old) == 1
+                text = text.replace(old, new)
+        (tmp_path / "gregory" / source.name).write_text(text, encoding="utf-8")
+    return tmp_path
 
-    def test_this_tree_against_itself_differs_nowhere(self):
-        ab = _tool("engine_ab")
-        head, again = ab.load(ab.HERE, "ab_test_head"), ab.load(ab.HERE, "ab_test_again")
-        assert head is not again
-        assert ab.differences(head, again, draws=60) == []
 
-    def test_a_changed_engine_differs(self, tmp_path):
+# a few argv of the golden set, in place of all of it where a test runs main
+_GOLDEN = [["compute", "--method", "all", "--n-max", "13"],
+           ["verify", "--suite", "degree", "--n-max", "11"],
+           ["verify", "--suite", "majorization", "--n-max", "11"],
+           ["eval", "--function", "genfun", "--x", "2"]]
+_ENGINE_SUMMARY = "600 drawn calls, 37 fixed calls and 18 sweeps, {} differ"
+_FALLBACK_SUMMARY = "majorization, hankel on 200 perturbed tables each, {} differ"
+
+
+def _run_ab(monkeypatch, capsys, other_src: Path) -> tuple[int, list[str]]:
+    """tools/ab.py's exit code and output lines against other_src, with no
+    timing and the golden set cut to _GOLDEN."""
+    ab = _tool("ab")
+    monkeypatch.setattr(ab.cli_golden, "golden_argvs", lambda: _GOLDEN)
+    code = ab.main([str(other_src), "--rounds", "0"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestAB:
+    """tools/ab.py compares this tree with another checkout: golden CLI
+    blocks, engine bits and fallback reports, each naming what differs,
+    then sizes, the setup job and time."""
+
+    def test_this_tree_against_itself_differs_nowhere(self, monkeypatch, capsys):
+        code, lines = _run_ab(monkeypatch, capsys, SRC)
+        assert code == 0
+        assert lines[:3] == ["4 golden argv, 0 differ", _ENGINE_SUMMARY.format(0),
+                             _FALLBACK_SUMMARY.format(0)]
+        assert any(line.split()[:1] == ["quadrature.py"] for line in lines)
+        setup = [line for line in lines if line.startswith("setup job, ")]
+        assert [line.split(":")[0] for line in setup] == ["setup job, other",
+                                                          "setup job, this tree"]
+        assert not any(line.startswith("time ratio") for line in lines)
+
+    def test_a_changed_golden_block_differs(self, tmp_path, monkeypatch, capsys):
+        """A copy whose degree suite reports another horizon changes one
+        block of the set, which the tool names and shows as a diff."""
+        other = _copy(tmp_path, ("cli.py", '@_aggregate("degree", lambda n_max: (4, 8))',
+                                 '@_aggregate("degree", lambda n_max: (4, 9))'))
+        code, lines = _run_ab(monkeypatch, capsys, other)
+        assert code == 1
+        summary = lines.index("4 golden argv, 1 differ")
+        diff = lines[:summary]
+        assert diff[:2] == ["--- other: gregory verify --suite degree --n-max 11",
+                            "+++ this tree: gregory verify --suite degree --n-max 11"]
+        assert any(line.startswith("-") for line in diff[3:])
+        assert any(line.startswith("+") for line in diff[3:])
+        assert lines[summary + 1:summary + 3] == [_ENGINE_SUMMARY.format(0),
+                                                  _FALLBACK_SUMMARY.format(0)]
+
+    def test_a_changed_engine_constant_differs(self, tmp_path, monkeypatch, capsys):
         """A copy that claims convergence one level later gives other bits."""
-        ab = _tool("engine_ab")
-        source = (ab.HERE / "gregory" / "quadrature.py").read_text(encoding="utf-8")
-        assert source.count("\n_MIN_LEVEL = 2 ") == 1
-        (tmp_path / "gregory").mkdir()
-        (tmp_path / "gregory" / "quadrature.py").write_text(
-            source.replace("\n_MIN_LEVEL = 2 ", "\n_MIN_LEVEL = 3 "), encoding="utf-8")
-        head, changed = ab.load(ab.HERE, "ab_test_head"), ab.load(tmp_path, "ab_test_changed")
-        assert changed._MIN_LEVEL == 3
-        assert ab.differences(head, changed, draws=60)
+        other = _copy(tmp_path, ("quadrature.py", "\n_MIN_LEVEL = 2 ", "\n_MIN_LEVEL = 3 "))
+        code, lines = _run_ab(monkeypatch, capsys, other)
+        assert code == 1
+        engine = [line for line in lines if line.startswith("600 drawn calls")]
+        assert engine and engine != [_ENGINE_SUMMARY.format(0)]
+        assert any(line.startswith("differs: bernoulli2_integrals(") for line in lines)
+
+    def test_a_failing_fallback_check_differs_on_perturbed_tables(
+            self, tmp_path, monkeypatch, capsys):
+        """A copy whose majorization check fails every pair that is not an
+        adjacent transfer passes on the exact table, so no golden block and
+        no engine call differs; the fallback walk on the perturbed tables
+        does, and only there."""
+        other = _copy(tmp_path, ("cli.py", "\n_SUITES", (
+            "\n_real_check = check_majorization_inequality\n\n\n"
+            "def check_majorization_inequality(table, lam, mu):\n"
+            "    if (lam, mu) in [((s, s), (s - 1, s + 1)) for s in range(1, 6)]:\n"
+            "        return _real_check(table, lam, mu)\n"
+            "    return CmReport(\"majorization\", False, (2, 2), (0, 0, \"-1/5\"))\n\n\n"
+            "_SUITES")))
+        code, lines = _run_ab(monkeypatch, capsys, other)
+        assert code == 1
+        assert lines[:2] == ["4 golden argv, 0 differ", _ENGINE_SUMMARY.format(0)]
+        walks = [line for line in lines if line.startswith("differs: ")]
+        assert walks and all(line.startswith("differs: --suite majorization on perturbed table ")
+                             for line in walks)
+        assert len(walks) < 200
+        assert _FALLBACK_SUMMARY.format(len(walks)) in lines
+
+    def test_the_setup_job_reports_each_trees_own_peak_rss(self, tmp_path):
+        """A tree whose job holds 96 MB, then one whose job holds nothing,
+        both started by a process that holds 96 MB more than it did: the
+        second reads its own peak, not the first's or this process's, and
+        its exit code."""
+        ab = _tool("ab")
+        ballast = b"x" * (96 << 20)     # noqa: F841  (held until the jobs are done)
+        for name, main in (("big", "data = b'x' * (96 << 20)\n"), ("small", "raise SystemExit(3)\n")):
+            (tmp_path / name / "gregory").mkdir(parents=True)
+            (tmp_path / name / "gregory" / "__init__.py").write_text("", encoding="utf-8")
+            (tmp_path / name / "gregory" / "__main__.py").write_text(main, encoding="utf-8")
+        _, big, big_code = ab.setup_job(tmp_path / "big")
+        _, small, small_code = ab.setup_job(tmp_path / "small")
+        assert (big_code, small_code) == (0, 3)
+        assert big > 96 and small < 48
 
     def test_fixed_calls_catch_an_early_x_free_tail(self, tmp_path):
         """A copy whose a = 0 kernels read node-table terms from where
         1.0 + x*s < 1.5, not == 1.0, gives other bits on the fixed calls,
         past the draw's x range among them; the x = 0 sweeps cannot see it."""
-        ab = _tool("engine_ab")
-        source = (ab.HERE / "gregory" / "quadrature.py").read_text(encoding="utf-8")
-        assert source.count("1.0 + flat * s == 1.0") == 1
-        (tmp_path / "gregory").mkdir()
-        (tmp_path / "gregory" / "quadrature.py").write_text(
-            source.replace("1.0 + flat * s == 1.0", "1.0 + flat * s < 1.5"),
-            encoding="utf-8")
-        head, changed = ab.load(ab.HERE, "ab_test_head"), ab.load(tmp_path, "ab_test_changed")
-        differ = ab.differences(head, changed, draws=0)
+        ab = _tool("ab")
+        other = _copy(tmp_path, ("quadrature.py", "1.0 + flat * s == 1.0", "1.0 + flat * s < 1.5"))
+        head, changed = ab.load(SRC, "ab_test_head"), ab.load(other, "ab_test_changed")
+        differ = ab.engine_differences(head, changed, draws=0)
         assert differ and not any(line.startswith("bernoulli2_integrals") for line in differ)
         assert any(line.startswith("stieltjes_recip_log(0.001,") for line in differ)
         assert any(line.startswith("genfun_integral(1.7976931348623157e+308,") for line in differ)
 
     def test_draw_covers_every_public_function_and_invalid_inputs(self):
-        ab = _tool("engine_ab")
-        head = ab.load(ab.HERE, "ab_test_head")
+        ab = _tool("ab")
+        head = ab.load(SRC, "ab_test_head")
         calls = ab.draw_calls(ab.SEED, ab.DRAWS)
         assert {name for name, _ in calls} == {
             "bernoulli2_integral", "bernoulli2_integrals", "moment_integral",
@@ -121,7 +206,7 @@ class TestEngineAB:
     def test_rotation_gives_every_load_every_place(self):
         """Over each three rounds, each of the three loads is timed first,
         second and last exactly once."""
-        ab = _tool("engine_ab")
+        ab = _tool("ab")
         loads = ("head", "other", "control")
         orders = [ab.rotation(loads, i) for i in range(6)]
         assert all(sorted(order) == sorted(loads) for order in orders)
@@ -132,9 +217,10 @@ class TestEngineAB:
 
     def test_timing_times_in_the_rotated_order(self, monkeypatch, capsys):
         """timing() warms each load up once, then times the rounds in the
-        rotation's order, for each of the five workloads: lone calls and
-        sweeps at 1e-10, each warm and then cold, and sweeps at 1e-13."""
-        ab = _tool("engine_ab")
+        rotation's order, for each of the engine's five workloads: lone
+        calls and sweeps at 1e-10, each warm and then cold, and sweeps at
+        1e-13."""
+        ab = _tool("ab")
         functions = dict.fromkeys(("genfun_integral", "stieltjes_recip_log",
                                    "genfun_derivative_integral", "bernstein_identity",
                                    "bernoulli2_integrals"))
@@ -143,11 +229,11 @@ class TestEngineAB:
         owner, timed = {}, []
         for name in ("lone_workload", "sweep_workload"):
             build = getattr(ab, name)
-            monkeypatch.setattr(ab, name, lambda module, rng, *tol, build=build: _owned(
-                owner, module, build(module, rng, *tol)))
+            monkeypatch.setattr(ab, name, lambda package, rng, *tol, build=build: _owned(
+                owner, package, build(package, rng, *tol)))
         monkeypatch.setattr(ab, "_timed", lambda calls, cold: timed.append(
             (owner[id(calls)], cold)) or 1.0)
-        ab.timing(*loads, rounds=6)
+        ab.timing(*loads, 6, ab.workloads(())[:5])
         labels = ("head", "other", "control")
         expected = list(labels) + [label for i in range(6) for label in ab.rotation(labels, i)]
         assert timed == [(label, cold) for cold in (False, True, False, True, False)
@@ -158,7 +244,7 @@ class TestEngineAB:
     def test_a_cold_pass_moves_every_tolerance_to_a_new_one(self):
         """Each cold pass calls with tolerances that no earlier call used,
         a relative 2**-40 steps or more from the workload's own."""
-        ab = _tool("engine_ab")
+        ab = _tool("ab")
         seen = []
         calls = [(lambda *args: seen.append(args), (n, 1e-10)) for n in (20, 300)]
         ab._timed(calls, cold=True)
@@ -171,54 +257,34 @@ class TestEngineAB:
         ab._timed(calls)
         assert [args[-1] for args in seen] == [1e-10] * 6
 
+    def test_every_workload_runs_through_timing(self, monkeypatch, capsys):
+        """The engine's five workloads, one per suite and two per exact
+        builder each give a pair of rows."""
+        ab = _tool("ab")
+        package = ab.load(SRC, "ab_test_head")
+        monkeypatch.setattr(ab, "_timed", lambda calls, cold: 1.0)
+        ab.timing(package, package, package, 2, ab.workloads(package.cli._SUITES))
+        assert capsys.readouterr().out.count(" A/B ") == 5 + len(package.cli._SUITES) + 4
 
-def _owned(owner: dict, module, calls: list) -> list:
-    owner[id(calls)] = module.label
-    return calls
-
-
-class TestExactAB:
-    """tools/exact_ab.py compares both exact builders' N = 256 tables by
-    digest and times them through engine_ab.py's rotation."""
-
-    def test_this_tree_against_itself_differs_nowhere(self, capsys):
-        ab = _tool("exact_ab")
-        assert ab.main([str(ab.engine_ab.HERE), "--rounds", "0"]) == 0
-        out = capsys.readouterr().out
-        assert out.count(" sha256 ") == 4
-        assert out.endswith("2 tables at N = 256, 0 differ\n")
-
-    def test_a_changed_builder_differs(self, tmp_path, capsys):
-        """A copy whose explicit table doubles its last value is named."""
-        ab = _tool("exact_ab")
-        source = (ab.engine_ab.HERE / "gregory" / "exact.py").read_text(encoding="utf-8")
-        (tmp_path / "gregory").mkdir()
-        (tmp_path / "gregory" / "exact.py").write_text(source + (
-            "\n_table = bernoulli2_explicit_table\n\n\n"
-            "def bernoulli2_explicit_table(n_max):\n"
-            "    table = _table(n_max)\n"
-            "    return GregoryTable(table.values[:-1] + (2 * table.values[-1],), table.method)\n"),
-            encoding="utf-8")
-        assert ab.main([str(tmp_path), "--rounds", "0"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        series = [line.split()[-1] for line in lines if line.startswith("bernoulli2_series(")]
-        explicit = [line.split()[-1] for line in lines if line.startswith("bernoulli2_explicit")]
-        assert series[0] == series[1] and explicit[0] != explicit[1]
-        assert lines[-1] == "2 tables at N = 256, 1 differ"
-
-    def test_workloads_run_through_engine_ab_timing(self, monkeypatch, capsys):
-        ab = _tool("exact_ab")
-        module = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
-        monkeypatch.setattr(ab.engine_ab, "_timed", lambda calls, cold: 1.0)
-        ab.engine_ab.timing(module, module, module, 2, ab.workloads())
-        assert capsys.readouterr().out.count(" A/B ") == 4
+    def test_workloads_time_each_runner_on_its_table(self):
+        ab = _tool("ab")
+        package = ab.load(SRC, "ab_test_head")
+        calls = {label: build(package, None)
+                 for label, build, cold in ab.workloads(package.cli._SUITES)[5:-4]}
+        assert list(calls) == list(package.cli._SUITES)
+        for suite, work in calls.items():
+            assert len(work) == ab.REPEATS and len(set(map(id, work))) == 1
+            runner, (n_max, tol, table) = work[0]
+            _, last, expected = package.cli._SUITES[suite]
+            assert (runner, n_max, tol) == (expected, 30, 1e-10)
+            assert (table and table.max_index) == (last and last(30))
 
     def test_workloads_time_both_builders_over_the_range(self):
-        ab = _tool("exact_ab")
-        module = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
-        calls = {label: build(module, None) for label, build, cold in ab.workloads()
-                 if cold is False}
-        assert len(calls) == 4 == len(ab.workloads())     # every one warm
+        ab = _tool("ab")
+        package = SimpleNamespace(bernoulli2_series="series", bernoulli2_explicit_table="explicit")
+        calls = {label: build(package, None) for label, build, cold in ab.workloads(())[5:]}
+        assert all(cold is False for _, _, cold in ab.workloads(("hankel",))[5:])
+        assert len(calls) == 4
         for label, work in calls.items():
             assert {fn for fn, _ in work} == {"series" if "series" in label else "explicit"}
             sizes = sorted({args for _, args in work})
@@ -226,79 +292,9 @@ class TestExactAB:
             assert len(work) == (2000 if "N=1,8" in label else 3)
 
 
-_SUITE_AB_SUMMARY = ("8 suites at --n-max 11, 30, 80, 160 and majorization, hankel "
-                     "on 200 perturbed tables each, {} differ")
-
-
-class TestSuiteAB:
-    """tools/suite_ab.py compares every verify suite's output between two
-    trees, and the hankel and majorization runners' reports on perturbed
-    tables, and times the suites through engine_ab.py's rotation."""
-
-    def test_this_tree_against_itself_differs_nowhere(self, capsys):
-        ab = _tool("suite_ab")
-        assert ab.main([str(ab.engine_ab.HERE), "--rounds", "0"]) == 0
-        assert capsys.readouterr().out == _SUITE_AB_SUMMARY.format(0) + "\n"
-
-    def test_a_changed_report_line_differs(self, tmp_path, capsys):
-        """A copy whose degree suite reports another horizon is named at
-        every --n-max, and nothing else is."""
-        ab = _tool("suite_ab")
-        (tmp_path / "gregory").mkdir()
-        for source in (ab.engine_ab.HERE / "gregory").glob("*.py"):
-            text = source.read_text(encoding="utf-8")
-            if source.name == "cli.py":
-                assert text.count('@_aggregate("degree", lambda n_max: (4, 8))') == 1
-                text = text.replace('@_aggregate("degree", lambda n_max: (4, 8))',
-                                    '@_aggregate("degree", lambda n_max: (4, 9))')
-            (tmp_path / "gregory" / source.name).write_text(text, encoding="utf-8")
-        assert ab.main([str(tmp_path), "--rounds", "0"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.partition(": this tree")[0] for line in lines[:-1]] == [
-            f"differs: --suite degree --n-max {n}" for n in (11, 30, 80, 160)]
-        assert lines[-1] == _SUITE_AB_SUMMARY.format(4)
-
-    def test_a_failing_fallback_check_differs_on_perturbed_tables(self, monkeypatch):
-        """A load whose majorization check fails every pair that is not an
-        adjacent transfer passes on the exact table, so no verify run
-        differs; the fallback walk on the perturbed tables does, and only
-        there."""
-        ab = _tool("suite_ab")
-        head = ab.load(ab.engine_ab.HERE, "suite_ab_head")
-        other = ab.load(ab.engine_ab.HERE, "suite_ab_other")
-        real = other.cli.check_majorization_inequality
-        transfers = [((s, s), (s - 1, s + 1)) for s in range(1, 6)]
-
-        def failing(table, lam, mu):
-            if (lam, mu) in transfers:
-                return real(table, lam, mu)
-            return other.properties.CmReport("majorization", False, (2, 2), (0, 0, "-1/5"))
-
-        monkeypatch.setattr(other.cli, "check_majorization_inequality", failing)
-        lines = ab.differences(head, other)
-        assert lines and all(line.startswith("--suite majorization on perturbed table ")
-                             for line in lines)
-        assert len(lines) < ab.TABLES
-
-    def test_workloads_run_through_engine_ab_timing(self, monkeypatch, capsys):
-        ab = _tool("suite_ab")
-        package = ab.load(ab.engine_ab.HERE, "suite_ab_test")
-        monkeypatch.setattr(ab.engine_ab, "_timed", lambda calls, cold: 1.0)
-        ab.engine_ab.timing(package, package, package, 2, ab.workloads(package.cli._SUITES))
-        assert capsys.readouterr().out.count(" A/B ") == len(package.cli._SUITES)
-
-    def test_workloads_time_each_runner_on_its_table(self):
-        ab = _tool("suite_ab")
-        package = ab.load(ab.engine_ab.HERE, "suite_ab_test")
-        calls = {label: build(package, None)
-                 for label, build, cold in ab.workloads(package.cli._SUITES) if cold is False}
-        assert list(calls) == list(package.cli._SUITES)     # every one warm
-        for suite, work in calls.items():
-            assert len(work) == ab.REPEATS and len(set(map(id, work))) == 1
-            runner, (n_max, tol, table) = work[0]
-            _, last, expected = package.cli._SUITES[suite]
-            assert (runner, n_max, tol) == (expected, 30, 1e-10)
-            assert (table and table.max_index) == (last and last(30))
+def _owned(owner: dict, module, calls: list) -> list:
+    owner[id(calls)] = module.label
+    return calls
 
 
 _RESULT = {"correct": True, "attempted": 40, "failed": 0,

@@ -1,21 +1,18 @@
-"""Record the CLI's exit code, stdout and stderr on a fixed argv set.
+"""Check the CLI's exit code, stdout and stderr on a fixed argv set.
 
-Runs ``gregory.cli.main(argv)`` in-process for every argv of
-:func:`golden_argvs` and writes one block per argv to OUT.  Two checkouts
-whose files compare equal behave byte-identically on the set, which is
-the check for a refactor that must not change output:
-
-    python tools/cli_golden.py before.txt /path/to/other/checkout/src
-    python tools/cli_golden.py after.txt
-    cmp before.txt after.txt
-
-``--check`` compares the SHA-256 digest of every block with the committed
-``tools/golden.sha256`` (one line per argv: the digest, two spaces, the
-argv) and names every argv whose block differs; ``--update`` rewrites that
-file, for a change that alters output on purpose:
+Runs ``gregory.cli.main(argv)`` in-process, from the ``src`` directory next
+to this script, for every argv of :func:`golden_argvs`, and records one
+block per argv.  ``--check`` compares the SHA-256 digest of every block
+with the committed ``tools/golden.sha256`` (one line per argv: the digest,
+two spaces, the argv) and names every argv whose block differs;
+``--update`` rewrites that file, for a change that alters output on
+purpose:
 
     python tools/cli_golden.py --check
     python tools/cli_golden.py --update
+
+``tools/ab.py`` runs the same set through this tree and another checkout
+and prints a unified diff of every block that differs.
 
 Every argv runs with COLUMNS=80, so argparse wraps its usage text alike
 in any terminal.  The digests were recorded on Python 3.11, and 3.10 and
@@ -29,12 +26,11 @@ version it rewrites only that version's file, with the argv whose block
 differs from ``golden.sha256`` (none: the file goes), so update on 3.11
 first.
 
-SRC defaults to the ``src`` directory next to this script.  The set
-holds 603 argv.  It covers every compute method, format and a range of
---n-max (the integral method up to --n-max 300 at tol 1e-10, 1e-13 and
-1e-30, the series, explicit and all methods up to --n-max 256, the top of
-the benchmark's range), every verify suite (the exact
-ones up to --n-max 160, as far as the benchmark goes), and an eval grid
+The set holds 623 argv.  It covers every compute method, format and a
+range of --n-max (the integral method up to --n-max 300 at tol 1e-10,
+1e-13 and 1e-30, the series, explicit and all methods up to --n-max 256,
+the top of the benchmark's range), every verify suite at --n-max 11, 30,
+80 and 160, the benchmark's range, and an eval grid
 reaching tol 1e-30 and x 1e300, with every derivative order 1..20 at tol
 1e-13, derivative references for k <= 4 from x = 5e-324 to 1e300, and
 bernstein-identity up to the largest double.  It stays inside inputs
@@ -110,6 +106,14 @@ def golden_argvs() -> list[list[str]]:
     # the benchmark reaches --n-max 160, where the exact suites cost the most
     for suite in ("cm-sequence", "minimality", "log-convexity", "all"):
         out.append(["verify", "--suite", suite, "--n-max", "160"])
+    # with those, every suite at --n-max 11, 30, 80 and 160 at the default tol
+    for n_max, suites in (
+            ("11", ("cm-sequence", "minimality", "majorization", "log-convexity",
+                    "integrals", "bernstein", "degree")),
+            ("80", SUITES[:-1]),
+            ("160", ("hankel", "majorization", "integrals", "bernstein", "degree"))):
+        for suite in suites:
+            out.append(["verify", "--suite", suite, "--n-max", n_max])
     out += [["verify", "--suite", "all", "--n-max", "60"],
             ["verify", "--suite", "nope"],
             ["verify", "--tol", "0"],
@@ -202,19 +206,17 @@ def run_one(main, argv: list[str]) -> tuple[str, bool]:
 
 
 def main(args: list[str]) -> int:
-    if len(args) not in (2, 3):
-        print("usage: cli_golden.py OUT|--check|--update [SRC]", file=sys.stderr)
+    if args[1:] not in (["--check"], ["--update"]):
+        print("usage: cli_golden.py --check|--update", file=sys.stderr)
         return 2
-    src = Path(args[2]) if len(args) == 3 else Path(__file__).resolve().parents[1] / "src"
-    sys.path.insert(0, str(src.resolve()))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from gregory import cli
     print(f"gregory from {Path(cli.__file__).parent}", file=sys.stderr)
     argvs = golden_argvs()
     raised = 0
-    blocks, digests = [], {}    # digests: argv as one string -> block digest
+    digests = {}    # argv as one string -> block digest
     for argv in argvs:
         block, escaped = run_one(cli.main, argv)
-        blocks.append(block)
         digests[" ".join(argv)] = hashlib.sha256(block.encode()).hexdigest()
         raised += escaped
     print(f"{len(argvs)} argv recorded, {raised} raised", file=sys.stderr)
@@ -229,19 +231,16 @@ def main(args: list[str]) -> int:
                                 if version_file(version).exists() else "")
         print(f"{len(differ)} argv differ from {names}", file=sys.stderr)
         return 1 if raised or differ else 0
-    if args[1] == "--update":
-        path = DIGESTS if version == RECORDED_ON else version_file(version)
-        if path != DIGESTS:
-            recorded = read_digests(DIGESTS)
-            digests = {argv: digest for argv, digest in digests.items()
-                       if recorded.get(argv) != digest}
-        if digests:
-            path.write_text("".join(f"{digest}  {argv}\n" for argv, digest in digests.items()),
-                            encoding="utf-8")
-        else:
-            path.unlink(missing_ok=True)     # this version needs no lines of its own
+    path = DIGESTS if version == RECORDED_ON else version_file(version)
+    if path != DIGESTS:
+        recorded = read_digests(DIGESTS)
+        digests = {argv: digest for argv, digest in digests.items()
+                   if recorded.get(argv) != digest}
+    if digests:
+        path.write_text("".join(f"{digest}  {argv}\n" for argv, digest in digests.items()),
+                        encoding="utf-8")
     else:
-        Path(args[1]).write_text("".join(blocks), encoding="utf-8")
+        path.unlink(missing_ok=True)     # this version needs no lines of its own
     return 1 if raised else 0
 
 
