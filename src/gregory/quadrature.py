@@ -36,7 +36,8 @@ known in advance falls below a fixed fraction of tol and bounds what it
 dropped, reading where it stops on each level from a plan kept for its
 envelope and tolerance (see the side plans).  :func:`_kernel_member`
 gives K's term and rounding floor; an a = 0 kernel reads its s -> 0
-terms from the node table where 1.0 + x*s rounds to 1.0.
+terms from the node table where 1.0 + x*s rounds to 1.0.  :func:`_kernel`
+keeps each kernel result for the process (see the kept results).
 :func:`bernoulli2_integrals` sums b_1..b_N as one list of members, every
 other public function is a list of one, and each builds one
 QuadratureResult per member.  :func:`bernstein_identity`, the one
@@ -75,7 +76,9 @@ class QuadratureResult:
     by the caller, and ``n_evals`` is always positive by the time any
     result is produced.  ``n_evals`` counts the terms summed, computed or
     read from the node table: no side takes a term past the node where it
-    stops.
+    stops.  A kept kernel result (see the kept results) repeats the
+    ``n_evals`` of the call that computed it, so a repeated call reports
+    the same count while summing no term.
     """
 
     value: float
@@ -384,6 +387,25 @@ def _result(value: float, est: float, n_evals: int, converged: bool,
 
 
 # ----------------------------------------------------------------------
+# kept results
+#
+# A kernel result is a pure function of (a, x, p, tol): the node columns
+# are fixed, a side plan is a pure function of (alpha, beta, tol), and
+# DEFAULT_MAX_LEVELS is a module constant that only tests patch.  _kernel,
+# the one path of the six kernel-backed public functions, therefore keeps
+# the engine's raw tuple per (a, x, p, tol) for the whole process, in a
+# least recently used memo of at most 1,024 results, the bound of _plan's.
+# A repeated call, such as each of the 61 fixed-point integrals that every
+# verify run of the integrals, bernstein and hankel suites makes, returns
+# the tuple the engine gave the first time, n_evals included, bit for bit.
+# Keys that compare equal share one entry: x = -0.0 beside 0.0 and x = 1
+# beside 1.0 give the same bits when computed.  A call that raises
+# ValueError leaves no entry.  The coefficient sweep and the Bernstein
+# identity are not kept.
+# ----------------------------------------------------------------------
+
+
+# ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
 
@@ -439,9 +461,11 @@ def _kernel_member(a: int, x: float, p: int) -> tuple:
     return term, a, (a + (p if x != 0.0 else 0) + 4) * _U, x if a == 0 else None
 
 
+@functools.lru_cache(maxsize=1024)
 def _kernel(a: int, x: float, p: int, tol: float) -> tuple:
     """K(a, x, p) = integral_0^1 v(s) s^(a-1) / (1+xs)^p ds, unscaled, as the
-    engine's raw tuple, with the term and floor of :func:`_kernel_member`."""
+    engine's raw tuple, with the term and floor of :func:`_kernel_member`,
+    kept for the process (see the kept results)."""
     return _integrate_members([_kernel_member(a, x, p)], -1, tol)[0]
 
 

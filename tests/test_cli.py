@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gregory import (GregoryTable, IntegrandEvaluationError, TableMethod, bernoulli2_series,
-                     cli)
+                     cli, quadrature)
 from gregory.exact import format_rational
 from gregory.properties import (CmReport, DegreeBracket, _integer_determinant, _report,
                                 check_majorization_inequality, closed_derivative,
@@ -314,6 +314,30 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--tol", "-1"], capsys)
         assert code == 2
         assert "tol" in err
+
+    def test_a_second_run_reads_the_kept_kernel_results(self, capsys, monkeypatch):
+        """Two runs of verify --suite all --n-max 30 in one process print the
+        same bytes.  From no kept results the first makes 66 engine calls:
+        61 distinct kernels, the 20-member sweep and four Bernstein
+        identities.  The second makes only the sweep and the four
+        identities, which are not kept."""
+        engine_calls = []
+        real = quadrature._integrate_members
+
+        def counting(members, *args):
+            engine_calls.append(len(members))
+            return real(members, *args)
+
+        monkeypatch.setattr(quadrature, "_integrate_members", counting)
+        quadrature._kernel.cache_clear()
+        runs, counts = [], []
+        for _ in range(2):
+            engine_calls.clear()
+            runs.append(run_cli(["verify", "--suite", "all", "--n-max", "30"], capsys))
+            counts.append(len(engine_calls))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
+        assert counts == [66, 5]
+        assert sorted(engine_calls) == [1, 1, 1, 1, 20]
 
 
 BIG = 2.0 ** 60    # BIG - e rounds to BIG for |e| < 64: an exact evidence value

@@ -231,11 +231,20 @@ def _bits(result: QuadratureResult) -> tuple:
 # The engine always refines through the module's DEFAULT_MAX_LEVELS; these
 # helpers lower that cap around one engine call (None keeps it), and build a
 # QuadratureResult from each raw (value, estimate, n_evals, converged) tuple.
+# A capped call clears the kernel memo on entry and on exit, so that it
+# neither reads an uncapped kept result nor leaves a capped one behind.
 
+@contextlib.contextmanager
 def _capped(levels):
     if levels is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(quadrature, "DEFAULT_MAX_LEVELS", levels)
+        yield
+        return
+    quadrature._kernel.cache_clear()
+    try:
+        with mock.patch.object(quadrature, "DEFAULT_MAX_LEVELS", levels):
+            yield
+    finally:
+        quadrature._kernel.cache_clear()
 
 
 def _members(members: list, beta: int, tol: float, levels=None,
@@ -540,7 +549,9 @@ def _clear_node_tables():
 
 
 def _clear_plans():
+    # a kept kernel result reads no plan: clear those too
     quadrature._plan.cache_clear()
+    quadrature._kernel.cache_clear()
 
 
 def _cut(tol: float) -> float:
@@ -643,6 +654,77 @@ class TestEngine:
         assert results == serial * 4
         assert quadrature._plan.cache_info().currsize == 4
         assert [quadrature._plan(*key) for key in keys] == plans
+
+
+# the six kernel-backed public functions, each called with arguments drawn
+# from one (a, x, p) of _KERNEL_ARGS and a tol
+_KERNEL_CALLS = {
+    "moment": lambda a, x, p, tol: moment_integral(a, tol),
+    "coefficient": lambda a, x, p, tol: bernoulli2_integral(a + 1, tol),
+    "recip-log": lambda a, x, p, tol: stieltjes_recip_log(x or 1.0, tol),
+    "genfun": lambda a, x, p, tol: genfun_integral(x or 1.0, tol),
+    "derivative": lambda a, x, p, tol: genfun_derivative_integral(x, min(max(p, 1), 170), tol),
+    "shifted": lambda a, x, p, tol: shifted_kernel_integral(a + 1, x, tol),
+}
+
+
+class TestKeptResults:
+    """_kernel keeps each result per (a, x, p, tol) for the process."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_KERNEL_CALLS)), args=_KERNEL_ARGS, tol=_TOLS)
+    @example(name="genfun", args=(0, 1e150, 1), tol=1e-10)
+    @example(name="coefficient", args=(299, 0.0, 0), tol=5e-324)
+    def test_a_kept_result_has_the_bits_of_a_cold_call(self, name, args, tol):
+        """Each kernel-backed function's second call reads the kept result,
+        and it has the bits of a call made with no kept result and no
+        plans."""
+        call = functools.partial(_KERNEL_CALLS[name], *args, tol)
+        call()
+        hits = quadrature._kernel.cache_info().hits
+        kept = _bits(call())
+        assert quadrature._kernel.cache_info().hits == hits + 1
+        _clear_plans()
+        assert kept == _bits(call())
+
+    @pytest.mark.parametrize("tol", [1e-10, 5e-324])
+    @pytest.mark.parametrize("first, second", [
+        ((0, -0.0, 2), (0, 0.0, 2)), ((4, 0.0, 5), (4, -0.0, 5)),
+        ((0, 1, 1), (0, 1.0, 1)), ((4, 1.0, 5), (4, 1, 5))])
+    def test_keys_that_compare_equal_share_one_entry(self, first, second, tol):
+        """x = -0.0 beside 0.0 and x = 1 beside 1.0 make one entry, and the
+        kept result has the bits the engine gives each of them unkept."""
+        unkept = [quadrature._integrate_members([quadrature._kernel_member(*key)], -1, tol)[0]
+                  for key in (first, second)]
+        _clear_plans()
+        kept = [quadrature._kernel(*key, tol) for key in (first, second)]
+        info = quadrature._kernel.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        bits = [_bits(QuadratureResult(*raw)) for raw in kept + unkept]
+        assert bits == bits[:1] * 4
+
+    def test_kernel_memo_keeps_the_1024_most_recent_results(self):
+        """1,124 calls at distinct tolerances leave 1,024 results: the most
+        recently used are kept and the first ones are gone."""
+        tols = [1e-10 * (1.0 + i * 2.0 ** -20) for i in range(1024 + 100)]
+        _clear_plans()
+        for tol in tols:
+            moment_integral(1, tol)
+        info = quadrature._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1124, 1024)
+        moment_integral(1, tols[100])
+        assert quadrature._kernel.cache_info().hits == info.hits + 1
+        moment_integral(1, tols[99])
+        assert quadrature._kernel.cache_info().misses == info.misses + 1
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_a_rejected_tol_raises_every_time_and_leaves_no_entry(self, tol):
+        _clear_plans()
+        for _ in range(2):
+            for call in _KERNEL_CALLS.values():
+                with pytest.raises(ValueError, match="^tol must"):
+                    call(2, 0.5, 3, tol)
+        assert quadrature._kernel.cache_info().currsize == 0
 
 
 def _hex_columns(cols) -> list:

@@ -191,6 +191,26 @@ class TestAB:
         assert any(line.startswith("stieltjes_recip_log(0.001,") for line in differ)
         assert any(line.startswith("genfun_integral(1.7976931348623157e+308,") for line in differ)
 
+    def test_the_engine_comparison_starts_from_no_kept_kernel_results(self, monkeypatch, tmp_path):
+        """A kernel result that an earlier call left, as a golden argv of
+        the integrals suite leaves moment_integral(0, 1e-10), is dropped
+        before the comparison, so that FIXED's moment calls are computed
+        again in a tree that keeps kernel results.  A tree without the memo
+        compares as it is.  (FIXED is cut to its moment calls and SWEEPS
+        to none, to keep the test short.)"""
+        ab = _tool("ab")
+        other = _copy(tmp_path, ("quadrature.py", "@functools.lru_cache(maxsize=1024)\ndef _kernel(",
+                                 "def _kernel("))
+        head, unkept = ab.load(SRC, "ab_test_head"), ab.load(other, "ab_test_unkept")
+        moments = [call for call in ab.FIXED if call[0] == "moment_integral"]
+        monkeypatch.setattr(ab, "FIXED", moments)
+        monkeypatch.setattr(ab, "SWEEPS", [])
+        head.moment_integral(0, 1e-10)
+        assert ab.engine_differences(head, unkept, draws=0) == []
+        info = head.quadrature._kernel.cache_info()
+        assert (info.hits, info.misses) == (0, len(moments)) == (0, 3)
+        assert not hasattr(unkept.quadrature._kernel, "cache_clear")
+
     def test_draw_covers_every_public_function_and_invalid_inputs(self):
         ab = _tool("ab")
         head = ab.load(SRC, "ab_test_head")
