@@ -17,12 +17,10 @@ screens for x/ln(1+x) and its relatives.
 from .exact import (
     GregoryTable,
     TableMethod,
-    a_coefficient,
     bernoulli2_explicit,
     bernoulli2_explicit_table,
     bernoulli2_series,
     format_rational,
-    nested_sum,
     signed_moment_sequence,
 )
 from .quadrature import (
@@ -37,7 +35,6 @@ from .quadrature import (
     moment_integral,
     shifted_kernel_integral,
     stieltjes_recip_log,
-    stieltjes_weight,
     stieltjes_weight_unit,
 )
 from .properties import (
@@ -45,7 +42,6 @@ from .properties import (
     DegreeBracket,
     DeterminantVariant,
     IntegrandEvaluationError,
-    bareiss_determinant,
     check_bernstein,
     check_cm_sequence,
     check_log_convexity,
@@ -61,46 +57,3 @@ from .properties import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GregoryTable",
-    "TableMethod",
-    "a_coefficient",
-    "bernoulli2_explicit",
-    "bernoulli2_explicit_table",
-    "bernoulli2_series",
-    "format_rational",
-    "nested_sum",
-    "signed_moment_sequence",
-    "DEFAULT_MAX_LEVELS",
-    "DEFAULT_TOL",
-    "IntegrandEvaluationError",
-    "QuadratureResult",
-    "bernoulli2_integral",
-    "bernoulli2_integrals",
-    "bernstein_identity",
-    "genfun_derivative_integral",
-    "genfun_integral",
-    "moment_integral",
-    "shifted_kernel_integral",
-    "stieltjes_recip_log",
-    "stieltjes_weight",
-    "stieltjes_weight_unit",
-    "CmReport",
-    "DegreeBracket",
-    "DeterminantVariant",
-    "bareiss_determinant",
-    "check_bernstein",
-    "check_cm_sequence",
-    "check_log_convexity",
-    "check_majorization_inequality",
-    "check_minimality_perturbation",
-    "check_shifted_kernel_determinants",
-    "closed_derivative",
-    "closed_derivative_decimal",
-    "cm_grid_test",
-    "estimate_cm_degree",
-    "hankel_determinant",
-    "is_majorized",
-    "__version__",
-]

@@ -29,11 +29,10 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 ONE_HALF = Fraction(1, 2)
 
@@ -206,57 +205,6 @@ def bernoulli2_series(n_max: int) -> GregoryTable:
     return GregoryTable(values=values, method=TableMethod.SERIES_RECURRENCE)
 
 
-def _next_stirling_row(row: Sequence[int], m: int) -> list[int]:
-    """Unsigned Stirling numbers |s(m+1, 0..m+1)| from |s(m, 0..m)|.
-
-    |s(m+1, j)| = |s(m, j-1)| + m |s(m, j)|.
-    """
-    return [a + m * b for a, b in zip((0, *row), (*row, 0))]
-
-
-def _stirling_row(m: int) -> list[int]:
-    """|s(m, 0..m)|, the unsigned Stirling numbers of the first kind."""
-    return reduce(_next_stirling_row, range(m), [1])
-
-
-def nested_sum(m: int, d: int) -> Fraction:
-    """S(m, d), the sum of prod_j 1/l_j over strictly decreasing chains.
-
-    The chains are the integer sequences m >= l_1 > l_2 > ... > l_d >= 1,
-    with the conventions S(m, 0) = 1 (the empty chain) and S(m, d) = 0
-    for d > m.  S(m, d) is the elementary symmetric function
-    e_d(1, 1/2, ..., 1/m), so m! S(m, d) = e_{m-d}(1, ..., m), the
-    coefficient of x**(d+1) in x(x+1)...(x+m).  Hence
-
-        S(m, d) = |s(m+1, d+1)| / m!,
-
-    with s the Stirling numbers of the first kind.
-    """
-    if m < 0 or d < 0:
-        raise ValueError("m and d must be nonnegative")
-    if d > m:
-        return ZERO
-    return Fraction(_stirling_row(m + 1)[d + 1], math.factorial(m))
-
-
-def a_coefficient(n: int, i: int) -> Fraction:
-    """Exact coefficient a(n, i) of the explicit formula.
-
-    a(n, 2) = (n-1)! and, for 3 <= i <= n+1,
-    a(n, i) = (i-1)! (n-1)! S(n-1, i-2).  Both cases are the integer
-    (i-1)! |s(n, i-1)|, since (n-1)! S(n-1, i-2) = |s(n, i-1)| and
-    |s(n, 1)| = (n-1)!.
-
-    Raises ValueError outside 2 <= i <= n+1, where the coefficient is
-    undefined.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if i < 2 or i > n + 1:
-        raise ValueError(f"a({n}, {i}) is undefined: need 2 <= i <= n+1")
-    return Fraction(math.factorial(i - 1) * _stirling_row(n)[i - 1])
-
-
 def _explicit_brackets(n_max: int) -> tuple[list[int], int]:
     """[K_0(0), ..., K_{n_max}(0)] and L = lcm(1..n_max+1); K_n(0) = n! L b_n.
 
@@ -280,7 +228,8 @@ def bernoulli2_explicit(n: int) -> Fraction:
         b_n = (-1)**n / n! * [ 1/(n+1)
               + sum_{k=2}^{n} (a(n, k) - n a(n-1, k)) / k! ]
 
-    Every a(., .) in the sum is defined (2 <= k <= n).  The bracket is
+    with a(n, k) = (k-1)! |s(n, k-1)| for the Stirling numbers s of the
+    first kind (the unit tests sum this form as printed).  The bracket is
     (-1)**n n! b_n = (-1)**n int_0^1 (x)_n dx, read off the moment walk of
     :func:`bernoulli2_explicit_table`; one ``Fraction`` is built.
     """

@@ -141,28 +141,6 @@ class DeterminantVariant(Enum):
     SIGNED = "signed"
 
 
-def bareiss_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix of exact rationals (ints or Fractions).
-
-    Each row becomes integer numerators q.numerator * (den // q.denominator)
-    over its denominator lcm den; the integer determinant of those rows,
-    divided once by the product of the row scales, is the determinant.
-    Any other entry, a float or a Decimal, is a ValueError.
-    """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("matrix must be nonempty")
-    if any(len(row) != m for row in rows):
-        raise ValueError("matrix must be square")
-    scale = 1
-    imat: list[list[int]] = []
-    for row in rows:
-        irow, den = _common_denominator(row)
-        scale *= den
-        imat.append(irow)
-    return Fraction(_integer_determinant(imat)[0], scale)
-
-
 def _integer_determinant(imat: list[list[int]]) -> tuple[int, list[int]]:
     # fraction-free Bareiss elimination, in place on a square integer
     # matrix: every division is exact, so every intermediate stays integral.
@@ -515,9 +493,10 @@ def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
     and requires its determinant to clear -1e-6; the sign-prefixed matrix
     is D M D with D = diag((-1)**a_i), so it has the same determinant.
     Entries come from quadrature at absolute tolerance tol, cached across
-    tuples; determinants are exact, by :func:`bareiss_determinant` on the
-    binary rationals the float entries are.  A violation reports
-    (0, tuple index) with the exact determinant.
+    tuples; determinants are exact, as in :func:`hankel_determinant`: the
+    binary rationals the float entries are, as integers over their common
+    denominator, go through :func:`_integer_determinant`.  A violation
+    reports (0, tuple index) with the exact determinant.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("x must be >= 0 and finite")
@@ -530,7 +509,9 @@ def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
 
     tuples = [t for m in (1, 2) for t in combinations_with_replacement(range(3), m)]
     for idx, a in enumerate(tuples):
-        det = bareiss_determinant(_moment_matrix(entry, a, DeterminantVariant.PLAIN))
+        nums, den = _common_denominator([entry(ai + aj) for ai in a for aj in a])
+        matrix = [nums[i:i + len(a)] for i in range(0, len(nums), len(a))]
+        det = Fraction(_integer_determinant(matrix)[0], den ** len(a))
         if det < -KERNEL_DETERMINANT_SLACK:
             return _report("kernel-determinants", (len(tuples) - 1, 1),
                            (0, idx, format_rational(det)))

@@ -610,14 +610,6 @@ def bernstein_identity(x: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     return _result(base * value, base * est, n_evals, converged, tol)
 
 
-def stieltjes_weight(t: float) -> float:
-    """w(t) = 1/((ln(t-1))^2 + pi^2) on (1, inf); peak value 1/pi^2 at t = 2."""
-    if not t > 1.0:
-        raise ValueError("w is defined for t > 1")
-    lg = math.log(t - 1.0)
-    return 1.0 / (lg * lg + _PI_SQ)
-
-
 def stieltjes_weight_unit(s: float) -> float:
     """v(s) = w(1/s) pulled back to (0, 1); symmetric about s = 1/2.
 

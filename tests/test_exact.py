@@ -4,6 +4,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -14,16 +15,69 @@ from gregory import exact
 from gregory import (
     GregoryTable,
     TableMethod,
-    a_coefficient,
     bernoulli2_explicit,
     bernoulli2_explicit_table,
     bernoulli2_series,
     format_rational,
-    nested_sum,
     signed_moment_sequence,
 )
-from gregory.exact import (_division_plan, _explicit_brackets, _series_numerators,
-                           _stirling_row)
+from gregory.exact import _division_plan, _explicit_brackets, _series_numerators
+
+
+# References for the paper's printed formula: the chain sums S(m, d) and
+# the coefficients a(n, i), from Stirling rows.  The package runs on the
+# moment walk instead, so these live here, where they are checked against
+# their definitions and then against both exact tables.
+
+def _next_stirling_row(row, m):
+    """Unsigned Stirling numbers |s(m+1, 0..m+1)| from |s(m, 0..m)|.
+
+    |s(m+1, j)| = |s(m, j-1)| + m |s(m, j)|.
+    """
+    return [a + m * b for a, b in zip((0, *row), (*row, 0))]
+
+
+def _stirling_row(m):
+    """|s(m, 0..m)|, the unsigned Stirling numbers of the first kind."""
+    return reduce(_next_stirling_row, range(m), [1])
+
+
+def nested_sum(m, d):
+    """S(m, d), the sum of prod_j 1/l_j over strictly decreasing chains.
+
+    The chains are the integer sequences m >= l_1 > l_2 > ... > l_d >= 1,
+    with the conventions S(m, 0) = 1 (the empty chain) and S(m, d) = 0
+    for d > m.  S(m, d) is the elementary symmetric function
+    e_d(1, 1/2, ..., 1/m), so m! S(m, d) = e_{m-d}(1, ..., m), the
+    coefficient of x**(d+1) in x(x+1)...(x+m).  Hence
+
+        S(m, d) = |s(m+1, d+1)| / m!,
+
+    with s the Stirling numbers of the first kind.
+    """
+    if m < 0 or d < 0:
+        raise ValueError("m and d must be nonnegative")
+    if d > m:
+        return Fraction(0)
+    return Fraction(_stirling_row(m + 1)[d + 1], math.factorial(m))
+
+
+def a_coefficient(n, i):
+    """Exact coefficient a(n, i) of the explicit formula.
+
+    a(n, 2) = (n-1)! and, for 3 <= i <= n+1,
+    a(n, i) = (i-1)! (n-1)! S(n-1, i-2).  Both cases are the integer
+    (i-1)! |s(n, i-1)|, since (n-1)! S(n-1, i-2) = |s(n, i-1)| and
+    |s(n, 1)| = (n-1)!.
+
+    Raises ValueError outside 2 <= i <= n+1, where the coefficient is
+    undefined.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if i < 2 or i > n + 1:
+        raise ValueError(f"a({n}, {i}) is undefined: need 2 <= i <= n+1")
+    return Fraction(math.factorial(i - 1) * _stirling_row(n)[i - 1])
 
 
 class TestSeriesRecurrence:

@@ -5,7 +5,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Sequence
 
 import pytest
@@ -20,7 +20,6 @@ from gregory import (
     IntegrandEvaluationError,
     QuadratureResult,
     TableMethod,
-    bareiss_determinant,
     bernoulli2_series,
     bernstein_identity,
     check_bernstein,
@@ -41,7 +40,6 @@ from gregory import (
     shifted_kernel_integral,
     signed_moment_sequence,
     stieltjes_recip_log,
-    stieltjes_weight,
 )
 from gregory.properties import _integer_determinant, hankel_positive_definite
 from gregory.quadrature import _C, _E, _J, _integrate_members
@@ -70,7 +68,7 @@ rational_sequences = st.one_of(
 
 
 def _cofactor_determinant(rows):
-    # independent O(n!) oracle for the Bareiss implementation
+    # independent O(n!) oracle for the Bareiss elimination
     m = len(rows)
     if m == 1:
         return rows[0][0]
@@ -288,6 +286,19 @@ class TestMinimality:
         assert not report.passed
         assert report.first_violation is None
 
+    def test_column_zero_is_the_tail_of_the_magnitudes(self):
+        """(-1)**k Delta**k mu_0 = 1 - sum_{n=1}^{k+1} |b_n| for k = 0..120.
+
+        The binomial transform of mu_j = |b_{j+1}| has the generating
+        function -1/x - 1/((1-x) ln(1-x)), and sum_{n>=1} |b_n| = 1, so the
+        column the probe lowers is the tail F(k) of that sum.  At horizon
+        30 its least entry is F(30) = 0.2211..., 0.1211... above 1/10."""
+        table = bernoulli2_series(121)
+        column = difference_table(signed_moment_sequence(table), 120)
+        partial = accumulate(abs(b) for b in table.values[1:])
+        assert [column.alternating(k, 0) for k in range(121)] == [1 - p for p in partial]
+        assert column.alternating(30, 0) - Fraction(1, 10) > Fraction(12, 100)
+
     def test_toy_sequence_inconclusive(self):
         """(1, 0, 0) stays CM after dropping mu_0 to 1/2: nothing is proven."""
         report = check_minimality_perturbation(
@@ -313,9 +324,7 @@ class TestInexactInputs:
         (lambda: check_cm_sequence([Fraction(1, 2), 1, Decimal("0.25"), 0.125]),
          "Decimal('0.25')"),
         (lambda: check_minimality_perturbation([0.5], Fraction(1, 10)), "0.5"),
-        (lambda: bareiss_determinant([[0.5]]), "0.5"),
-        (lambda: bareiss_determinant([[Fraction(1), 2], [3, Decimal(4)]]), "Decimal('4')"),
-    ], ids=["cm-float", "cm-decimal", "minimality-float", "bareiss-float", "bareiss-decimal"])
+    ], ids=["cm-float", "cm-decimal", "minimality-float"])
     def test_names_the_first_inexact_entry(self, call, bad):
         with pytest.raises(ValueError, match=rf"exact rationals \(ints or Fractions\), "
                                              rf"got {re.escape(bad)}$"):
@@ -323,40 +332,42 @@ class TestInexactInputs:
 
 
 class TestBareissDeterminant:
+    """_integer_determinant, the one elimination behind every exact determinant."""
+
     def test_identity(self):
-        rows = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert bareiss_determinant(rows) == 1
+        rows = [[int(i == j) for j in range(4)] for i in range(4)]
+        assert _integer_determinant(rows)[0] == 1
 
     def test_two_by_two(self):
-        rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
-        assert bareiss_determinant(rows) == Fraction(1, 10) - Fraction(1, 12)
+        """[[1/2, 1/3], [1/4, 1/5]] scaled by 60: 60**2 (1/10 - 1/12) = 60."""
+        rows = [[30, 20], [15, 12]]
+        assert _integer_determinant(rows)[0] == 60
 
     def test_singular(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert bareiss_determinant(rows) == 0
+        rows = [[1, 2], [2, 4]]
+        assert _integer_determinant(rows)[0] == 0
 
     def test_pivot_swap(self):
         """A zero leading pivot forces a row swap and a sign flip."""
-        rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        assert bareiss_determinant(rows) == -1
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            bareiss_determinant([[Fraction(1), Fraction(2)]])
-        with pytest.raises(ValueError):
-            bareiss_determinant([])
+        rows = [[0, 1], [1, 0]]
+        assert _integer_determinant(rows)[0] == -1
 
     @given(st.lists(st.lists(st.integers(min_value=-9, max_value=9),
                              min_size=3, max_size=3),
                     min_size=3, max_size=3))
     def test_matches_cofactor_expansion_integers(self, raw):
         rows = [[Fraction(v) for v in row] for row in raw]
-        assert bareiss_determinant(rows) == _cofactor_determinant(rows)
+        assert _integer_determinant([list(row) for row in raw])[0] == _cofactor_determinant(rows)
 
     @given(st.lists(st.lists(small_fractions, min_size=4, max_size=4),
                     min_size=4, max_size=4))
     def test_matches_cofactor_expansion_rationals(self, rows):
-        assert bareiss_determinant(rows) == _cofactor_determinant(rows)
+        """Each row scaled to ints by its denominators' lcm d_i: the
+        integer determinant is det(rows) times the product of the d_i."""
+        scales = [math.lcm(*(q.denominator for q in row)) for row in rows]
+        scaled = [[int(q * d) for q in row] for row, d in zip(rows, scales)]
+        det = _integer_determinant(scaled)[0]
+        assert Fraction(det, math.prod(scales)) == _cofactor_determinant(rows)
 
 
 class TestHankelDeterminants:
@@ -381,7 +392,7 @@ class TestHankelDeterminants:
 
     def test_variants_agree_and_stay_nonnegative(self, table31):
         """Exhaustive sweep: sizes <= 4, entries <= 5, both variants, each
-        equal to the rational Bareiss on the (a_i + a_j)! b_{a_i+a_j+1}."""
+        equal to the cofactor expansion on the (a_i + a_j)! b_{a_i+a_j+1}."""
         tuples = [t for m in range(1, 5)
                   for t in combinations_with_replacement(range(6), m)]
         assert len(tuples) == 209
@@ -390,7 +401,7 @@ class TestHankelDeterminants:
             signed = hankel_determinant(table31, indices, DeterminantVariant.SIGNED)
             rows = [[math.factorial(ai + aj) * table31[ai + aj + 1] for aj in indices]
                     for ai in indices]
-            assert plain == signed == bareiss_determinant(rows)
+            assert plain == signed == _cofactor_determinant(rows)
             assert plain >= 0
 
     def test_requires_deep_table(self):
@@ -789,16 +800,44 @@ class TestShiftedKernelDeterminants:
             0, 4, "-45432597512179735985034319846441/649037107316853453566312041152512")
         assert sorted(set(calls)) == [(n, 0.5, 1e-9) for n in (1, 2, 3, 5)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(lambda m, e: m * 10.0 ** e,
+                              st.floats(1.0, 10.0),
+                              st.one_of(st.integers(-4, 2), st.integers(-300, 2))),
+                    min_size=5, max_size=5))
+    def test_first_violation_matches_cofactor_expansion(self, h):
+        """Entries h_1..h_5 from 1e-300 to 1e3, half of them drawn near unit
+        scale so that violations are common: the report names the first
+        tuple whose determinant, by cofactor expansion over the exact
+        binary rationals, is below -1e-6, with that exact value."""
+        tuples = [t for m in (1, 2) for t in combinations_with_replacement(range(3), m)]
+        expected = None
+        for idx, a in enumerate(tuples):
+            rows = [[Fraction(math.factorial(ai + aj) * h[ai + aj]) for aj in a] for ai in a]
+            det = _cofactor_determinant(rows)
+            if det < Fraction(-1e-6):
+                expected = (0, idx, format_rational(det))
+                break
+
+        def stub(n, x, tol):
+            return QuadratureResult(h[n - 1], 0.0, 1, True)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gregory.properties, "shifted_kernel_integral", stub)
+            report = check_shifted_kernel_determinants(0.5)
+        assert report.first_violation == expected
+        assert report.passed == (expected is None)
+
     def test_one_determinant_per_tuple(self, monkeypatch):
         """The sign-prefixed matrix D M D has M's determinant, so each of
-        the 9 tuples is one Bareiss elimination."""
-        real, calls = gregory.properties.bareiss_determinant, []
+        the 9 tuples is one integer elimination."""
+        real, calls = gregory.properties._integer_determinant, []
 
         def counting(rows):
             calls.append(rows)
             return real(rows)
 
-        monkeypatch.setattr(gregory.properties, "bareiss_determinant", counting)
+        monkeypatch.setattr(gregory.properties, "_integer_determinant", counting)
         assert check_shifted_kernel_determinants(0.5).passed
         assert len(calls) == 9
 
@@ -809,7 +848,6 @@ _DOMAIN_CHECKS = [
     ("bernstein-identity", bernstein_identity, "x must be positive"),
     ("derivative", lambda v: genfun_derivative_integral(v, 1), "x must be >= 0"),
     ("shifted-kernel", lambda v: shifted_kernel_integral(1, v), "x must be >= 0"),
-    ("weight", stieltjes_weight, "w is defined for t > 1"),
     ("kernel-determinants", check_shifted_kernel_determinants, "x must be >= 0"),
     ("cm-grid", lambda v: cm_grid_test(math.exp, (1.0, v)), "grid points must be positive"),
     ("bernstein", lambda v: check_bernstein(lambda x: 1.0, lambda x: 0.0, (v,)),
@@ -830,13 +868,12 @@ _DOMAIN_CHECKS = [
 
 
 # The kernel-backed functions' rejections keep every quadrature term finite,
-# so the engine sums without a rescan.  w(inf) = 0 is the limit of the
-# weight, so only the NaN case applies to it.
+# so the engine sums without a rescan.
 @pytest.mark.parametrize("call, message, bad", [
     pytest.param(call, message, math.nan, id=name) for name, call, message in _DOMAIN_CHECKS
 ] + [
     pytest.param(call, message, math.inf, id=f"{name}-inf")
-    for name, call, message in _DOMAIN_CHECKS if name != "weight"
+    for name, call, message in _DOMAIN_CHECKS
 ])
 def test_nan_argument_gets_the_domain_error(call, message, bad):
     """A NaN or infinite argument fails each function's own domain check,

@@ -28,7 +28,6 @@ from gregory import (
     moment_integral,
     shifted_kernel_integral,
     stieltjes_recip_log,
-    stieltjes_weight,
     stieltjes_weight_unit,
 )
 
@@ -1378,6 +1377,15 @@ class TestRoundingFloor:
         assert (kfac == math.factorial(k)) == (k <= 22)
         assert got.abs_error_estimate == (kfac * raw.abs_error_estimate
                                           + roundings * 2.0 ** -53 * abs(got.value))
+
+
+def stieltjes_weight(t):
+    """w(t) = 1/((ln(t-1))^2 + pi^2) on (1, inf), the t-form that
+    stieltjes_weight_unit pulls back; peak value 1/pi^2 at t = 2."""
+    if not t > 1.0:
+        raise ValueError("w is defined for t > 1")
+    lg = math.log(t - 1.0)
+    return 1.0 / (lg * lg + math.pi * math.pi)
 
 
 class TestKernelFunctions:
