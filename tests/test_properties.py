@@ -40,6 +40,7 @@ from gregory import (
     shifted_kernel_integral,
     signed_moment_sequence,
     stieltjes_recip_log,
+    stieltjes_weight_unit,
 )
 from gregory.properties import _integer_determinant, hankel_positive_definite
 from gregory.quadrature import _C, _E, _J, _integrate_members
@@ -848,6 +849,7 @@ _DOMAIN_CHECKS = [
     ("bernstein-identity", bernstein_identity, "x must be positive"),
     ("derivative", lambda v: genfun_derivative_integral(v, 1), "x must be >= 0"),
     ("shifted-kernel", lambda v: shifted_kernel_integral(1, v), "x must be >= 0"),
+    ("weight", stieltjes_weight_unit, r"v is defined on the open interval \(0, 1\)"),
     ("kernel-determinants", check_shifted_kernel_determinants, "x must be >= 0"),
     ("cm-grid", lambda v: cm_grid_test(math.exp, (1.0, v)), "grid points must be positive"),
     ("bernstein", lambda v: check_bernstein(lambda x: 1.0, lambda x: 0.0, (v,)),
