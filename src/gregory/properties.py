@@ -176,12 +176,10 @@ def _integer_determinant(imat: list[list[int]]) -> tuple[int, list[int]]:
     return sign * det, minors
 
 
-def _moment_matrix(entry: Callable[[int], object], indices: Sequence[int],
-                   variant: DeterminantVariant) -> list[list]:
-    # entry (i, j) is entry(a_i + a_j), negated at odd a_i + a_j when SIGNED
-    signed = variant is DeterminantVariant.SIGNED
-    return [[-entry(ai + aj) if signed and (ai + aj) % 2 else entry(ai + aj) for aj in indices]
-            for ai in indices]
+def _scaled_determinant(nums: list[int], den: int, size: int) -> Fraction:
+    # det of the size x size matrix whose row-major entries are nums / den
+    rows = [nums[i:i + size] for i in range(0, len(nums), size)]
+    return Fraction(_integer_determinant(rows)[0], den ** size)
 
 
 def _validate_index_tuple(indices) -> tuple[int, ...]:
@@ -215,8 +213,10 @@ def hankel_determinant(table: GregoryTable, indices,
     idx = _validate_index_tuple(indices)
     _check_reach(table, 2 * max(idx) + 1)
     moments, den = table.factorial_moments
-    matrix = _moment_matrix(moments.__getitem__, idx, variant)
-    return Fraction(_integer_determinant(matrix)[0], den ** len(idx))
+    signed = variant is DeterminantVariant.SIGNED
+    nums = [-moments[ai + aj] if signed and (ai + aj) % 2 else moments[ai + aj]
+            for ai in idx for aj in idx]
+    return _scaled_determinant(nums, den, len(idx))
 
 
 def hankel_positive_definite(table: GregoryTable, size: int) -> bool:
@@ -510,8 +510,7 @@ def check_shifted_kernel_determinants(x: float, tol: float = 1e-10) -> CmReport:
     tuples = [t for m in (1, 2) for t in combinations_with_replacement(range(3), m)]
     for idx, a in enumerate(tuples):
         nums, den = _common_denominator([entry(ai + aj) for ai in a for aj in a])
-        matrix = [nums[i:i + len(a)] for i in range(0, len(nums), len(a))]
-        det = Fraction(_integer_determinant(matrix)[0], den ** len(a))
+        det = _scaled_determinant(nums, den, len(a))
         if det < -KERNEL_DETERMINANT_SLACK:
             return _report("kernel-determinants", (len(tuples) - 1, 1),
                            (0, idx, format_rational(det)))

@@ -5,7 +5,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 import pytest
@@ -42,7 +42,8 @@ from gregory import (
     stieltjes_recip_log,
     stieltjes_weight_unit,
 )
-from gregory.properties import _integer_determinant, hankel_positive_definite
+from gregory.properties import (_integer_determinant, _scaled_determinant,
+                               hankel_positive_definite)
 from gregory.quadrature import _C, _E, _J, _integrate_members
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -287,19 +288,6 @@ class TestMinimality:
         assert not report.passed
         assert report.first_violation is None
 
-    def test_column_zero_is_the_tail_of_the_magnitudes(self):
-        """(-1)**k Delta**k mu_0 = 1 - sum_{n=1}^{k+1} |b_n| for k = 0..120.
-
-        The binomial transform of mu_j = |b_{j+1}| has the generating
-        function -1/x - 1/((1-x) ln(1-x)), and sum_{n>=1} |b_n| = 1, so the
-        column the probe lowers is the tail F(k) of that sum.  At horizon
-        30 its least entry is F(30) = 0.2211..., 0.1211... above 1/10."""
-        table = bernoulli2_series(121)
-        column = difference_table(signed_moment_sequence(table), 120)
-        partial = accumulate(abs(b) for b in table.values[1:])
-        assert [column.alternating(k, 0) for k in range(121)] == [1 - p for p in partial]
-        assert column.alternating(30, 0) - Fraction(1, 10) > Fraction(12, 100)
-
     def test_toy_sequence_inconclusive(self):
         """(1, 0, 0) stays CM after dropping mu_0 to 1/2: nothing is proven."""
         report = check_minimality_perturbation(
@@ -369,6 +357,16 @@ class TestBareissDeterminant:
         scaled = [[int(q * d) for q in row] for row, d in zip(rows, scales)]
         det = _integer_determinant(scaled)[0]
         assert Fraction(det, math.prod(scales)) == _cofactor_determinant(rows)
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+               lambda m: st.lists(st.integers(-99, 99), min_size=m * m, max_size=m * m)),
+           st.integers(min_value=1, max_value=10**6))
+    def test_scaled_determinant_divides_once_by_den_to_the_size(self, nums, den):
+        """Row-major integer entries over one denominator, the form both
+        the Hankel and the kernel determinants take: det(nums / den)."""
+        size = math.isqrt(len(nums))
+        rows = [[Fraction(v, den) for v in nums[i:i + size]] for i in range(0, len(nums), size)]
+        assert _scaled_determinant(nums, den, size) == _cofactor_determinant(rows)
 
 
 class TestHankelDeterminants:
